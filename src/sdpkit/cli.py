@@ -183,12 +183,13 @@ def _policy_fn(spec: str, params: storage.StorageParams):
     return storage.grid_policy_fn(_load_storage_policy(spec, params))
 
 
-def _simulate_series(policy_fn, series_path, params, e0) -> storage.TrajectoryRecord:
-    t, omega, _ = storage.load_series(series_path)
+def _load_storage_series(series_path, params: storage.StorageParams):
+    """Speed and optional production columns of a series sampled at the storage timestep."""
+    t, omega, p_prod = storage.load_series(series_path)
     dt = _series_dt(t)
     if dt > 0.0 and abs(dt - params.dt) > 1e-9 * params.dt:
         raise ValueError(f"series timestep {dt} != storage timestep {params.dt}")
-    return storage.simulate_trajectory(policy_fn, omega, params, e0)
+    return omega, p_prod
 
 
 def _metrics_doc(m: storage.SmoothingMetrics) -> dict:
@@ -205,7 +206,8 @@ def cmd_simulate(args) -> int:
     params = _storage_params(args)
     e0 = params.e_rated / 2.0 if args.e0 is None else args.e0
     policy_fn = _policy_fn(args.policy, params)
-    traj = _simulate_series(policy_fn, args.series, params, e0)
+    omega, _ = _load_storage_series(args.series, params)
+    traj = storage.simulate_trajectory(policy_fn, omega, params, e0)
     storage.save_trajectory(traj, args.out)
     m = storage.metrics(traj)
     if args.metrics_out:
@@ -223,10 +225,7 @@ def cmd_compare(args) -> int:
     heuristic_fn = storage.heuristic_policy_fn(params)
     per_series = []
     for series_path in args.series:
-        t, omega, p_prod = storage.load_series(series_path)
-        dt = _series_dt(t)
-        if dt > 0.0 and abs(dt - params.dt) > 1e-9 * params.dt:
-            raise ValueError(f"series timestep {dt} != storage timestep {params.dt}")
+        omega, p_prod = _load_storage_series(series_path, params)
         if p_prod is None:
             p_prod = storage.pto_power(omega, params)
         heur = storage.metrics(storage.simulate_trajectory(heuristic_fn, omega, params, e0))

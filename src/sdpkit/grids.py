@@ -299,8 +299,15 @@ def load_grid_function(path) -> GridFunction:
         raise ValueError(f"corrupt grid function metadata in {path}: {exc}") from exc
     if meta.get("format") != GRIDFN_FORMAT:
         raise ValueError(f"{path} is not a grid function file (format={meta.get('format')!r})")
+    missing = [key for key in ("axes", "payload", "value_count") if key not in meta]
+    if missing:
+        raise ValueError(f"{path} lacks the field(s) {', '.join(missing)}")
+    name = meta["payload"]
+    # the payload must sit next to its metadata file: a plain name, no path
+    if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+        raise ValueError(f"{path}: payload {name!r} is not a plain file name")
     grid = build_grid((a["lo"], a["hi"], a["n"]) for a in meta["axes"])
-    payload = path.parent / meta["payload"]
+    payload = path.parent / name
     raw = np.frombuffer(payload.read_bytes(), dtype="<f8")
     if raw.size != meta["value_count"] or raw.size != grid.size:
         raise ValueError(

@@ -41,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import ndtri
 
-from .grids import GridFunction, RectGrid, interpolation_stencil, node_coordinates, save_grid_function
+from .grids import GridFunction, RectGrid, interpolate, interpolation_stencil, node_coordinates, save_grid_function
 
 __all__ = [
     "DiscreteNoise",
@@ -148,14 +148,12 @@ class ControlProblem:
     and return ``(m, state_dim)`` next states / ``(m,)`` costs.  They
     must be pure and thread-safe.
 
-    ``control_candidates(x)`` maps one state point to the ordered,
-    de-duplicated array of admissible control points there, shape
-    ``(k, control_dim)`` with k >= 1.  When the candidate count is
-    state-independent, supply ``control_candidates_batch`` as well
-    (states ``(m, state_dim)`` to candidates ``(m, K, control_dim)``);
-    the solver then avoids the per-node Python loop.  Repeated
-    candidates are harmless: ties in the minimisation always resolve to
-    the earliest candidate.
+    ``control_candidates(states)`` maps ``m`` state points
+    ``(m, state_dim)`` to their admissible controls
+    ``(m, K, control_dim)``, in preference order.  The candidate count
+    K >= 1 is state-independent; where fewer distinct controls are
+    admissible, repeat one of them.  Repeated candidates are harmless:
+    ties in the minimisation always resolve to the first candidate.
     """
 
     state_dim: int
@@ -164,38 +162,18 @@ class ControlProblem:
     stage_cost: Callable
     control_candidates: Callable
     noise: DiscreteNoise
-    control_candidates_batch: Callable | None = None
 
     def __post_init__(self) -> None:
         if self.state_dim < 1 or self.control_dim < 1:
             raise ValueError("state_dim and control_dim must be >= 1")
 
     def candidate_array(self, states: np.ndarray) -> np.ndarray:
-        """Admissible controls at a batch of states, shape (m, K, control_dim).
-
-        Ragged per-state candidate lists are padded by repeating their
-        first entry, which cannot change any first-occurrence argmin.
-        """
-        if self.control_candidates_batch is not None:
-            out = np.asarray(self.control_candidates_batch(states), dtype=np.float64)
-            if out.ndim != 3 or out.shape[0] != states.shape[0] or out.shape[2] != self.control_dim:
-                raise ValueError(f"candidate batch has shape {out.shape}, expected (m, K, {self.control_dim})")
-            if out.shape[1] < 1:
-                raise ValueError("control candidates must not be empty")
-            return out
-
-        rows = []
-        for s in states:
-            cand = np.asarray(self.control_candidates(s), dtype=np.float64)
-            cand = cand.reshape(-1, self.control_dim)
-            if cand.shape[0] < 1:
-                raise ValueError(f"control candidates empty at state {tuple(s)}")
-            rows.append(cand)
-        k_max = max(r.shape[0] for r in rows)
-        out = np.empty((len(rows), k_max, self.control_dim))
-        for i, r in enumerate(rows):
-            out[i, : r.shape[0]] = r
-            out[i, r.shape[0] :] = r[0]
+        """Admissible controls at a batch of states, shape (m, K, control_dim)."""
+        out = np.asarray(self.control_candidates(states), dtype=np.float64)
+        if out.ndim != 3 or out.shape[0] != states.shape[0] or out.shape[2] != self.control_dim:
+            raise ValueError(f"control_candidates gave shape {out.shape}, expected (m, K, {self.control_dim})")
+        if out.shape[1] < 1:
+            raise ValueError("control candidates must not be empty")
         return out
 
 
@@ -259,10 +237,6 @@ class SolveReport:
     converged: bool
 
 
-def _span(x: np.ndarray) -> float:
-    return float(x.max() - x.min())
-
-
 def _check_divergence(residuals: list[float]) -> None:
     if len(residuals) > DIVERGENCE_WINDOW:
         base = residuals[-1 - DIVERGENCE_WINDOW]
@@ -289,34 +263,35 @@ def _auto_chunk(config: SolverConfig, k: int) -> int:
     return max(256, 400_000 // max(k, 1))
 
 
-def _interp_values(grid: RectGrid, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation against a raw value table (hull-clipped)."""
-    flat, weights = interpolation_stencil(grid, pts)
-    corner_vals = values[flat]
-    out = np.einsum("mc,mc->m", weights, corner_vals)
-    np.clip(out, corner_vals.min(axis=1), corner_vals.max(axis=1), out=out)
-    return out
+def _check_grid(grid: RectGrid, problem: ControlProblem, config: SolverConfig) -> None:
+    if grid.dim != problem.state_dim:
+        raise ValueError(f"grid dimension {grid.dim} != problem state_dim {problem.state_dim}")
+    if not config.reference_node < grid.size:
+        raise ValueError(f"reference node {config.reference_node} outside grid of size {grid.size}")
 
 
-def _report_bad_node(grid: RectGrid, bad: np.ndarray, base: int, k: int, what: str) -> None:
-    """Raise for the first node whose dynamics or cost came out non-finite."""
-    pos = int(np.argmax(bad))
-    node = base + pos // k
-    raise ValueError(
-        f"{what} is not finite at grid node {node} {node_coordinates_safe(grid, node)}"
-    )
+def _successors(problem: ControlProblem, grid: RectGrid, x, u, w, first_node: int, k: int):
+    """Next states (m, state_dim) and stage costs (m,) at the m points x, u, w.
 
-
-def node_coordinates_safe(grid: RectGrid, node: int):
-    try:
-        return node_coordinates(grid, node)
-    except IndexError:
-        return "(?)"
+    Point i belongs to grid node ``first_node + i // k``.  An output of
+    the wrong shape, or the first non-finite one, raises ValueError.
+    """
+    m = x.shape[0]
+    xn = np.asarray(problem.dynamics(x, u, w), dtype=np.float64)
+    if xn.shape != (m, problem.state_dim):
+        raise ValueError(f"dynamics returned shape {xn.shape}, expected {(m, problem.state_dim)}")
+    cost = np.asarray(problem.stage_cost(x, u, w), dtype=np.float64)
+    if cost.shape != (m,):
+        raise ValueError(f"stage_cost returned shape {cost.shape}, expected {(m,)}")
+    for what, bad in (("dynamics output", ~np.isfinite(xn).all(axis=1)), ("stage cost", ~np.isfinite(cost))):
+        if bad.any():
+            node = first_node + int(np.argmax(bad)) // k
+            raise ValueError(f"{what} is not finite at grid node {node} {node_coordinates(grid, node)}")
+    return xn, cost
 
 
 def _min_sweep(
-    values: np.ndarray,
-    grid: RectGrid,
+    value: GridFunction,
     problem: ControlProblem,
     config: SolverConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -325,6 +300,7 @@ def _min_sweep(
     Returns the un-anchored swept values (N,) and the greedy controls
     (N, control_dim).
     """
+    grid = value.grid
     n = grid.size
     nodes_xy = grid.all_nodes
     raw = np.empty(n)
@@ -340,16 +316,8 @@ def _min_sweep(
         u_rep = cand.reshape(mc * k, problem.control_dim)
         q = np.zeros((mc, k))
         for wval, wprob in zip(problem.noise.nodes, problem.noise.weights):
-            w = np.full(mc * k, wval)
-            xn = np.asarray(problem.dynamics(x_rep, u_rep, w), dtype=np.float64)
-            cost = np.asarray(problem.stage_cost(x_rep, u_rep, w), dtype=np.float64).reshape(-1)
-            bad = ~np.isfinite(xn).all(axis=1)
-            if bad.any():
-                _report_bad_node(grid, bad, a, k, "dynamics output")
-            bad = ~np.isfinite(cost)
-            if bad.any():
-                _report_bad_node(grid, bad, a, k, "stage cost")
-            q += wprob * (cost + _interp_values(grid, values, xn)).reshape(mc, k)
+            xn, cost = _successors(problem, grid, x_rep, u_rep, np.full(mc * k, wval), a, k)
+            q += wprob * (cost + interpolate(value, xn)).reshape(mc, k)
         best = np.argmin(q, axis=1)
         rows = np.arange(mc)
         raw[a:b] = q[rows, best]
@@ -357,6 +325,32 @@ def _min_sweep(
 
     _run_chunks(spans, worker, config.threads)
     return raw, controls
+
+
+def _policy_functions(grid: RectGrid, controls: np.ndarray) -> tuple[GridFunction, ...]:
+    return tuple(GridFunction(grid, controls[:, j].copy()) for j in range(controls.shape[1]))
+
+
+def _relative_iteration(step: Callable, n: int, config: SolverConfig):
+    """Iterate v <- step(v) - step(v)[ref] from v = 0; returns (v, anchors, residuals, converged).
+
+    Stops once the span of the increment drops to ``eval_tol * (|anchor| + 1)``
+    or after ``eval_max_sweeps`` sweeps; raises :class:`DivergenceError`
+    if the spans grow instead.
+    """
+    v = np.zeros(n)
+    anchors: list[float] = []
+    residuals: list[float] = []
+    for _ in range(config.eval_max_sweeps):
+        raw = step(v)
+        anchors.append(float(raw[config.reference_node]))
+        increment = raw - v
+        residuals.append(float(increment.max() - increment.min()))
+        v = raw - anchors[-1]
+        if residuals[-1] <= config.eval_tol * (abs(anchors[-1]) + 1.0):
+            return v, anchors, residuals, True
+        _check_divergence(residuals)
+    return v, anchors, residuals, False
 
 
 def bellman_sweep(
@@ -374,15 +368,10 @@ def bellman_sweep(
     """
     config = config or SolverConfig()
     grid = value.grid
-    if grid.dim != problem.state_dim:
-        raise ValueError(f"grid dimension {grid.dim} != problem state_dim {problem.state_dim}")
-    if not config.reference_node < grid.size:
-        raise ValueError(f"reference node {config.reference_node} outside grid of size {grid.size}")
-    raw, controls = _min_sweep(value.values, grid, problem, config)
+    _check_grid(grid, problem, config)
+    raw, controls = _min_sweep(value, problem, config)
     avg = float(raw[config.reference_node])
-    new_value = GridFunction(grid, raw - avg)
-    policy = tuple(GridFunction(grid, controls[:, j].copy()) for j in range(problem.control_dim))
-    return new_value, policy, avg
+    return GridFunction(grid, raw - avg), _policy_functions(grid, controls), avg
 
 
 def _project_policy_to_candidates(
@@ -428,15 +417,7 @@ def _fixed_policy_operator(
         xc = nodes_xy[a:b]
         uc = controls[a:b]
         for l, (wval, wprob) in enumerate(zip(noise.nodes, noise.weights)):
-            w = np.full(b - a, wval)
-            xn = np.asarray(problem.dynamics(xc, uc, w), dtype=np.float64)
-            cost = np.asarray(problem.stage_cost(xc, uc, w), dtype=np.float64).reshape(-1)
-            bad = ~np.isfinite(xn).all(axis=1)
-            if bad.any():
-                _report_bad_node(grid, bad, a, 1, "dynamics output")
-            bad = ~np.isfinite(cost)
-            if bad.any():
-                _report_bad_node(grid, bad, a, 1, "stage cost")
+            xn, cost = _successors(problem, grid, xc, uc, np.full(b - a, wval), a, 1)
             flat, wts = interpolation_stencil(grid, xn)
             sl = slice(l * ncorner, (l + 1) * ncorner)
             indices[a:b, sl] = flat
@@ -469,31 +450,14 @@ def policy_evaluation(
     for p in policy[1:]:
         if p.grid != grid:
             raise ValueError("policy components must share one grid")
-    if grid.dim != problem.state_dim:
-        raise ValueError(f"grid dimension {grid.dim} != problem state_dim {problem.state_dim}")
     if len(policy) != problem.control_dim:
         raise ValueError(f"{len(policy)} policy components != control_dim {problem.control_dim}")
-    if not config.reference_node < grid.size:
-        raise ValueError(f"reference node {config.reference_node} outside grid of size {grid.size}")
+    _check_grid(grid, problem, config)
 
     controls = _project_policy_to_candidates(policy, problem, grid)
     c_bar, matrix = _fixed_policy_operator(controls, grid, problem, config)
-
-    v = np.zeros(grid.size)
-    residuals: list[float] = []
-    avg = 0.0
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, config.eval_max_sweeps + 1):
-        raw = c_bar + matrix @ v
-        avg = float(raw[config.reference_node])
-        residuals.append(_span(raw - v))
-        v = raw - avg
-        if residuals[-1] <= config.eval_tol * (abs(avg) + 1.0):
-            converged = True
-            break
-        _check_divergence(residuals)
-    return EvaluationResult(avg, GridFunction(grid, v), sweeps, residuals, converged)
+    v, anchors, residuals, converged = _relative_iteration(lambda h: c_bar + matrix @ h, grid.size, config)
+    return EvaluationResult(anchors[-1], GridFunction(grid, v), len(residuals), residuals, converged)
 
 
 def policy_improvement(
@@ -568,39 +532,23 @@ def value_iteration(
     evaluation), then returns the final greedy policy.
     """
     config = config or SolverConfig()
-    if grid.dim != problem.state_dim:
-        raise ValueError(f"grid dimension {grid.dim} != problem state_dim {problem.state_dim}")
-    if not config.reference_node < grid.size:
-        raise ValueError(f"reference node {config.reference_node} outside grid of size {grid.size}")
-
-    v = np.zeros(grid.size)
-    residuals: list[float] = []
-    avg_history: list[float] = []
-    avg = 0.0
+    _check_grid(grid, problem, config)
     controls = None
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, config.eval_max_sweeps + 1):
-        raw, controls = _min_sweep(v, grid, problem, config)
-        avg = float(raw[config.reference_node])
-        residuals.append(_span(raw - v))
-        avg_history.append(avg)
-        v = raw - avg
-        if residuals[-1] <= config.eval_tol * (abs(avg) + 1.0):
-            converged = True
-            break
-        _check_divergence(residuals)
-    policy = tuple(
-        GridFunction(grid, controls[:, j].copy()) for j in range(problem.control_dim)
-    )
+
+    def step(v: np.ndarray) -> np.ndarray:
+        nonlocal controls
+        raw, controls = _min_sweep(GridFunction(grid, v), problem, config)
+        return raw
+
+    v, anchors, residuals, converged = _relative_iteration(step, grid.size, config)
     return SolveReport(
-        avg_cost=avg,
+        avg_cost=anchors[-1],
         value=GridFunction(grid, v),
-        policy=policy,
-        sweeps_per_evaluation=[sweeps],
+        policy=_policy_functions(grid, controls),
+        sweeps_per_evaluation=[len(residuals)],
         improvement_steps=1,
         residual_history=residuals,
-        avg_cost_history=avg_history,
+        avg_cost_history=anchors,
         policy_change_history=[],
         converged=converged,
     )

@@ -162,7 +162,8 @@ def build_problem(
     """Assemble the smoothing problem for the grid solver.
 
     Control candidates are ``n_controls`` levels uniform on [0, p_max],
-    each projected onto the state's feasibility interval.  The energy
+    each projected onto the state's feasibility interval, so levels
+    clipped to the same bound repeat (the first one wins ties).  The energy
     update inside the dynamics is clipped to [0, e_rated] so projected
     candidates keep the store in bounds exactly, rounding included.
     """
@@ -187,15 +188,7 @@ def build_problem(
     def stage_cost(x, u, w):
         return np.square(u[:, 0])
 
-    def control_candidates(state):
-        lo, hi = feasible_interval(state[0], state[1], params)
-        projected = np.clip(base, lo, hi)
-        keep = np.empty(projected.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = projected[1:] != projected[:-1]
-        return projected[keep][:, None]
-
-    def control_candidates_batch(states):
+    def control_candidates(states):
         lo, hi = feasible_interval(states[:, 0], states[:, 1], params)
         return np.clip(base[None, :], lo[:, None], hi[:, None])[:, :, None]
 
@@ -206,7 +199,6 @@ def build_problem(
         stage_cost=stage_cost,
         control_candidates=control_candidates,
         noise=discretize_noise(model.sigma_eps, n_noise),
-        control_candidates_batch=control_candidates_batch,
     )
 
 

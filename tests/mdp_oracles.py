@@ -119,11 +119,9 @@ def as_control_problem(mdp: FiniteMDP) -> tuple[solver.ControlProblem, grids.Rec
         control_dim=1,
         dynamics=dynamics,
         stage_cost=stage_cost,
-        control_candidates=lambda s: actions,
+        control_candidates=lambda xs: np.broadcast_to(actions, (xs.shape[0], mdp.n_actions, 1)),
         noise=solver.DiscreteNoise(np.arange(mdp.table.shape[2], dtype=np.float64),
                                    mdp.outcome_probs),
-        control_candidates_batch=lambda xs: np.broadcast_to(
-            actions, (xs.shape[0], mdp.n_actions, 1)),
     )
     return problem, grid
 

@@ -197,6 +197,10 @@ class TestSimulate:
         code = run_cli("simulate", "--policy", "heuristic", "--series", str(series),
                        "--out", str(tmp_path / "t.csv"))
         assert code == cli.EXIT_USAGE
+        code = run_cli("compare", "--policy", "heuristic", "--series", str(series),
+                       "--out", str(tmp_path / "cmp.json"))
+        assert code == cli.EXIT_USAGE
+        assert not (tmp_path / "cmp.json").exists()
 
 
 class TestCompare:

@@ -270,6 +270,33 @@ class TestPersistence:
         with pytest.raises(ValueError, match="not a grid function"):
             grids.load_grid_function(path)
 
+    @pytest.mark.parametrize("field", ["axes", "payload", "value_count"])
+    def test_load_rejects_missing_field(self, tmp_path, field):
+        path = tmp_path / "fn.gridfn"
+        grids.save_grid_function(grids.GridFunction(grids.build_grid([(0, 1, 2)]), [0.0, 1.0]), path)
+        meta = json.loads(path.read_text())
+        del meta[field]
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=field):
+            grids.load_grid_function(path)
+
+    @pytest.mark.parametrize("payload", ["absolute", "../fn.gridfn.bin", "sub/fn.gridfn.bin", "..", ""])
+    def test_load_rejects_payload_outside_its_directory(self, tmp_path, payload):
+        # a valid payload sits one level up; "absolute" names it by its absolute path
+        outside = tmp_path / "fn.gridfn.bin"
+        if payload == "absolute":
+            payload = str(outside)
+        inner = tmp_path / "sub"
+        inner.mkdir()
+        path = inner / "fn.gridfn"
+        grids.save_grid_function(grids.GridFunction(grids.build_grid([(0, 1, 2)]), [0.0, 1.0]), path)
+        outside.write_bytes((inner / "fn.gridfn.bin").read_bytes())
+        meta = json.loads(path.read_text())
+        meta["payload"] = payload
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="plain file name"):
+            grids.load_grid_function(path)
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             grids.load_grid_function(tmp_path / "absent.gridfn")

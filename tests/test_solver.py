@@ -86,6 +86,11 @@ class TestDiscretizeNoise:
             DiscreteNoise(np.array([0.0]), np.array([0.5, 0.5]))
 
 
+def fixed_candidates(cands):
+    """Candidate callback offering the same (K, control_dim) candidates at every state."""
+    return lambda xs: np.broadcast_to(cands, (xs.shape[0],) + cands.shape)
+
+
 def make_tabular_problem(cost_table):
     """Deterministic two-state problem: the control is the next state."""
     cost_table = np.asarray(cost_table, dtype=np.float64)
@@ -104,7 +109,7 @@ def make_tabular_problem(cost_table):
         control_dim=1,
         dynamics=dynamics,
         stage_cost=stage_cost,
-        control_candidates=lambda s: actions,
+        control_candidates=fixed_candidates(actions),
         noise=DiscreteNoise(np.array([0.0]), np.array([1.0])),
     )
     return problem, grid
@@ -125,7 +130,7 @@ class TestBellmanSweep:
             control_dim=1,
             dynamics=lambda x, u, w: x.copy(),
             stage_cost=lambda x, u, w: np.full(x.shape[0], 3.5),
-            control_candidates=lambda s: np.array([[0.0]]),
+            control_candidates=fixed_candidates(np.array([[0.0]])),
             noise=DiscreteNoise(np.array([0.0]), np.array([1.0])),
         )
         value = grids.GridFunction(grid, np.zeros(1))
@@ -142,7 +147,7 @@ class TestBellmanSweep:
             control_dim=1,
             dynamics=lambda x, u, w: x.copy(),
             stage_cost=lambda x, u, w: u[:, 0] ** 2,
-            control_candidates=lambda s: candidates,
+            control_candidates=fixed_candidates(candidates),
             noise=DiscreteNoise(np.array([0.0]), np.array([1.0])),
         )
         value = grids.GridFunction(grid, np.zeros(1))
@@ -158,7 +163,7 @@ class TestBellmanSweep:
             control_dim=1,
             dynamics=lambda x, u, w: x.copy(),
             stage_cost=lambda x, u, w: np.abs(u[:, 0]),
-            control_candidates=lambda s: candidates,
+            control_candidates=fixed_candidates(candidates),
             noise=DiscreteNoise(np.array([0.0]), np.array([1.0])),
         )
         value = grids.GridFunction(grid, np.zeros(1))
@@ -178,12 +183,34 @@ class TestBellmanSweep:
             control_dim=1,
             dynamics=bad_dynamics,
             stage_cost=lambda x, u, w: np.zeros(x.shape[0]),
-            control_candidates=lambda s: np.array([[0.0]]),
+            control_candidates=fixed_candidates(np.array([[0.0]])),
             noise=DiscreteNoise(np.array([0.0]), np.array([1.0])),
         )
         value = grids.GridFunction(grid, np.zeros(2))
         with pytest.raises(ValueError, match="node 1"):
             solver.bellman_sweep(value, problem)
+
+    @pytest.mark.parametrize("callback, bad", [
+        ("dynamics", lambda x, u, w: x[:, 0]),  # (m,) instead of (m, 1)
+        ("stage_cost", lambda x, u, w: np.zeros((x.shape[0], 2))),  # (m, 2) instead of (m,)
+    ], ids=["dynamics", "stage_cost"])
+    def test_wrong_output_shape_names_the_callback(self, callback, bad):
+        grid = grids.build_grid([(0.0, 1.0, 3)])
+        callbacks = {"dynamics": lambda x, u, w: x.copy(), "stage_cost": lambda x, u, w: np.zeros(x.shape[0])}
+        callbacks[callback] = bad
+        problem = ControlProblem(
+            state_dim=1,
+            control_dim=1,
+            control_candidates=fixed_candidates(np.array([[0.0]])),
+            noise=DiscreteNoise(np.array([0.0]), np.array([1.0])),
+            **callbacks,
+        )
+        value = grids.GridFunction(grid, np.zeros(3))
+        with pytest.raises(ValueError, match=f"{callback} returned shape"):
+            solver.bellman_sweep(value, problem)
+        policy = (grids.GridFunction(grid, np.zeros(3)),)
+        with pytest.raises(ValueError, match=f"{callback} returned shape"):
+            solver.policy_evaluation(policy, problem)
 
     def test_dimension_mismatch_rejected(self):
         problem, _ = make_tabular_problem([[0.0, 0.0], [0.0, 0.0]])
@@ -365,7 +392,7 @@ class TestDivergenceGuard:
             control_dim=1,
             dynamics=lambda x, u, w: x.copy(),
             stage_cost=runaway_cost,
-            control_candidates=lambda s: np.array([[0.0]]),
+            control_candidates=fixed_candidates(np.array([[0.0]])),
             noise=DiscreteNoise(np.array([0.0]), np.array([1.0])),
         )
         policy = (grids.GridFunction(grid, np.zeros(2)),)

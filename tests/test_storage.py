@@ -121,34 +121,40 @@ class TestBuildProblem:
 
     def test_empty_store_at_standstill_has_one_candidate(self):
         problem = storage.build_problem(storage.bundled_speed_model(), PARAMS)
-        cand = problem.control_candidates(np.array([0.0, 0.0, 0.0]))
-        assert cand.shape == (1, 1)
-        assert cand[0, 0] == 0.0
+        cand = problem.control_candidates(np.array([[0.0, 0.0, 0.0]]))
+        assert cand.shape == (1, 50, 1)
+        assert np.all(cand == 0.0)
 
     def test_candidates_respect_feasibility(self):
         problem = storage.build_problem(storage.bundled_speed_model(), PARAMS)
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            e = rng.uniform(0, PARAMS.e_rated)
-            om = rng.uniform(-1, 1)
-            state = np.array([e, om, rng.normal()])
-            cand = problem.control_candidates(state)[:, 0]
-            lo, hi = storage.feasible_interval(e, om, PARAMS)
-            assert np.all(cand >= lo) and np.all(cand <= hi)
-            assert np.all(np.diff(cand) > 0)  # sorted, de-duplicated
+        states = np.column_stack([
+            rng.uniform(0, PARAMS.e_rated, 50),
+            rng.uniform(-1, 1, 50),
+            rng.normal(size=50),
+        ])
+        cands = problem.control_candidates(states)[:, :, 0]
+        lo, hi = storage.feasible_interval(states[:, 0], states[:, 1], PARAMS)
+        assert np.all(cands >= lo[:, None]) and np.all(cands <= hi[:, None])
+        assert np.all(np.diff(cands, axis=1) >= 0)  # sorted
 
     def test_batch_candidates_agree_with_per_state(self):
-        problem = storage.build_problem(storage.bundled_speed_model(), PARAMS)
+        # independent expression: the uniform levels clipped to each state's interval
+        problem = storage.build_problem(storage.bundled_speed_model(), PARAMS, n_controls=30)
         rng = np.random.default_rng(4)
         states = np.column_stack([
-            rng.uniform(0, PARAMS.e_rated, 20),
+            # half the stores nearly empty, so the top levels get clipped
+            np.concatenate([rng.uniform(0, PARAMS.e_rated, 10), rng.uniform(0, PARAMS.p_max * PARAMS.dt, 10)]),
             rng.uniform(-1, 1, 20),
             rng.normal(size=20),
         ])
-        batch = problem.control_candidates_batch(states)
+        batch = problem.control_candidates(states)
+        assert batch.shape == (20, 30, 1)
+        assert np.any(batch[:, -1, 0] < PARAMS.p_max)
+        levels = np.linspace(0.0, PARAMS.p_max, 30)
         for i in range(20):
-            per_state = problem.control_candidates(states[i])[:, 0]
-            assert np.array_equal(np.unique(batch[i, :, 0]), per_state)
+            lo, hi = storage.feasible_interval(states[i, 0], states[i, 1], PARAMS)
+            assert np.array_equal(batch[i, :, 0], np.clip(levels, lo, hi))
 
     def test_dynamics_keeps_energy_in_bounds(self):
         problem = storage.build_problem(storage.bundled_speed_model(), PARAMS)
