@@ -157,6 +157,11 @@ def cmd_solve(args) -> int:
     print(f"improvement steps: {report.improvement_steps} "
           f"(policy {'converged' if report.converged else 'truncated at the improvement cap'})")
     print(f"evaluation sweeps: {report.sweeps_per_evaluation}")
+    capped = report.evaluation_converged.count(False)
+    if capped:
+        print(f"note: {capped} of {len(report.evaluation_converged)} evaluations stopped at the "
+              f"{args.max_sweeps}-sweep cap before converging (final span/tolerance "
+              f"{', '.join(f'{r:.3g}' for r in report.evaluation_span_ratio)})")
     for name, p in paths.items():
         print(f"wrote {name}: {p}")
     print(f"wrote slices: {slices_path}")

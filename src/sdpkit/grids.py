@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -31,9 +32,11 @@ __all__ = [
     "build_grid",
     "interpolate",
     "interpolation_stencil",
+    "stencil_blend",
     "node_coordinates",
     "save_grid_function",
     "load_grid_function",
+    "write_atomic",
 ]
 
 MAX_DIM = 4
@@ -262,19 +265,54 @@ def interpolate(gf: GridFunction, points):
     pts = np.asarray(points, dtype=np.float64)
     scalar = pts.ndim == 1
     flat, weights = interpolation_stencil(gf.grid, pts)
-    corner_vals = gf.values[flat]
-    out = np.einsum("mc,mc->m", weights, corner_vals)
-    np.clip(out, corner_vals.min(axis=1), corner_vals.max(axis=1), out=out)
+    out = stencil_blend(weights, gf.values[flat])
     if scalar:
         return float(out[0])
     return out
+
+
+def stencil_blend(weights: np.ndarray, corner_vals: np.ndarray) -> np.ndarray:
+    """Weighted sum of each row's corner values, clipped to that row's corner range."""
+    out = np.einsum("mc,mc->m", weights, corner_vals)
+    # halve the 2^k columns pairwise: on long batches a min/max reduction
+    # along the short last axis is about five times slower
+    lo = hi = corner_vals
+    while lo.shape[1] > 1:
+        half = lo.shape[1] // 2
+        lo = np.minimum(lo[:, :half], lo[:, half:])
+        hi = np.maximum(hi[:, :half], hi[:, half:])
+    np.maximum(out, lo[:, 0], out=out)
+    np.minimum(out, hi[:, 0], out=out)
+    return out
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary sibling of ``path``, then move it into place.
+
+    A failure at any point leaves the previous file at ``path`` untouched
+    and removes the temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_grid_function(gf: GridFunction, path) -> None:
     """Write a grid function as a JSON metadata file plus a sibling raw payload.
 
     The payload (``<path>.bin``) holds the node values as little-endian
-    64-bit floats in row-major order; round-trips are bit-exact.
+    64-bit floats in row-major order; round-trips are bit-exact.  Each
+    file is replaced atomically, payload first: a write cut short leaves
+    either the old pair, or a new payload whose size the old metadata
+    rejects unless the grid is unchanged.
     """
     path = Path(path)
     payload_name = path.name + ".bin"
@@ -286,8 +324,29 @@ def save_grid_function(gf: GridFunction, path) -> None:
         "dtype": "<f8",
         "order": "row-major",
     }
-    path.write_text(json.dumps(meta, indent=2) + "\n")
-    (path.parent / payload_name).write_bytes(gf.values.astype("<f8").tobytes())
+    write_atomic(path.parent / payload_name, gf.values.astype("<f8").tobytes())
+    write_atomic(path, (json.dumps(meta, indent=2) + "\n").encode())
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _axis_specs(path: Path, axes) -> list[tuple]:
+    """``(lo, hi, n)`` per axis entry of a metadata file; ValueError if malformed."""
+    if not isinstance(axes, list) or not all(isinstance(a, dict) for a in axes):
+        raise ValueError(f"{path}: axes must be a list of objects, got {axes!r}")
+    specs = []
+    for i, a in enumerate(axes):
+        missing = [key for key in ("lo", "hi", "n") if key not in a]
+        if missing:
+            raise ValueError(f"{path}: axis {i} lacks the field(s) {', '.join(missing)}")
+        if not (_is_number(a["lo"]) and _is_number(a["hi"])):
+            raise ValueError(f"{path}: axis {i} bounds {a['lo']!r}, {a['hi']!r} are not numbers")
+        if not isinstance(a["n"], int) or isinstance(a["n"], bool):
+            raise ValueError(f"{path}: axis {i} node count {a['n']!r} is not an integer")
+        specs.append((a["lo"], a["hi"], a["n"]))
+    return specs
 
 
 def load_grid_function(path) -> GridFunction:
@@ -297,6 +356,8 @@ def load_grid_function(path) -> GridFunction:
         meta = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"corrupt grid function metadata in {path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: metadata is not a JSON object")
     if meta.get("format") != GRIDFN_FORMAT:
         raise ValueError(f"{path} is not a grid function file (format={meta.get('format')!r})")
     missing = [key for key in ("axes", "payload", "value_count") if key not in meta]
@@ -306,7 +367,7 @@ def load_grid_function(path) -> GridFunction:
     # the payload must sit next to its metadata file: a plain name, no path
     if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
         raise ValueError(f"{path}: payload {name!r} is not a plain file name")
-    grid = build_grid((a["lo"], a["hi"], a["n"]) for a in meta["axes"])
+    grid = build_grid(_axis_specs(path, meta["axes"]))
     payload = path.parent / name
     raw = np.frombuffer(payload.read_bytes(), dtype="<f8")
     if raw.size != meta["value_count"] or raw.size != grid.size:

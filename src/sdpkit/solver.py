@@ -17,9 +17,27 @@ average cost per stage.  Convergence is measured in the span seminorm
 anchoring shift.
 
 Policy evaluation exploits that the stage costs and successor states are
-fixed while the policy is fixed: the interpolation stencil of every
-(node, noise) successor is assembled once into a sparse row-stochastic
-matrix, and each evaluation sweep is a single matrix-vector product.
+fixed while the policy is fixed, so each evaluation sweep applies a fixed
+linear operator.  There are two forms of both the improvement and the
+evaluation operators:
+
+- Generic (``controlled_dims == 0``): the interpolation stencil of every
+  (node, candidate, noise) successor is computed, and for evaluation
+  assembled once into a sparse row-stochastic matrix, so each sweep is a
+  single matrix-vector product.
+- Post-decision (``controlled_dims == c > 0``): the first c state
+  components (the controlled sub-grid z) move deterministically, and the
+  noise moves only the remaining exogenous components y, independently
+  of the control and of z.  The noise expectation then factors through
+  the plane operator P_x on the exogenous sub-grid (row y holds the
+  noise-weighted stencils of y's successors, built once from one
+  controlled-axis slice): G = H P_x^T, with H the value table shaped
+  (z, y), gives E_w h(z', y'(y, w)) = interp_z(G[:, y], z').  Each
+  (node, candidate) then costs one stage-cost and successor evaluation
+  and one stencil on the controlled sub-grid, clipped to its corner
+  values; each evaluation sweep applies P_x across the z levels and a
+  fixed 2^c-point gather along z.  Before each solve the solver checks
+  the declared split on every node (see :class:`ControlProblem`).
 
 Determinism: identical inputs and configuration give bit-identical
 results regardless of the `threads` setting, because nodes are
@@ -41,7 +59,16 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import ndtri
 
-from .grids import GridFunction, RectGrid, interpolate, interpolation_stencil, node_coordinates, save_grid_function
+from .grids import (
+    GridFunction,
+    RectGrid,
+    interpolate,
+    interpolation_stencil,
+    node_coordinates,
+    save_grid_function,
+    stencil_blend,
+    write_atomic,
+)
 
 __all__ = [
     "DiscreteNoise",
@@ -154,6 +181,20 @@ class ControlProblem:
     K >= 1 is state-independent; where fewer distinct controls are
     admissible, repeat one of them.  Repeated candidates are harmless:
     ties in the minimisation always resolve to the first candidate.
+
+    ``controlled_dims = c > 0`` (0 < c < state_dim) declares a
+    post-decision split, which the solver exploits to take the noise
+    expectation once per exogenous node instead of once per (node,
+    candidate).  It carries three obligations, checked before each solve
+    on every grid node with the first and last candidate and the first
+    and last noise node:
+
+    1. the first c components of ``dynamics`` ignore the noise;
+    2. the remaining (exogenous) components ignore both the control and
+       the first c state components;
+    3. ``stage_cost`` ignores the noise.
+
+    With the default ``controlled_dims = 0`` nothing is assumed.
     """
 
     state_dim: int
@@ -162,10 +203,13 @@ class ControlProblem:
     stage_cost: Callable
     control_candidates: Callable
     noise: DiscreteNoise
+    controlled_dims: int = 0
 
     def __post_init__(self) -> None:
         if self.state_dim < 1 or self.control_dim < 1:
             raise ValueError("state_dim and control_dim must be >= 1")
+        if not 0 <= self.controlled_dims < self.state_dim:
+            raise ValueError(f"controlled_dims must lie in [0, state_dim), got {self.controlled_dims}")
 
     def candidate_array(self, states: np.ndarray) -> np.ndarray:
         """Admissible controls at a batch of states, shape (m, K, control_dim)."""
@@ -220,11 +264,20 @@ class EvaluationResult:
     sweeps: int
     residuals: list[float]
     converged: bool
+    span_ratio: float  # final span over the stopping tolerance; <= 1 when converged
 
 
 @dataclass
 class SolveReport:
-    """Outcome of a full policy-iteration or value-iteration run."""
+    """Outcome of a full policy-iteration or value-iteration run.
+
+    ``converged`` is the policy-change test (value iteration: the span
+    test).  Per evaluation, ``evaluation_converged`` says whether it met
+    its tolerance before the sweep cap and ``evaluation_span_ratio``
+    gives its final span over that tolerance.  Per improvement sweep,
+    ``bracket_history`` holds (min(Tv - v), max(Tv - v)), which brackets
+    the optimal average cost J* of the gridded problem.
+    """
 
     avg_cost: float
     value: GridFunction
@@ -235,6 +288,9 @@ class SolveReport:
     avg_cost_history: list[float]
     policy_change_history: list[float]
     converged: bool
+    evaluation_converged: list[bool]
+    evaluation_span_ratio: list[float]
+    bracket_history: list[tuple[float, float]]
 
 
 def _check_divergence(residuals: list[float]) -> None:
@@ -263,6 +319,11 @@ def _auto_chunk(config: SolverConfig, k: int) -> int:
     return max(256, 400_000 // max(k, 1))
 
 
+def _candidate_chunks(problem: ControlProblem, grid: RectGrid, config: SolverConfig) -> list[tuple[int, int]]:
+    k = problem.candidate_array(grid.all_nodes[:1]).shape[1]
+    return _chunk_spans(grid.size, _auto_chunk(config, k))
+
+
 def _check_grid(grid: RectGrid, problem: ControlProblem, config: SolverConfig) -> None:
     if grid.dim != problem.state_dim:
         raise ValueError(f"grid dimension {grid.dim} != problem state_dim {problem.state_dim}")
@@ -283,17 +344,100 @@ def _successors(problem: ControlProblem, grid: RectGrid, x, u, w, first_node: in
     cost = np.asarray(problem.stage_cost(x, u, w), dtype=np.float64)
     if cost.shape != (m,):
         raise ValueError(f"stage_cost returned shape {cost.shape}, expected {(m,)}")
-    for what, bad in (("dynamics output", ~np.isfinite(xn).all(axis=1)), ("stage cost", ~np.isfinite(cost))):
-        if bad.any():
+    for what, out in (("dynamics output", xn), ("stage cost", cost)):
+        if not np.isfinite(out).all():
+            bad = ~np.isfinite(out.reshape(m, -1)).all(axis=1)
             node = first_node + int(np.argmax(bad)) // k
             raise ValueError(f"{what} is not finite at grid node {node} {node_coordinates(grid, node)}")
     return xn, cost
+
+
+@dataclass(frozen=True)
+class _PlaneSplit:
+    """Post-decision factorisation of a grid with ``controlled_dims`` = c > 0.
+
+    ``inner`` is the controlled sub-grid (the first c axes), ``plane`` the
+    exogenous sub-grid (the other axes), and ``operator`` the plane
+    operator P_x: row y spreads the noise expectation over the plane
+    stencils of y's successors.  Node i sits at inner node i // n_y and
+    plane node i % n_y.
+    """
+
+    inner: RectGrid
+    plane: RectGrid
+    operator: sp.csr_matrix
+
+    def expect(self, values: np.ndarray) -> np.ndarray:
+        """G = H P_x^T for the value table H (z, y), flat in (y, z) order."""
+        h = values.reshape(self.inner.size, self.plane.size)
+        return np.ascontiguousarray(self.operator @ h.T).reshape(-1)
+
+    def stencil(self, xn: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Indices into G and weights interpolating each successor's controlled part."""
+        flat, wts = interpolation_stencil(self.inner, xn[:, : self.inner.dim])
+        return (nodes % self.plane.size)[:, None] * self.inner.size + flat, wts
+
+
+def _require_equal(a: np.ndarray, b: np.ndarray, grid: RectGrid, first_node: int, what: str) -> None:
+    bad = a != b
+    if bad.ndim == 2:
+        bad = bad.any(axis=1)
+    if bad.any():
+        node = first_node + int(np.argmax(bad))
+        raise ValueError(f"{what} at grid node {node} {node_coordinates(grid, node)}")
+
+
+def _plane_split(grid: RectGrid, problem: ControlProblem, config: SolverConfig) -> _PlaneSplit | None:
+    """The post-decision split of ``problem`` on ``grid``, after checking it; None if undeclared."""
+    c = problem.controlled_dims
+    if c == 0:
+        return None
+    inner, plane = RectGrid(grid.axes[:c]), RectGrid(grid.axes[c:])
+    n_y = plane.size
+    noise = problem.noise
+    nodes_xy = grid.all_nodes
+    slice0 = nodes_xy[:n_y]
+    u0 = np.ascontiguousarray(problem.candidate_array(slice0)[:, 0])
+    ncorner = 1 << plane.dim
+    indices = np.empty((n_y, noise.n * ncorner), dtype=np.int64)
+    data = np.empty((n_y, noise.n * ncorner))
+    exogenous = []
+    for l, (wval, wprob) in enumerate(zip(noise.nodes, noise.weights)):
+        xn, _ = _successors(problem, grid, slice0, u0, np.full(n_y, wval), 0, 1)
+        exogenous.append(xn[:, c:])
+        flat, wts = interpolation_stencil(plane, xn[:, c:])
+        indices[:, l * ncorner : (l + 1) * ncorner] = flat
+        data[:, l * ncorner : (l + 1) * ncorner] = wprob * wts
+    ends = ((noise.nodes[0], exogenous[0]), (noise.nodes[-1], exogenous[-1]))
+    declared = f"controlled_dims={c} declares otherwise"
+
+    def check(a: int, b: int) -> None:
+        xc = nodes_xy[a:b]
+        cand = problem.candidate_array(xc)
+        y = np.arange(a, b) % n_y
+        for j in (0, -1):
+            u = np.ascontiguousarray(cand[:, j])
+            (x0, c0), (x1, c1) = (_successors(problem, grid, xc, u, np.full(b - a, w), a, 1) for w, _ in ends)
+            _require_equal(x0[:, :c], x1[:, :c], grid, a,
+                           f"dynamics: the controlled components depend on the noise ({declared})")
+            _require_equal(c0, c1, grid, a, f"stage_cost depends on the noise ({declared})")
+            for xn, (_, ref) in zip((x0, x1), ends):
+                _require_equal(xn[:, c:], ref[y], grid, a,
+                               "dynamics: the exogenous components depend on the control "
+                               f"or the controlled state ({declared})")
+
+    _run_chunks(_candidate_chunks(problem, grid, config), check, config.threads)
+    indptr = np.arange(n_y + 1, dtype=np.int64) * indices.shape[1]
+    operator = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(n_y, n_y))
+    operator.sum_duplicates()  # noise nodes often share stencil corners: about half the entries
+    return _PlaneSplit(inner, plane, operator)
 
 
 def _min_sweep(
     value: GridFunction,
     problem: ControlProblem,
     config: SolverConfig,
+    split: _PlaneSplit | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One minimising sweep over all nodes.
 
@@ -303,10 +447,10 @@ def _min_sweep(
     grid = value.grid
     n = grid.size
     nodes_xy = grid.all_nodes
+    noise = problem.noise
     raw = np.empty(n)
     controls = np.empty((n, problem.control_dim))
-    k_probe = problem.candidate_array(nodes_xy[:1]).shape[1]
-    spans = _chunk_spans(n, _auto_chunk(config, k_probe))
+    g = None if split is None else split.expect(value.values)
 
     def worker(a: int, b: int) -> None:
         xc = nodes_xy[a:b]
@@ -314,21 +458,36 @@ def _min_sweep(
         mc, k, _ = cand.shape
         x_rep = np.repeat(xc, k, axis=0)
         u_rep = cand.reshape(mc * k, problem.control_dim)
-        q = np.zeros((mc, k))
-        for wval, wprob in zip(problem.noise.nodes, problem.noise.weights):
-            xn, cost = _successors(problem, grid, x_rep, u_rep, np.full(mc * k, wval), a, k)
-            q += wprob * (cost + interpolate(value, xn)).reshape(mc, k)
+        if split is None:
+            q = np.zeros((mc, k))
+            for wval, wprob in zip(noise.nodes, noise.weights):
+                xn, cost = _successors(problem, grid, x_rep, u_rep, np.full(mc * k, wval), a, k)
+                q += wprob * (cost + interpolate(value, xn)).reshape(mc, k)
+        else:
+            xn, cost = _successors(problem, grid, x_rep, u_rep, np.full(mc * k, noise.nodes[0]), a, k)
+            idx, wts = split.stencil(xn, np.repeat(np.arange(a, b), k))
+            q = (cost + stencil_blend(wts, g[idx])).reshape(mc, k)
         best = np.argmin(q, axis=1)
         rows = np.arange(mc)
         raw[a:b] = q[rows, best]
         controls[a:b] = cand[rows, best]
 
-    _run_chunks(spans, worker, config.threads)
+    _run_chunks(_candidate_chunks(problem, grid, config), worker, config.threads)
     return raw, controls
+
+
+def _sweep(value: GridFunction, problem: ControlProblem, config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Check the inputs, then run one minimising sweep: (raw Tv, greedy controls)."""
+    _check_grid(value.grid, problem, config)
+    return _min_sweep(value, problem, config, _plane_split(value.grid, problem, config))
 
 
 def _policy_functions(grid: RectGrid, controls: np.ndarray) -> tuple[GridFunction, ...]:
     return tuple(GridFunction(grid, controls[:, j].copy()) for j in range(controls.shape[1]))
+
+
+def _span_ratio(residuals: list[float], anchors: list[float], config: SolverConfig) -> float:
+    return residuals[-1] / (config.eval_tol * (abs(anchors[-1]) + 1.0))
 
 
 def _relative_iteration(step: Callable, n: int, config: SolverConfig):
@@ -368,8 +527,7 @@ def bellman_sweep(
     """
     config = config or SolverConfig()
     grid = value.grid
-    _check_grid(grid, problem, config)
-    raw, controls = _min_sweep(value, problem, config)
+    raw, controls = _sweep(value, problem, config)
     avg = float(raw[config.reference_node])
     return GridFunction(grid, raw - avg), _policy_functions(grid, controls), avg
 
@@ -378,15 +536,19 @@ def _project_policy_to_candidates(
     policy: tuple[GridFunction, ...],
     problem: ControlProblem,
     grid: RectGrid,
+    config: SolverConfig,
 ) -> np.ndarray:
     """Per-node controls: the admissible candidate nearest the stored policy."""
     stored = np.stack([p.values for p in policy], axis=1)  # (N, control_dim)
-    n = grid.size
     controls = np.empty_like(stored)
-    cand_all = problem.candidate_array(grid.all_nodes)
-    dist = ((cand_all - stored[:, None, :]) ** 2).sum(axis=2)
-    best = np.argmin(dist, axis=1)
-    controls[:] = cand_all[np.arange(n), best]
+    nodes_xy = grid.all_nodes
+
+    def worker(a: int, b: int) -> None:
+        cand = problem.candidate_array(nodes_xy[a:b])
+        dist = ((cand - stored[a:b, None, :]) ** 2).sum(axis=2)
+        controls[a:b] = cand[np.arange(b - a), np.argmin(dist, axis=1)]
+
+    _run_chunks(_candidate_chunks(problem, grid, config), worker, config.threads)
     return controls
 
 
@@ -430,6 +592,32 @@ def _fixed_policy_operator(
     return c_bar, matrix
 
 
+def _factored_policy_step(
+    controls: np.ndarray,
+    grid: RectGrid,
+    problem: ControlProblem,
+    config: SolverConfig,
+    split: _PlaneSplit,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The evaluation sweep  h -> c + gather_z(G(h))  of a fixed policy, post-decision form."""
+    n = grid.size
+    nodes_xy = grid.all_nodes
+    ncorner = 1 << split.inner.dim
+    indices = np.empty((n, ncorner), dtype=np.int64)
+    weights = np.empty((n, ncorner))
+    cost = np.empty(n)
+    w0 = problem.noise.nodes[0]
+
+    def worker(a: int, b: int) -> None:
+        xn, cost[a:b] = _successors(problem, grid, nodes_xy[a:b], controls[a:b], np.full(b - a, w0), a, 1)
+        indices[a:b], weights[a:b] = split.stencil(xn, np.arange(a, b))
+
+    _run_chunks(_chunk_spans(n, _auto_chunk(config, 1)), worker, config.threads)
+    indptr = np.arange(n + 1, dtype=np.int64) * ncorner
+    gather = sp.csr_matrix((weights.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))
+    return lambda h: cost + gather @ split.expect(h)
+
+
 def policy_evaluation(
     policy: tuple[GridFunction, ...],
     problem: ControlProblem,
@@ -454,20 +642,32 @@ def policy_evaluation(
         raise ValueError(f"{len(policy)} policy components != control_dim {problem.control_dim}")
     _check_grid(grid, problem, config)
 
-    controls = _project_policy_to_candidates(policy, problem, grid)
-    c_bar, matrix = _fixed_policy_operator(controls, grid, problem, config)
-    v, anchors, residuals, converged = _relative_iteration(lambda h: c_bar + matrix @ h, grid.size, config)
-    return EvaluationResult(anchors[-1], GridFunction(grid, v), len(residuals), residuals, converged)
+    controls = _project_policy_to_candidates(policy, problem, grid, config)
+    split = _plane_split(grid, problem, config)
+    if split is None:
+        c_bar, matrix = _fixed_policy_operator(controls, grid, problem, config)
+        step = lambda h: c_bar + matrix @ h
+    else:
+        step = _factored_policy_step(controls, grid, problem, config, split)
+    v, anchors, residuals, converged = _relative_iteration(step, grid.size, config)
+    return EvaluationResult(anchors[-1], GridFunction(grid, v), len(residuals), residuals, converged,
+                            _span_ratio(residuals, anchors, config))
 
 
 def policy_improvement(
     value: GridFunction,
     problem: ControlProblem,
     config: SolverConfig | None = None,
-) -> tuple[GridFunction, ...]:
-    """Greedy policy with respect to a differential value function."""
-    _, policy, _ = bellman_sweep(value, problem, config)
-    return policy
+) -> tuple[tuple[GridFunction, ...], tuple[float, float]]:
+    """Greedy policy with respect to a differential value function v.
+
+    Also returns the bracket (min(Tv - v), max(Tv - v)) of the sweep,
+    which contains the optimal average cost J*.
+    """
+    config = config or SolverConfig()
+    raw, controls = _sweep(value, problem, config)
+    gain = raw - value.values
+    return _policy_functions(value.grid, controls), (float(gain.min()), float(gain.max()))
 
 
 def _max_policy_change(new: tuple[GridFunction, ...], old: tuple[GridFunction, ...]) -> float:
@@ -493,14 +693,20 @@ def policy_iteration(
     avg_history: list[float] = []
     change_history: list[float] = []
     sweeps_per_eval: list[int] = []
+    eval_converged: list[bool] = []
+    eval_span_ratio: list[float] = []
+    brackets: list[tuple[float, float]] = []
     converged = False
     evaluation = None
     for _ in range(config.max_improvements):
         evaluation = policy_evaluation(current, problem, config)
+        eval_converged.append(evaluation.converged)
+        eval_span_ratio.append(evaluation.span_ratio)
         sweeps_per_eval.append(evaluation.sweeps)
         residual_history.extend(evaluation.residuals)
         avg_history.append(evaluation.avg_cost)
-        improved = policy_improvement(evaluation.value, problem, config)
+        improved, bracket = policy_improvement(evaluation.value, problem, config)
+        brackets.append(bracket)
         change = _max_policy_change(improved, current)
         change_history.append(change)
         current = improved
@@ -517,6 +723,9 @@ def policy_iteration(
         avg_cost_history=avg_history,
         policy_change_history=change_history,
         converged=converged,
+        evaluation_converged=eval_converged,
+        evaluation_span_ratio=eval_span_ratio,
+        bracket_history=brackets,
     )
 
 
@@ -533,11 +742,15 @@ def value_iteration(
     """
     config = config or SolverConfig()
     _check_grid(grid, problem, config)
+    split = _plane_split(grid, problem, config)
     controls = None
+    bracket = None
 
     def step(v: np.ndarray) -> np.ndarray:
-        nonlocal controls
-        raw, controls = _min_sweep(GridFunction(grid, v), problem, config)
+        nonlocal controls, bracket
+        raw, controls = _min_sweep(GridFunction(grid, v), problem, config, split)
+        gain = raw - v
+        bracket = (float(gain.min()), float(gain.max()))
         return raw
 
     v, anchors, residuals, converged = _relative_iteration(step, grid.size, config)
@@ -551,6 +764,9 @@ def value_iteration(
         avg_cost_history=anchors,
         policy_change_history=[],
         converged=converged,
+        evaluation_converged=[converged],
+        evaluation_span_ratio=[_span_ratio(residuals, anchors, config)],
+        bracket_history=[bracket],
     )
 
 
@@ -559,8 +775,10 @@ def save_report(report: SolveReport, directory, stem: str = "solution") -> dict:
 
     Writes ``<stem>_value.gridfn`` (+ payload), one
     ``<stem>_policy_u<j>.gridfn`` per control component, and
-    ``<stem>_report.json`` with the scalar history.  Returns the mapping
-    of artifact names to paths.
+    ``<stem>_report.json`` with the scalar history, in that order; every
+    file is replaced atomically, so an interrupted save leaves each file
+    either old or new, never torn.  Returns the mapping of artifact
+    names to paths.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -577,11 +795,14 @@ def save_report(report: SolveReport, directory, stem: str = "solution") -> dict:
         "improvement_steps": report.improvement_steps,
         "sweeps_per_evaluation": report.sweeps_per_evaluation,
         "converged": report.converged,
+        "evaluation_converged": report.evaluation_converged,
+        "evaluation_span_ratio": report.evaluation_span_ratio,
+        "bracket_history": [list(b) for b in report.bracket_history],
         "avg_cost_history": report.avg_cost_history,
         "policy_change_history": report.policy_change_history,
         "residual_history": report.residual_history,
     }
     report_path = directory / f"{stem}_report.json"
-    report_path.write_text(json.dumps(summary, indent=2) + "\n")
+    write_atomic(report_path, (json.dumps(summary, indent=2) + "\n").encode())
     paths["report"] = str(report_path)
     return paths

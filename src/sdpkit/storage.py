@@ -166,6 +166,10 @@ def build_problem(
     clipped to the same bound repeat (the first one wins ties).  The energy
     update inside the dynamics is clipped to [0, e_rated] so projected
     candidates keep the store in bounds exactly, rounding included.
+
+    The problem declares ``controlled_dims=1``: the stored energy moves
+    deterministically, the noise drives only (speed, accel) through the
+    AR(2) transition, and the cost p_grid^2 ignores the noise.
     """
     if model.p != 2:
         raise ValueError(f"the storage problem needs an AR(2) speed model, got order {model.p}")
@@ -199,6 +203,7 @@ def build_problem(
         stage_cost=stage_cost,
         control_candidates=control_candidates,
         noise=discretize_noise(model.sigma_eps, n_noise),
+        controlled_dims=1,
     )
 
 

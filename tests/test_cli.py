@@ -145,6 +145,35 @@ class TestSolve:
         assert block[:, 3].min() >= 0.0
 
 
+    def test_sweep_cap_cut_off_is_reported(self, tmp_path, capsys):
+        out_dir = tmp_path / "capped"
+        code = run_cli(
+            "solve", "--out-dir", str(out_dir),
+            "--n-e", "4", "--n-omega", "5", "--n-accel", "5",
+            "--noise-nodes", "3", "--n-controls", "5",
+            "--max-sweeps", "1", "--max-improvements", "2",
+        )
+        assert code == 0
+        doc = json.loads((out_dir / "solution_report.json").read_text())
+        assert doc["sweeps_per_evaluation"] == [1] * doc["improvement_steps"]
+        assert doc["evaluation_converged"] == [False] * doc["improvement_steps"]
+        assert all(ratio > 1.0 for ratio in doc["evaluation_span_ratio"])
+        assert len(doc["bracket_history"]) == doc["improvement_steps"]
+        notes = [line for line in capsys.readouterr().out.splitlines() if "sweep cap" in line]
+        assert len(notes) == 1
+        assert notes[0].startswith(f"note: {doc['improvement_steps']} of {doc['improvement_steps']} evaluations")
+
+    def test_report_records_each_evaluation_and_bracket(self, tiny_solution):
+        doc = json.loads((tiny_solution / "solution_report.json").read_text())
+        steps = doc["improvement_steps"]
+        assert len(doc["evaluation_converged"]) == len(doc["evaluation_span_ratio"]) == steps
+        for converged, ratio in zip(doc["evaluation_converged"], doc["evaluation_span_ratio"]):
+            assert converged == (ratio <= 1.0)
+        assert len(doc["bracket_history"]) == steps
+        for lo, hi in doc["bracket_history"]:
+            assert lo <= hi
+
+
 class TestSimulate:
     def test_heuristic_run_with_metrics(self, speed_csv, tmp_path):
         traj_path = tmp_path / "traj.csv"
@@ -183,6 +212,18 @@ class TestSimulate:
         code = run_cli("simulate", "--policy", str(bad), "--series", str(speed_csv),
                        "--out", str(tmp_path / "t.csv"))
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("meta", [
+        "[]",
+        '{"format": "gridfn-v1", "axes": [{"lo": 0, "n": 2}], "payload": "p.bin", "value_count": 2}',
+    ], ids=["list", "axis-without-hi"])
+    def test_malformed_policy_file_is_a_usage_error(self, speed_csv, tmp_path, meta, capsys):
+        bad = tmp_path / "bad.gridfn"
+        bad.write_text(meta)
+        code = run_cli("simulate", "--policy", str(bad), "--series", str(speed_csv),
+                       "--out", str(tmp_path / "t.csv"))
+        assert code == cli.EXIT_USAGE
+        assert "invalid input" in capsys.readouterr().err
 
     def test_mismatched_energy_axis_is_a_usage_error(self, tiny_solution, speed_csv, tmp_path):
         code = run_cli("simulate", "--policy",

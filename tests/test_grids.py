@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,3 +301,62 @@ class TestPersistence:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             grids.load_grid_function(tmp_path / "absent.gridfn")
+
+    @pytest.mark.parametrize("meta, message", [
+        ([], "not a JSON object"),
+        ("gridfn-v1", "not a JSON object"),
+        ({"axes": {"lo": 0, "hi": 1, "n": 2}}, "list of objects"),
+        ({"axes": [[0, 1, 2]]}, "list of objects"),
+        ({"axes": [{"hi": 1, "n": 2}]}, "lacks the field"),
+        ({"axes": [{"lo": 0, "n": 2}]}, "hi"),
+        ({"axes": [{"lo": 0, "hi": 1}]}, "lacks the field"),
+        ({"axes": [{"lo": 0, "hi": 1, "n": 2.5}]}, "not an integer"),
+        ({"axes": [{"lo": 0, "hi": 1, "n": "2"}]}, "not an integer"),
+        ({"axes": [{"lo": 0, "hi": 1, "n": True}]}, "not an integer"),
+        ({"axes": [{"lo": None, "hi": 1, "n": 2}]}, "not numbers"),
+    ], ids=["list", "string", "axes-object", "axis-list", "no-lo", "no-hi", "no-n",
+            "float-n", "string-n", "bool-n", "null-lo"])
+    def test_load_rejects_malformed_metadata(self, tmp_path, meta, message):
+        path = tmp_path / "fn.gridfn"
+        grids.save_grid_function(grids.GridFunction(grids.build_grid([(0, 1, 2)]), [0.0, 1.0]), path)
+        if isinstance(meta, dict):
+            meta = {**json.loads(path.read_text()), **meta}
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=message):
+            grids.load_grid_function(path)
+
+
+class TestAtomicWrites:
+    def _fail_on_call(self, monkeypatch, target, number):
+        """Make the ``number``-th call of ``os.<target>`` raise, after the real temp write."""
+        real = getattr(grids.os, target)
+        calls = {"n": 0}
+
+        def failing(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == number:
+                raise OSError("simulated crash mid-write")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(grids.os, target, failing)
+
+    @pytest.mark.parametrize("target", ["fsync", "replace"])
+    def test_failed_save_keeps_the_previous_artifact(self, tmp_path, monkeypatch, target):
+        g = grids.build_grid([(0, 1, 4)])
+        path = tmp_path / "fn.gridfn"
+        grids.save_grid_function(grids.GridFunction(g, [0.0, 1.0, 2.0, 3.0]), path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        self._fail_on_call(monkeypatch, target, 1)  # the payload, written first
+        with pytest.raises(OSError, match="simulated"):
+            grids.save_grid_function(grids.GridFunction(g, [9.0, 9.0, 9.0, 9.0]), path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert np.array_equal(grids.load_grid_function(path).values, [0.0, 1.0, 2.0, 3.0])
+
+    def test_payload_is_written_before_the_metadata(self, tmp_path, monkeypatch):
+        order = []
+        real = grids.os.replace
+        monkeypatch.setattr(grids.os, "replace", lambda src, dst: (order.append(Path(dst).name), real(src, dst)))
+        grids.save_grid_function(grids.GridFunction(grids.build_grid([(0, 1, 2)]), [0.0, 1.0]),
+                                 tmp_path / "fn.gridfn")
+        assert order == ["fn.gridfn.bin", "fn.gridfn"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fn.gridfn", "fn.gridfn.bin"]

@@ -1,5 +1,6 @@
 """Solver tests: quadrature references, hand-worked cases, dense linear-algebra checks."""
 
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,7 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 from scipy.stats import norm
 
-from sdpkit import grids, solver
+from sdpkit import grids, solver, storage
 from sdpkit.solver import ControlProblem, DiscreteNoise, SolverConfig
 
 from mdp_oracles import (
@@ -421,6 +422,199 @@ class TestConfigValidation:
             solver.value_iteration(problem, grid, SolverConfig(reference_node=99))
 
 
+def split_problem(**overrides):
+    """A 3-D problem with controlled_dims=2: (z1, z2) move deterministically, y is AR(1)."""
+    grid = grids.build_grid([(0.0, 1.0, 4), (-1.0, 1.0, 5), (-2.0, 2.0, 7)])
+
+    def dynamics(x, u, w):
+        z1, z2, y = x[:, 0], x[:, 1], x[:, 2]
+        z1_next = np.clip(0.8 * z1 + 0.3 * u[:, 0] + 0.1 * y, 0.0, 1.0)
+        z2_next = 0.5 * z2 - 0.4 * z1 + 0.2 * u[:, 0]
+        return np.stack([z1_next, z2_next, 0.7 * y + w], axis=1)
+
+    def stage_cost(x, u, w):
+        return (x[:, 0] - 0.5) ** 2 + x[:, 1] ** 2 + 0.1 * u[:, 0] ** 2 + 0.3 * x[:, 2] * u[:, 0]
+
+    fields = dict(
+        state_dim=3,
+        control_dim=1,
+        dynamics=dynamics,
+        stage_cost=stage_cost,
+        control_candidates=fixed_candidates(np.linspace(-0.5, 0.5, 5)[:, None]),
+        noise=solver.discretize_noise(0.5, 4),
+        controlled_dims=2,
+    )
+    fields.update(overrides)
+    return ControlProblem(**fields), grid
+
+
+def storage_split_case(n_e, n_omega, n_accel):
+    params = storage.StorageParams()
+    model = storage.bundled_speed_model()
+    problem = storage.build_problem(model, params)
+    grid = storage.default_state_grid(model, params, n_e=n_e, n_omega=n_omega, n_accel=n_accel)
+    return problem, grid, storage.heuristic_policy_on_grid(grid, params)
+
+
+def synthetic_split_case():
+    problem, grid = split_problem()
+    return problem, grid, (grids.GridFunction(grid, np.zeros(grid.size)),)
+
+
+SPLIT_CASES = {
+    "storage-5x6x6": lambda: storage_split_case(5, 6, 6),
+    "storage-15x30x30": lambda: storage_split_case(15, 30, 30),
+    "synthetic-c2": synthetic_split_case,
+}
+
+
+@pytest.fixture(scope="module", params=list(SPLIT_CASES))
+def split_case(request):
+    """(factored problem, generic twin, grid, initial policy, evaluation config)."""
+    problem, grid, policy = SPLIT_CASES[request.param]()
+    assert problem.controlled_dims > 0
+    config = SolverConfig(eval_tol=1e-10, eval_max_sweeps=400)
+    return problem, dataclasses.replace(problem, controlled_dims=0), grid, policy, config
+
+
+def assert_close_rel(a, b, rel=1e-12):
+    assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+
+
+class TestPostDecisionSplit:
+    """The factored (controlled_dims > 0) operators against the generic ones."""
+
+    def test_policy_evaluation_matches_the_generic_path(self, split_case):
+        problem, generic, _, policy, config = split_case
+        fast = solver.policy_evaluation(policy, problem, config)
+        slow = solver.policy_evaluation(policy, generic, config)
+        assert fast.sweeps == slow.sweeps
+        assert fast.converged == slow.converged
+        assert fast.avg_cost == pytest.approx(slow.avg_cost, rel=1e-12, abs=0.0)
+        assert_close_rel(fast.value.values, slow.value.values)
+
+    def test_bellman_sweep_matches_the_generic_path(self, split_case):
+        problem, generic, _, policy, config = split_case
+        value = solver.policy_evaluation(policy, generic, config).value
+        fast_value, fast_policy, fast_avg = solver.bellman_sweep(value, problem, config)
+        slow_value, slow_policy, slow_avg = solver.bellman_sweep(value, generic, config)
+        assert np.array_equal(fast_policy[0].values, slow_policy[0].values)
+        assert fast_avg == pytest.approx(slow_avg, rel=1e-12, abs=0.0)
+        assert_close_rel(fast_value.values + fast_avg, slow_value.values + slow_avg)
+
+    def test_thread_count_does_not_change_a_bit(self, split_case):
+        problem, _, _, policy, config = split_case
+        runs = []
+        for threads in (1, 2):
+            cfg = dataclasses.replace(config, threads=threads, chunk_nodes=37, eval_max_sweeps=50)
+            evaluation = solver.policy_evaluation(policy, problem, cfg)
+            swept, greedy, avg = solver.bellman_sweep(evaluation.value, problem, cfg)
+            runs.append((evaluation.value.values.tobytes(), evaluation.residuals,
+                         swept.values.tobytes(), greedy[0].values.tobytes(), avg))
+        assert runs[0] == runs[1]
+
+    def test_synthetic_evaluation_converges(self):
+        problem, grid, policy = synthetic_split_case()
+        config = SolverConfig(eval_tol=1e-10, eval_max_sweeps=400)
+        assert solver.policy_evaluation(policy, problem, config).converged
+
+    def test_value_iteration_matches_the_generic_path(self):
+        problem, grid = split_problem()
+        config = SolverConfig(eval_tol=1e-10, eval_max_sweeps=400)
+        fast = solver.value_iteration(problem, grid, config)
+        slow = solver.value_iteration(dataclasses.replace(problem, controlled_dims=0), grid, config)
+        assert fast.converged and slow.converged
+        assert fast.sweeps_per_evaluation == slow.sweeps_per_evaluation
+        assert np.array_equal(fast.policy[0].values, slow.policy[0].values)
+        assert fast.avg_cost == pytest.approx(slow.avg_cost, rel=1e-12, abs=0.0)
+        assert_close_rel(fast.value.values, slow.value.values)
+
+    @pytest.mark.parametrize("override, callback", [
+        ("exogenous-on-control", "dynamics"),
+        ("exogenous-on-controlled-state", "dynamics"),
+        ("controlled-on-noise", "dynamics"),
+        ("cost-on-noise", "stage_cost"),
+    ])
+    def test_broken_split_is_rejected_naming_the_callback(self, override, callback):
+        base, grid = split_problem()
+
+        def dynamics(x, u, w):
+            out = base.dynamics(x, u, w)
+            if override == "exogenous-on-control":
+                out[:, 2] += 0.01 * u[:, 0]
+            elif override == "exogenous-on-controlled-state":
+                out[:, 2] += 0.01 * x[:, 1]
+            elif override == "controlled-on-noise":
+                out[:, 1] += 0.01 * w
+            return out
+
+        def stage_cost(x, u, w):
+            extra = w if override == "cost-on-noise" else 0.0
+            return base.stage_cost(x, u, w) + extra
+
+        problem, _ = split_problem(dynamics=dynamics, stage_cost=stage_cost)
+        value = grids.GridFunction(grid, np.zeros(grid.size))
+        with pytest.raises(ValueError, match=f"^{callback}.*controlled_dims=2"):
+            solver.bellman_sweep(value, problem)
+        with pytest.raises(ValueError, match=f"^{callback}"):
+            solver.policy_evaluation((value,), problem)
+        # the generic path assumes nothing and accepts the same problem
+        solver.bellman_sweep(value, dataclasses.replace(problem, controlled_dims=0))
+
+    def test_violation_on_a_single_node_is_found(self):
+        # slice 0 is clean, so only the all-node check can catch this
+        base, grid = split_problem()
+
+        def dynamics(x, u, w):
+            out = base.dynamics(x, u, w)
+            out[(x[:, 0] == 1.0) & (x[:, 1] == 1.0) & (x[:, 2] == 2.0), 2] += u[0, 0] + 1.0
+            return out
+
+        problem, _ = split_problem(dynamics=dynamics)
+        value = grids.GridFunction(grid, np.zeros(grid.size))
+        with pytest.raises(ValueError, match=f"node {grid.size - 1} "):
+            solver.bellman_sweep(value, problem)
+
+    @pytest.mark.parametrize("controlled_dims", [-1, 3])
+    def test_controlled_dims_must_leave_an_exogenous_axis(self, controlled_dims):
+        with pytest.raises(ValueError, match="controlled_dims"):
+            split_problem(controlled_dims=controlled_dims)
+
+
+class TestBracket:
+    def test_every_improvement_brackets_the_enumerated_optimum(self, small_mdps):
+        config = SolverConfig(eval_tol=1e-12, eval_max_sweeps=4000, max_improvements=60)
+        for mdp, (best_j, _) in small_mdps:
+            problem, grid = as_control_problem(mdp)
+            initial = policy_as_grid_functions(np.zeros(mdp.n_states, dtype=int), grid)
+            report = solver.policy_iteration(problem, initial, config)
+            assert len(report.bracket_history) == report.improvement_steps
+            for lo, hi in report.bracket_history:
+                assert lo - 1e-12 <= best_j <= hi + 1e-12
+            lo, hi = report.bracket_history[-1]
+            assert hi - lo < 1e-9
+            assert all(report.evaluation_converged)
+            assert all(r <= 1.0 for r in report.evaluation_span_ratio)
+
+    def test_value_iteration_brackets_the_enumerated_optimum(self, small_mdps):
+        mdp, (best_j, _) = small_mdps[0]
+        problem, grid = as_control_problem(mdp)
+        report = solver.value_iteration(problem, grid, SolverConfig(eval_tol=1e-12, eval_max_sweeps=4000))
+        [(lo, hi)] = report.bracket_history
+        assert lo - 1e-12 <= best_j <= hi + 1e-12
+
+    def test_cut_off_evaluation_is_reported(self):
+        problem, grid = make_tabular_problem(TestTwoStateCycle.COSTS)
+        stay = (grids.GridFunction(grid, np.array([0.0, 1.0])),)
+        config = SolverConfig(eval_max_sweeps=50, max_improvements=8)
+        report = solver.policy_iteration(problem, stay, config)
+        # "stay put" is multichain: its evaluation cannot converge
+        assert report.converged
+        assert report.evaluation_converged[0] is False
+        assert report.evaluation_span_ratio[0] > 1.0
+        assert report.evaluation_converged[-1] is True
+
+
 class TestSaveReport:
     def test_roundtrip(self, tmp_path):
         problem, grid = make_tabular_problem(TestTwoStateCycle.COSTS)
@@ -437,3 +631,26 @@ class TestSaveReport:
         assert doc["avg_cost"] == report.avg_cost
         assert doc["converged"] is True
         assert doc["sweeps_per_evaluation"] == report.sweeps_per_evaluation
+
+        assert doc["evaluation_converged"] == report.evaluation_converged
+        assert doc["bracket_history"] == [list(b) for b in report.bracket_history]
+
+    def test_failed_report_write_keeps_the_previous_report(self, tmp_path, monkeypatch):
+        problem, grid = make_tabular_problem(TestTwoStateCycle.COSTS)
+        report = solver.value_iteration(problem, grid)
+        solver.save_report(report, tmp_path, stem="case")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_fsync = grids.os.fsync
+        calls = {"n": 0}
+
+        def failing_fsync(fd):
+            calls["n"] += 1
+            if calls["n"] == 5:  # value pair, policy pair, then the report
+                raise OSError("simulated crash mid-write")
+            real_fsync(fd)
+
+        monkeypatch.setattr(grids.os, "fsync", failing_fsync)
+        changed = dataclasses.replace(report, avg_cost=report.avg_cost + 1.0)
+        with pytest.raises(OSError, match="simulated"):
+            solver.save_report(changed, tmp_path, stem="case")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
