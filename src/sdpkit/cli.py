@@ -99,7 +99,10 @@ def cmd_fit(args) -> int:
         acf = armodel.sample_acf(omega, lag_count, dt)
         phi, criterion = armodel.fit_multilag(acf, args.p, lag_count)
         gamma0 = float(np.var(omega))
-        sigma = armodel.innovation_std_from_acf(phi, gamma0, acf)
+        # the fitted model's own rho(1..p): 1 - phi . rho is then positive for
+        # every stationary phi, which the sample rho does not guarantee
+        model_acf = armodel.theoretical_acf(phi, args.p, dt)
+        sigma = armodel.innovation_std_from_acf(phi, gamma0, model_acf)
         model = armodel.ARModel(phi, sigma, dt)
         provenance = {"method": "multilag", "lag_count": lag_count, "criterion": criterion}
     armodel.save_ar_model(model, args.out, provenance)
@@ -117,12 +120,10 @@ def _write_policy_slices(policy: grids.GridFunction, path: Path, n_levels: int) 
     grid = policy.grid
     e_axis, om_axis, ac_axis = grid.axes
     levels = np.linspace(e_axis.lo, e_axis.hi, n_levels)
-    om, ac = np.meshgrid(om_axis.nodes, ac_axis.nodes, indexing="ij")
-    rows = []
-    for e in levels:
-        pts = np.column_stack([np.full(om.size, e), om.ravel(), ac.ravel()])
-        rows.append(np.column_stack([pts, grids.interpolate(policy, pts)]))
-    np.savetxt(path, np.vstack(rows), fmt="%.17g", delimiter=",",
+    e, om, ac = np.meshgrid(levels, om_axis.nodes, ac_axis.nodes, indexing="ij")
+    pts = np.column_stack([e.ravel(), om.ravel(), ac.ravel()])
+    rows = np.column_stack([pts, grids.interpolate(policy, pts)])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",",
                header="e_sto,omega,accel,p_grid", comments="")
 
 

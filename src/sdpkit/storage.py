@@ -16,6 +16,12 @@ minimises the injected power's variance around its (fixed) mean.
 The generator speed is modelled as an AR(2) process; together with its
 backward difference and the stored energy this gives the 3-dimensional
 controller state (e_sto, speed, accel).
+
+In closed loop the speed series is given, so speed and accel are known
+for the whole run and only the stored energy depends on earlier steps.
+A policy therefore sees both series once, before the loop: a solved
+policy table does its (speed, accel) interpolation for every step in one
+batch pass, and each step is left with a 1-D interpolation in energy.
 """
 
 from __future__ import annotations
@@ -28,7 +34,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .armodel import ARModel, stationary_moments, to_state_space
-from .grids import GridFunction, RectGrid, build_grid, interpolate
+from .grids import (GridFunction, RectGrid, axis_locator, build_grid, interpolation_stencil,
+                    stencil_blend)
+from .grids import interpolate  # noqa: F401  kept as storage.interpolate: perfbench wraps it
 from .solver import ControlProblem, discretize_noise
 
 __all__ = [
@@ -242,40 +250,73 @@ class SmoothingMetrics:
     e_sto_max: float
 
 
-def grid_policy_fn(policy: GridFunction) -> Callable[[float, float, float], float]:
-    """Closed-loop control law from a solved policy table (interpolated)."""
+# A closed-loop policy maps the whole (omega, accel) series of a run to its
+# per-step law (k, e_sto) -> requested injection.
+StepLaw = Callable[[int, float], float]
+Policy = Callable[[np.ndarray, np.ndarray], StepLaw]
+
+
+def grid_policy_fn(policy: GridFunction) -> Policy:
+    """Closed-loop control law from a solved policy table (interpolated).
+
+    Per run, one batch stencil on the (speed, accel) sub-grid blends every
+    energy layer of the table at every step, each value clipped to its 4
+    corners: an ``(n_steps, n_e)`` array.  Per step, the law locates e_sto
+    on the energy axis and interpolates linearly between the two bracketing
+    layer values, clipped to their range, so the result stays inside the
+    8-corner range of the 3-D cell.
+    """
     if policy.grid.dim != 3:
         raise ValueError(f"storage policies are 3-dimensional, got {policy.grid.dim} axes")
+    e_axis = policy.grid.axes[0]
+    plane = RectGrid(policy.grid.axes[1:])
+    table = policy.values.reshape(e_axis.n, plane.size)
 
-    def fn(e_sto: float, omega: float, accel: float) -> float:
-        return interpolate(policy, np.array([e_sto, omega, accel]))
+    def prepare(omega: np.ndarray, accel: np.ndarray) -> StepLaw:
+        flat, weights = interpolation_stencil(plane, np.column_stack([omega, accel]))
+        layers = np.empty((omega.size, e_axis.n))
+        for j in range(e_axis.n):
+            layers[:, j] = stencil_blend(weights, table[j][flat])
+        if e_axis.n == 1:
+            return lambda k, e_sto: layers.item(k, 0)
+        locate = axis_locator(e_axis)
 
-    return fn
+        def step(k: int, e_sto: float) -> float:
+            i, f = locate(e_sto)
+            a = layers.item(k, i)
+            b = layers.item(k, i + 1)
+            return min(max((1.0 - f) * a + f * b, min(a, b)), max(a, b))
+
+        return step
+
+    return prepare
 
 
-def heuristic_policy_fn(params: StorageParams) -> Callable[[float, float, float], float]:
+def heuristic_policy_fn(params: StorageParams) -> Policy:
     """Closed-loop control law of the proportional rule."""
 
-    def fn(e_sto: float, omega: float, accel: float) -> float:
-        return float(heuristic_policy(e_sto, params))
+    def prepare(omega: np.ndarray, accel: np.ndarray) -> StepLaw:
+        return lambda k, e_sto: float(heuristic_policy(e_sto, params))
 
-    return fn
+    return prepare
 
 
 def simulate_trajectory(
-    policy: Callable[[float, float, float], float],
+    policy: Policy,
     speed: np.ndarray,
     params: StorageParams,
     e0: float,
 ) -> TrajectoryRecord:
     """Run the storage in closed loop against an exogenous speed series.
 
-    The requested injection is projected onto the feasibility interval
-    each step; the stored energy is then advanced with the exact update
-    e' = e + p_sto * dt and nudged, if rounding ever pushes it past a
-    bound, by stepping p_sto toward zero one ulp at a time.  The stored
-    record therefore satisfies the power balance, the energy recursion
-    and the capacity bounds exactly.
+    The policy sees the speed and acceleration series once, before the
+    loop, and returns its per-step law; the loop then asks it for an
+    injection at each step's stored energy.  The requested injection is
+    projected onto the feasibility interval each step; the stored energy
+    is then advanced with the exact update e' = e + p_sto * dt and nudged,
+    if rounding ever pushes it past a bound, by stepping p_sto toward zero
+    one ulp at a time.  The stored record therefore satisfies the power
+    balance, the energy recursion and the capacity bounds exactly.
     """
     omega = np.ascontiguousarray(speed, dtype=np.float64).reshape(-1)
     n = omega.size
@@ -291,6 +332,7 @@ def simulate_trajectory(
     accel[0] = 0.0
     np.divide(np.diff(omega), dt, out=accel[1:])
     p_prod = pto_power(omega, params)
+    law = policy(omega, accel)
 
     p_grid = np.empty(n)
     p_sto = np.empty(n)
@@ -299,7 +341,7 @@ def simulate_trajectory(
     for k in range(n):
         e_path[k] = e
         p = float(p_prod[k])
-        requested = float(policy(e, float(omega[k]), float(accel[k])))
+        requested = float(law(k, e))
         lo = p - (params.e_rated - e) / dt
         hi = p + e / dt
         u = min(max(requested, lo), hi)

@@ -95,6 +95,23 @@ class TestFit:
         assert armodel.is_stationary(model.phi)
         assert fit["lag_count"] == 150  # 15 s of 0.1 s lags
 
+    @pytest.mark.parametrize("n, seed", [(1000, 1), (2000, 7)])
+    def test_near_unit_root_fit_has_a_positive_innovation_std(self, tmp_path, n, seed):
+        series = tmp_path / "series.csv"
+        assert run_cli("generate", "--n", str(n), "--seed", str(seed), "--out", str(series)) == 0
+        out = tmp_path / "model.json"
+        assert run_cli("fit", "--series", str(series), "--out", str(out)) == 0
+        model, fit = armodel.load_ar_model(out)
+        _, omega, _ = storage.load_series(series)
+        # the sample autocorrelations would give a negative innovation variance
+        sample = armodel.sample_acf(omega, fit["lag_count"], 0.1).values
+        assert 1.0 - np.dot(model.phi, sample[1:3]) < 0.0
+        # the fitted model's own ones give the true sigma_eps (0.00347) back
+        rho = armodel.theoretical_acf(model.phi, 2, 0.1).values
+        expected = np.sqrt(np.var(omega) * (1.0 - np.dot(model.phi, rho[1:3])))
+        assert model.sigma_eps == pytest.approx(expected, rel=1e-6)
+        assert model.sigma_eps == pytest.approx(0.00347, rel=0.25)
+
     def test_missing_file_is_an_io_error(self, tmp_path):
         code = run_cli("fit", "--series", str(tmp_path / "absent.csv"),
                        "--out", str(tmp_path / "m.json"))

@@ -206,6 +206,30 @@ class TestInterpolate:
         with pytest.raises(ValueError):
             grids.interpolate(gf, [np.nan, 0.5])
 
+    @pytest.mark.parametrize("spec", [
+        (0.0, 1.0, 2), (0.0, 10e6, 15), (-0.37, 0.91, 60), (1e-3, 1e-3 + 7e-9, 9),
+    ])
+    def test_axis_locator_matches_the_batch_locate(self, spec):
+        rng = np.random.default_rng(17)
+        g = grids.build_grid([spec])
+        ax = g.axes[0]
+        width = ax.hi - ax.lo
+        pts = np.concatenate([
+            rng.uniform(ax.lo - 0.2 * width, ax.hi + 0.2 * width, 400),
+            ax.nodes,
+            np.nextafter(ax.nodes, -np.inf),
+            np.nextafter(ax.nodes, np.inf),
+        ])
+        idx, frac = grids._locate(g, pts[:, None])
+        locate = grids.axis_locator(ax)
+        got = [locate(float(q)) for q in pts]
+        assert [i for i, _ in got] == idx[:, 0].tolist()
+        assert [f for _, f in got] == frac[:, 0].tolist()
+
+    def test_axis_locator_needs_two_nodes(self):
+        with pytest.raises(ValueError):
+            grids.axis_locator(grids.Axis(0.0, 1.0, 1))
+
     def test_stencil_weights_are_convex(self):
         rng = np.random.default_rng(13)
         g = random_grid(rng, 3)

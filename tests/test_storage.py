@@ -202,6 +202,11 @@ def speed_fixture(n=2000, seed=5):
     return armodel.simulate(storage.bundled_speed_model(), n=n, seed=seed)
 
 
+def constant_policy(value):
+    """A closed-loop policy that requests ``value`` at every step."""
+    return lambda omega, accel: lambda k, e_sto: value
+
+
 class TestSimulateTrajectory:
     def test_exact_bookkeeping_invariants(self):
         traj = storage.simulate_trajectory(
@@ -219,7 +224,7 @@ class TestSimulateTrajectory:
 
     def test_greedy_drain_is_clamped_and_exact(self):
         traj = storage.simulate_trajectory(
-            lambda e, om, ac: 1e12, speed_fixture(300, 7), PARAMS, e0=8e6
+            constant_policy(1e12), speed_fixture(300, 7), PARAMS, e0=8e6
         )
         energy = traj.energy_path()
         assert np.array_equal(energy[1:], traj.e_sto + traj.p_sto * PARAMS.dt)
@@ -229,7 +234,7 @@ class TestSimulateTrajectory:
 
     def test_greedy_charge_pins_at_rated(self):
         traj = storage.simulate_trajectory(
-            lambda e, om, ac: -1e12, speed_fixture(300, 8), PARAMS, e0=5e6
+            constant_policy(-1e12), speed_fixture(300, 8), PARAMS, e0=5e6
         )
         energy = traj.energy_path()
         assert np.all(energy <= PARAMS.e_rated)
@@ -260,13 +265,13 @@ class TestSimulateTrajectory:
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            storage.simulate_trajectory(lambda e, om, ac: 0.0, np.array([]), PARAMS, 5e6)
+            storage.simulate_trajectory(constant_policy(0.0), np.array([]), PARAMS, 5e6)
         with pytest.raises(ValueError):
-            storage.simulate_trajectory(lambda e, om, ac: 0.0, np.array([0.1, np.nan]), PARAMS, 5e6)
+            storage.simulate_trajectory(constant_policy(0.0), np.array([0.1, np.nan]), PARAMS, 5e6)
         with pytest.raises(ValueError):
-            storage.simulate_trajectory(lambda e, om, ac: 0.0, np.zeros(3), PARAMS, -1.0)
+            storage.simulate_trajectory(constant_policy(0.0), np.zeros(3), PARAMS, -1.0)
         with pytest.raises(ValueError):
-            storage.simulate_trajectory(lambda e, om, ac: 0.0, np.zeros(3), PARAMS, 2e7)
+            storage.simulate_trajectory(constant_policy(0.0), np.zeros(3), PARAMS, 2e7)
 
     def test_grid_policy_fn_requires_three_axes(self):
         g = grids.build_grid([(0, 1, 2)])
@@ -289,7 +294,7 @@ class TestMetrics:
     def test_constant_injection_has_zero_std(self):
         # constant speed, empty store: everything passes straight through
         traj = storage.simulate_trajectory(
-            lambda e, om, ac: 1e12, np.full(40, 0.3), PARAMS, e0=0.0
+            constant_policy(1e12), np.full(40, 0.3), PARAMS, e0=0.0
         )
         m = storage.metrics(traj)
         assert m.std_p_grid == 0.0
