@@ -21,6 +21,8 @@ from scipy.linalg import solve_toeplitz
 from scipy.optimize import minimize
 from scipy.signal import lfilter
 
+from .grids import write_atomic
+
 __all__ = [
     "ARModel",
     "AcfSeries",
@@ -377,7 +379,7 @@ def save_ar_model(model: ARModel, path, provenance: dict | None = None) -> None:
     }
     if provenance is not None:
         doc["fit"] = provenance
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    write_atomic(path, (json.dumps(doc, indent=2) + "\n").encode())
 
 
 def load_ar_model(path) -> tuple[ARModel, dict | None]:
@@ -387,9 +389,18 @@ def load_ar_model(path) -> tuple[ARModel, dict | None]:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"corrupt model file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: model file is not a JSON object")
     if doc.get("format") != ARMODEL_FORMAT:
         raise ValueError(f"{path} is not a model file (format={doc.get('format')!r})")
-    model = ARModel(tuple(doc["phi"]), float(doc["sigma_eps"]), float(doc["dt"]))
-    if model.p != int(doc["p"]):
+    missing = [key for key in ("p", "phi", "sigma_eps", "dt") if key not in doc]
+    if missing:
+        raise ValueError(f"{path} lacks the field(s) {', '.join(missing)}")
+    try:
+        model = ARModel(tuple(doc["phi"]), float(doc["sigma_eps"]), float(doc["dt"]))
+        order = int(doc["p"])
+    except TypeError as exc:
+        raise ValueError(f"{path}: malformed field: {exc}") from exc
+    if model.p != order:
         raise ValueError(f"{path}: declared order {doc['p']} does not match {model.p} coefficients")
     return model, doc.get("fit")

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage or invalid input, 3 I/O failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -198,16 +199,6 @@ def _load_storage_series(series_path, params: storage.StorageParams):
     return omega, p_prod
 
 
-def _metrics_doc(m: storage.SmoothingMetrics) -> dict:
-    return {
-        "std_p_grid": m.std_p_grid,
-        "mean_p_grid": m.mean_p_grid,
-        "quadratic_cost": m.quadratic_cost,
-        "e_sto_min": m.e_sto_min,
-        "e_sto_max": m.e_sto_max,
-    }
-
-
 def cmd_simulate(args) -> int:
     params = _storage_params(args)
     e0 = params.e_rated / 2.0 if args.e0 is None else args.e0
@@ -217,7 +208,7 @@ def cmd_simulate(args) -> int:
     storage.save_trajectory(traj, args.out)
     m = storage.metrics(traj)
     if args.metrics_out:
-        Path(args.metrics_out).write_text(json.dumps(_metrics_doc(m), indent=2) + "\n")
+        grids.write_atomic(args.metrics_out, (json.dumps(dataclasses.asdict(m), indent=2) + "\n").encode())
     print(f"wrote {traj.t.size} steps to {args.out}")
     print(f"std(p_grid) = {m.std_p_grid:.1f} W, mean(p_grid) = {m.mean_p_grid:.1f} W, "
           f"e_sto in [{m.e_sto_min:.3e}, {m.e_sto_max:.3e}] J")
@@ -247,7 +238,7 @@ def cmd_compare(args) -> int:
     mean_reduction = float(np.mean([s["reduction_vs_heuristic_pct"] for s in per_series]))
     doc = {"series": per_series, "mean_reduction_pct": mean_reduction}
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+        grids.write_atomic(args.out, (json.dumps(doc, indent=2) + "\n").encode())
     for s in per_series:
         print(f"{s['series']}: std none={s['std_no_storage']:.0f} W, "
               f"heuristic={s['std_heuristic']:.0f} W, optimized={s['std_optimized']:.0f} W "

@@ -16,15 +16,17 @@ average cost per stage.  Convergence is measured in the span seminorm
 (max - min) of the sweep increment, which is invariant under the
 anchoring shift.
 
-Policy evaluation exploits that the stage costs and successor states are
-fixed while the policy is fixed, so each evaluation sweep applies a fixed
-linear operator.  There are two forms of both the improvement and the
-evaluation operators:
+Both the improvement and the evaluation sweep go through one lookahead.
+It first maps the value table h to a table G of expected values, then
+reads each (node, control) pair as its expected stage cost plus the
+noise-weighted sum of successor stencils into G, each clipped to its
+corner values.  Policy evaluation exploits that the stage costs and
+stencils are fixed while the policy is fixed: they are assembled once
+into a sparse row-stochastic matrix M, and each sweep is
+h -> cost + M G(h).  The lookahead takes one of two shapes:
 
-- Generic (``controlled_dims == 0``): the interpolation stencil of every
-  (node, candidate, noise) successor is computed, and for evaluation
-  assembled once into a sparse row-stochastic matrix, so each sweep is a
-  single matrix-vector product.
+- Generic (``controlled_dims == 0``): G = h, and the stencils of every
+  noise node's successor are taken on the whole grid.
 - Post-decision (``controlled_dims == c > 0``): the first c state
   components (the controlled sub-grid z) move deterministically, and the
   noise moves only the remaining exogenous components y, independently
@@ -32,12 +34,11 @@ evaluation operators:
   the plane operator P_x on the exogenous sub-grid (row y holds the
   noise-weighted stencils of y's successors, built once from one
   controlled-axis slice): G = H P_x^T, with H the value table shaped
-  (z, y), gives E_w h(z', y'(y, w)) = interp_z(G[:, y], z').  Each
-  (node, candidate) then costs one stage-cost and successor evaluation
-  and one stencil on the controlled sub-grid, clipped to its corner
-  values; each evaluation sweep applies P_x across the z levels and a
-  fixed 2^c-point gather along z.  Before each solve the solver checks
-  the declared split on every node (see :class:`ControlProblem`).
+  (z, y), gives E_w h(z', y'(y, w)) = interp_z(G[:, y], z').  So a
+  single successor per (node, control), with its stencil on the
+  controlled sub-grid, stands for all noise nodes.  Before each solve
+  the solver checks the declared split on every node (see
+  :class:`ControlProblem`).
 
 Determinism: identical inputs and configuration give bit-identical
 results regardless of the `threads` setting, because nodes are
@@ -62,7 +63,6 @@ from scipy.special import ndtri
 from .grids import (
     GridFunction,
     RectGrid,
-    interpolate,
     interpolation_stencil,
     node_coordinates,
     save_grid_function,
@@ -319,9 +319,11 @@ def _auto_chunk(config: SolverConfig, k: int) -> int:
     return max(256, 400_000 // max(k, 1))
 
 
-def _candidate_chunks(problem: ControlProblem, grid: RectGrid, config: SolverConfig) -> list[tuple[int, int]]:
+def _candidate_chunks(
+    problem: ControlProblem, grid: RectGrid, config: SolverConfig, noise_n: int = 1
+) -> list[tuple[int, int]]:
     k = problem.candidate_array(grid.all_nodes[:1]).shape[1]
-    return _chunk_spans(grid.size, _auto_chunk(config, k))
+    return _chunk_spans(grid.size, _auto_chunk(config, k * noise_n))
 
 
 def _check_grid(grid: RectGrid, problem: ControlProblem, config: SolverConfig) -> None:
@@ -353,29 +355,44 @@ def _successors(problem: ControlProblem, grid: RectGrid, x, u, w, first_node: in
 
 
 @dataclass(frozen=True)
-class _PlaneSplit:
-    """Post-decision factorisation of a grid with ``controlled_dims`` = c > 0.
+class _Lookahead:
+    """The one-stage lookahead of a problem on a grid, generic or post-decision.
 
-    ``inner`` is the controlled sub-grid (the first c axes), ``plane`` the
-    exogenous sub-grid (the other axes), and ``operator`` the plane
-    operator P_x: row y spreads the noise expectation over the plane
-    stencils of y's successors.  Node i sits at inner node i // n_y and
-    plane node i % n_y.
+    Successor stencils live on ``inner`` (the whole grid, or the
+    controlled sub-grid) and index the table G = ``expect(h)``.  ``n_y``
+    is the exogenous plane size (1 when generic): node i sits at inner
+    node i // n_y and plane node i % n_y.  ``operator`` is the plane
+    operator P_x, or None when generic.  ``noise`` holds the noise nodes
+    whose successors are visited: all of them, or, post-decision, the
+    first with weight 1, since P_x already took the expectation.
     """
 
     inner: RectGrid
-    plane: RectGrid
-    operator: sp.csr_matrix
+    n_y: int
+    operator: sp.csr_matrix | None
+    noise: DiscreteNoise
 
-    def expect(self, values: np.ndarray) -> np.ndarray:
-        """G = H P_x^T for the value table H (z, y), flat in (y, z) order."""
-        h = values.reshape(self.inner.size, self.plane.size)
-        return np.ascontiguousarray(self.operator @ h.T).reshape(-1)
+    def expect(self, h: np.ndarray) -> np.ndarray:
+        """G: h itself, or H P_x^T for the value table H (z, y), flat in (y, z) order."""
+        if self.operator is None:
+            return h
+        return np.ascontiguousarray(self.operator @ h.reshape(self.inner.size, self.n_y).T).reshape(-1)
 
-    def stencil(self, xn: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Indices into G and weights interpolating each successor's controlled part."""
-        flat, wts = interpolation_stencil(self.inner, xn[:, : self.inner.dim])
-        return (nodes % self.plane.size)[:, None] * self.inner.size + flat, wts
+    def successors(self, problem: ControlProblem, grid: RectGrid, x, u, first_node: int, k: int):
+        """Expected stage cost (m,) and, per noise node, its stencil: (indices into G, weights).
+
+        Point i belongs to grid node ``first_node + i // k``.
+        """
+        m = x.shape[0]
+        offset = (first_node + np.arange(m) // k) % self.n_y * self.inner.size
+        cost = np.zeros(m)
+        stencils = []
+        for wval, wprob in zip(self.noise.nodes, self.noise.weights):
+            xn, stage = _successors(problem, grid, x, u, np.full(m, wval), first_node, k)
+            cost += wprob * stage
+            flat, wts = interpolation_stencil(self.inner, xn[:, : self.inner.dim])
+            stencils.append((offset[:, None] + flat, wts))
+        return cost, stencils
 
 
 def _require_equal(a: np.ndarray, b: np.ndarray, grid: RectGrid, first_node: int, what: str) -> None:
@@ -387,11 +404,11 @@ def _require_equal(a: np.ndarray, b: np.ndarray, grid: RectGrid, first_node: int
         raise ValueError(f"{what} at grid node {node} {node_coordinates(grid, node)}")
 
 
-def _plane_split(grid: RectGrid, problem: ControlProblem, config: SolverConfig) -> _PlaneSplit | None:
-    """The post-decision split of ``problem`` on ``grid``, after checking it; None if undeclared."""
+def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig) -> _Lookahead:
+    """The lookahead of ``problem`` on ``grid``: post-decision if declared, after checking the split."""
     c = problem.controlled_dims
     if c == 0:
-        return None
+        return _Lookahead(grid, 1, None, problem.noise)
     inner, plane = RectGrid(grid.axes[:c]), RectGrid(grid.axes[c:])
     n_y = plane.size
     noise = problem.noise
@@ -430,14 +447,14 @@ def _plane_split(grid: RectGrid, problem: ControlProblem, config: SolverConfig) 
     indptr = np.arange(n_y + 1, dtype=np.int64) * indices.shape[1]
     operator = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(n_y, n_y))
     operator.sum_duplicates()  # noise nodes often share stencil corners: about half the entries
-    return _PlaneSplit(inner, plane, operator)
+    return _Lookahead(inner, n_y, operator, DiscreteNoise(noise.nodes[:1], [1.0]))
 
 
 def _min_sweep(
     value: GridFunction,
     problem: ControlProblem,
     config: SolverConfig,
-    split: _PlaneSplit | None,
+    look: _Lookahead,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One minimising sweep over all nodes.
 
@@ -447,39 +464,32 @@ def _min_sweep(
     grid = value.grid
     n = grid.size
     nodes_xy = grid.all_nodes
-    noise = problem.noise
     raw = np.empty(n)
     controls = np.empty((n, problem.control_dim))
-    g = None if split is None else split.expect(value.values)
+    g = look.expect(value.values)
 
     def worker(a: int, b: int) -> None:
         xc = nodes_xy[a:b]
         cand = problem.candidate_array(xc)
         mc, k, _ = cand.shape
-        x_rep = np.repeat(xc, k, axis=0)
         u_rep = cand.reshape(mc * k, problem.control_dim)
-        if split is None:
-            q = np.zeros((mc, k))
-            for wval, wprob in zip(noise.nodes, noise.weights):
-                xn, cost = _successors(problem, grid, x_rep, u_rep, np.full(mc * k, wval), a, k)
-                q += wprob * (cost + interpolate(value, xn)).reshape(mc, k)
-        else:
-            xn, cost = _successors(problem, grid, x_rep, u_rep, np.full(mc * k, noise.nodes[0]), a, k)
-            idx, wts = split.stencil(xn, np.repeat(np.arange(a, b), k))
-            q = (cost + stencil_blend(wts, g[idx])).reshape(mc, k)
+        q, stencils = look.successors(problem, grid, np.repeat(xc, k, axis=0), u_rep, a, k)
+        for wprob, (idx, wts) in zip(look.noise.weights, stencils):
+            q += wprob * stencil_blend(wts, g[idx])
+        q = q.reshape(mc, k)
         best = np.argmin(q, axis=1)
         rows = np.arange(mc)
         raw[a:b] = q[rows, best]
         controls[a:b] = cand[rows, best]
 
-    _run_chunks(_candidate_chunks(problem, grid, config), worker, config.threads)
+    _run_chunks(_candidate_chunks(problem, grid, config, look.noise.n), worker, config.threads)
     return raw, controls
 
 
 def _sweep(value: GridFunction, problem: ControlProblem, config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     """Check the inputs, then run one minimising sweep: (raw Tv, greedy controls)."""
     _check_grid(value.grid, problem, config)
-    return _min_sweep(value, problem, config, _plane_split(value.grid, problem, config))
+    return _min_sweep(value, problem, config, _lookahead(value.grid, problem, config))
 
 
 def _policy_functions(grid: RectGrid, controls: np.ndarray) -> tuple[GridFunction, ...]:
@@ -552,72 +562,6 @@ def _project_policy_to_candidates(
     return controls
 
 
-def _fixed_policy_operator(
-    controls: np.ndarray,
-    grid: RectGrid,
-    problem: ControlProblem,
-    config: SolverConfig,
-) -> tuple[np.ndarray, sp.csr_matrix]:
-    """Expected stage cost and successor-interpolation operator of a fixed policy.
-
-    With the policy held fixed, each sweep of the evaluation recursion is
-    the affine map  v -> c_bar + M v,  where row i of the sparse matrix M
-    spreads the noise expectation over the interpolation stencils of node
-    i's successors.  Rows sum to 1.
-    """
-    n = grid.size
-    nodes_xy = grid.all_nodes
-    noise = problem.noise
-    ncorner = 1 << grid.dim
-    width = noise.n * ncorner
-    indices = np.empty((n, width), dtype=np.int64)
-    data = np.empty((n, width))
-    c_bar = np.zeros(n)
-    spans = _chunk_spans(n, _auto_chunk(config, noise.n))
-
-    def worker(a: int, b: int) -> None:
-        xc = nodes_xy[a:b]
-        uc = controls[a:b]
-        for l, (wval, wprob) in enumerate(zip(noise.nodes, noise.weights)):
-            xn, cost = _successors(problem, grid, xc, uc, np.full(b - a, wval), a, 1)
-            flat, wts = interpolation_stencil(grid, xn)
-            sl = slice(l * ncorner, (l + 1) * ncorner)
-            indices[a:b, sl] = flat
-            data[a:b, sl] = wprob * wts
-            c_bar[a:b] += wprob * cost
-
-    _run_chunks(spans, worker, config.threads)
-    indptr = np.arange(n + 1, dtype=np.int64) * width
-    matrix = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))
-    return c_bar, matrix
-
-
-def _factored_policy_step(
-    controls: np.ndarray,
-    grid: RectGrid,
-    problem: ControlProblem,
-    config: SolverConfig,
-    split: _PlaneSplit,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The evaluation sweep  h -> c + gather_z(G(h))  of a fixed policy, post-decision form."""
-    n = grid.size
-    nodes_xy = grid.all_nodes
-    ncorner = 1 << split.inner.dim
-    indices = np.empty((n, ncorner), dtype=np.int64)
-    weights = np.empty((n, ncorner))
-    cost = np.empty(n)
-    w0 = problem.noise.nodes[0]
-
-    def worker(a: int, b: int) -> None:
-        xn, cost[a:b] = _successors(problem, grid, nodes_xy[a:b], controls[a:b], np.full(b - a, w0), a, 1)
-        indices[a:b], weights[a:b] = split.stencil(xn, np.arange(a, b))
-
-    _run_chunks(_chunk_spans(n, _auto_chunk(config, 1)), worker, config.threads)
-    indptr = np.arange(n + 1, dtype=np.int64) * ncorner
-    gather = sp.csr_matrix((weights.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))
-    return lambda h: cost + gather @ split.expect(h)
-
-
 def policy_evaluation(
     policy: tuple[GridFunction, ...],
     problem: ControlProblem,
@@ -643,12 +587,23 @@ def policy_evaluation(
     _check_grid(grid, problem, config)
 
     controls = _project_policy_to_candidates(policy, problem, grid, config)
-    split = _plane_split(grid, problem, config)
-    if split is None:
-        c_bar, matrix = _fixed_policy_operator(controls, grid, problem, config)
-        step = lambda h: c_bar + matrix @ h
-    else:
-        step = _factored_policy_step(controls, grid, problem, config, split)
+    look = _lookahead(grid, problem, config)
+    n = grid.size
+    nodes_xy = grid.all_nodes
+    # row i of M: the noise-weighted stencils of node i's successors; rows sum to 1
+    indices = np.empty((n, look.noise.n, 1 << look.inner.dim), dtype=np.int64)
+    data = np.empty(indices.shape)
+    cost = np.empty(n)
+
+    def worker(a: int, b: int) -> None:
+        cost[a:b], stencils = look.successors(problem, grid, nodes_xy[a:b], controls[a:b], a, 1)
+        for l, (wprob, (idx, wts)) in enumerate(zip(look.noise.weights, stencils)):
+            indices[a:b, l], data[a:b, l] = idx, wprob * wts
+
+    _run_chunks(_chunk_spans(n, _auto_chunk(config, look.noise.n)), worker, config.threads)
+    indptr = np.arange(n + 1, dtype=np.int64) * indices[0].size
+    matrix = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))
+    step = lambda h: cost + matrix @ look.expect(h)
     v, anchors, residuals, converged = _relative_iteration(step, grid.size, config)
     return EvaluationResult(anchors[-1], GridFunction(grid, v), len(residuals), residuals, converged,
                             _span_ratio(residuals, anchors, config))
@@ -742,13 +697,13 @@ def value_iteration(
     """
     config = config or SolverConfig()
     _check_grid(grid, problem, config)
-    split = _plane_split(grid, problem, config)
+    look = _lookahead(grid, problem, config)
     controls = None
     bracket = None
 
     def step(v: np.ndarray) -> np.ndarray:
         nonlocal controls, bracket
-        raw, controls = _min_sweep(GridFunction(grid, v), problem, config, split)
+        raw, controls = _min_sweep(GridFunction(grid, v), problem, config, look)
         gain = raw - v
         bracket = (float(gain.min()), float(gain.max()))
         return raw

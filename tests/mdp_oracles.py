@@ -6,7 +6,9 @@ state-action pair), and a lookup table maps (state, action, event) to
 the successor state.  Event 0 always restarts at state 0, which makes
 every stationary policy's chain unichain and aperiodic, so the
 average-cost evaluation equations are nonsingular and iterative methods
-contract quickly.
+contract quickly.  The stage cost depends on (state, action) or, with
+``noisy_cost``, on (state, action, event); the references use its
+expectation over the event.
 
 The same family is exactly representable on a degenerate 1-D grid
 (states at integer nodes, interpolation never blends), which lets the
@@ -30,7 +32,7 @@ from sdpkit import grids, solver
 class FiniteMDP:
     table: np.ndarray  # (n_states, n_actions, n_outcomes) successor indices
     outcome_probs: np.ndarray  # (n_outcomes,)
-    cost: np.ndarray  # (n_states, n_actions)
+    cost: np.ndarray  # (n_states, n_actions) or (n_states, n_actions, n_outcomes)
 
     @property
     def n_states(self) -> int:
@@ -42,13 +44,21 @@ class FiniteMDP:
 
 
 def random_mdp(rng: np.random.Generator, n_states: int, n_actions: int,
-               n_outcomes: int = 6, restart_prob: float = 0.2) -> FiniteMDP:
+               n_outcomes: int = 6, restart_prob: float = 0.2,
+               noisy_cost: bool = False) -> FiniteMDP:
     probs = np.full(n_outcomes, (1.0 - restart_prob) / (n_outcomes - 1))
     probs[0] = restart_prob
     table = rng.integers(0, n_states, size=(n_states, n_actions, n_outcomes))
     table[:, :, 0] = 0
-    cost = rng.uniform(0.0, 1.0, size=(n_states, n_actions))
+    cost = rng.uniform(0.0, 1.0, size=table.shape if noisy_cost else (n_states, n_actions))
     return FiniteMDP(table, probs, cost)
+
+
+def expected_cost(mdp: FiniteMDP) -> np.ndarray:
+    """Stage cost c[s, a] averaged over the event when it depends on it."""
+    if mdp.cost.ndim == 2:
+        return mdp.cost
+    return np.einsum("sar,r->sa", mdp.cost, mdp.outcome_probs)
 
 
 def transition_matrices(mdp: FiniteMDP) -> np.ndarray:
@@ -79,7 +89,7 @@ def evaluate_policy_linear(mdp: FiniteMDP, policy: np.ndarray, ref: int = 0):
     """Average cost and anchored differential value of one policy, by direct solve."""
     p = transition_matrices(mdp)
     idx = np.arange(mdp.n_states)
-    a, b = _anchored_system(p[idx, policy], mdp.cost[idx, policy], ref)
+    a, b = _anchored_system(p[idx, policy], expected_cost(mdp)[idx, policy], ref)
     z = np.linalg.solve(a, b)
     return float(z[0]), z[1:]
 
@@ -88,7 +98,7 @@ def enumerate_optimum(mdp: FiniteMDP, ref: int = 0):
     p = transition_matrices(mdp)
     policies = np.array(list(itertools.product(range(mdp.n_actions), repeat=mdp.n_states)))
     idx = np.arange(mdp.n_states)
-    a, b = _anchored_system(p[idx, policies], mdp.cost[idx, policies], ref)
+    a, b = _anchored_system(p[idx, policies], expected_cost(mdp)[idx, policies], ref)
     z = np.linalg.solve(a, b[..., None])[..., 0]
     best = int(np.argmin(z[:, 0]))
     return float(z[best, 0]), policies[best]
@@ -112,7 +122,9 @@ def as_control_problem(mdp: FiniteMDP) -> tuple[solver.ControlProblem, grids.Rec
         return table[s, a, r].astype(np.float64)[:, None]
 
     def stage_cost(x, u, w):
-        return cost[x[:, 0].astype(np.int64), u[:, 0].astype(np.int64)]
+        s = x[:, 0].astype(np.int64)
+        a = u[:, 0].astype(np.int64)
+        return cost[s, a] if cost.ndim == 2 else cost[s, a, w.astype(np.int64)]
 
     problem = solver.ControlProblem(
         state_dim=1,

@@ -1,5 +1,6 @@
 """AR model tests against companion-form and closed-form references."""
 
+import json
 import math
 
 import numpy as np
@@ -386,4 +387,30 @@ class TestPersistence:
         path = tmp_path / "model.json"
         path.write_text("{{{{")
         with pytest.raises(ValueError, match="corrupt"):
+            armodel.load_ar_model(path)
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "not a JSON object"),
+        ("armodel-v1", "not a JSON object"),
+        ({"format": "armodel-v1"}, r"lacks the field\(s\) p, phi, sigma_eps, dt$"),
+        ("p", r"lacks the field\(s\) p$"),
+        ("phi", r"lacks the field\(s\) phi$"),
+        ("sigma_eps", r"lacks the field\(s\) sigma_eps$"),
+        ("dt", r"lacks the field\(s\) dt$"),
+        ({"phi": 0.5}, "malformed field"),
+        ({"sigma_eps": None}, "malformed field"),
+        ({"p": None}, "malformed field"),
+    ], ids=["list", "string", "format-only", "no-p", "no-phi", "no-sigma_eps", "no-dt",
+            "number-phi", "null-sigma_eps", "null-p"])
+    def test_rejects_malformed_document(self, tmp_path, doc, message):
+        """A non-object, a document without the field named by ``doc``, or one with ``doc``'s fields."""
+        path = tmp_path / "model.json"
+        armodel.save_ar_model(armodel.ARModel((0.5,), 1.0, 1.0), path)
+        saved = json.loads(path.read_text())
+        if doc in ("p", "phi", "sigma_eps", "dt"):
+            doc = {k: v for k, v in saved.items() if k != doc}
+        elif isinstance(doc, dict) and "format" not in doc:
+            doc = {**saved, **doc}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
             armodel.load_ar_model(path)

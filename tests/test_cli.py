@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +59,16 @@ class TestGenerate:
         code = run_cli("generate", "--model", str(model_path), "--n", "10",
                        "--out", str(tmp_path / "x.csv"))
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("doc", ["[]", '{"format": "armodel-v1"}'], ids=["list", "no-fields"])
+    def test_malformed_model_file_is_a_usage_error(self, tmp_path, doc, capsys):
+        model_path = tmp_path / "bad.json"
+        model_path.write_text(doc)
+        code = run_cli("generate", "--model", str(model_path), "--n", "10",
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == cli.EXIT_USAGE
+        assert "invalid input" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestFit:
@@ -283,6 +294,34 @@ class TestCompare:
         assert code == 0
         doc = json.loads(out.read_text())
         assert "reduction_vs_heuristic_pct" in doc["series"][0]
+
+
+class TestJsonWrites:
+    @pytest.mark.parametrize("command", ["fit", "simulate", "compare"])
+    def test_failed_write_keeps_the_previous_file(self, speed_csv, tmp_path, monkeypatch, command):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "doc.json"
+        series = str(speed_csv)
+        argv = {  # two runs whose JSON documents differ
+            "fit": lambda v: ("fit", "--series", series, "--method", "cls", "--p", v, "--out", str(out)),
+            "simulate": lambda v: ("simulate", "--policy", "heuristic", "--series", series, "--e0", f"{v}e6",
+                                   "--out", str(tmp_path / "t.csv"), "--metrics-out", str(out)),
+            "compare": lambda v: ("compare", "--policy", "heuristic", "--series", *[series] * int(v),
+                                  "--out", str(out)),
+        }[command]
+        assert run_cli(*argv("1")) == cli.EXIT_OK
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        real_replace = grids.os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst) == out:
+                raise OSError("simulated crash mid-write")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(grids.os, "replace", failing_replace)
+        assert run_cli(*argv("2")) == cli.EXIT_IO
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
 class TestParserBasics:

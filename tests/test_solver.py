@@ -250,10 +250,10 @@ class TestAgainstLinearSolve:
     def test_policy_evaluation_matches_direct_solve(self):
         rng = np.random.default_rng(101)
         config = SolverConfig(eval_tol=1e-13, eval_max_sweeps=5000)
-        for _ in range(10):
+        for noisy_cost in [False] * 10 + [True] * 5:
             n = int(rng.integers(3, 31))
             k = int(rng.integers(2, 5))
-            mdp = random_mdp(rng, n, k)
+            mdp = random_mdp(rng, n, k, noisy_cost=noisy_cost)
             problem, grid = as_control_problem(mdp)
             policy_idx = rng.integers(0, k, size=n)
             expected_j, expected_v = evaluate_policy_linear(mdp, policy_idx)
@@ -287,10 +287,10 @@ class TestAgainstLinearSolve:
 def small_mdps():
     rng = np.random.default_rng(202)
     out = []
-    for _ in range(12):
+    for noisy_cost in [False] * 12 + [True] * 6:
         n = int(rng.integers(4, 10))
         k = int(rng.integers(2, 4))
-        mdp = random_mdp(rng, n, k)
+        mdp = random_mdp(rng, n, k, noisy_cost=noisy_cost)
         out.append((mdp, enumerate_optimum(mdp)))
     return out
 
