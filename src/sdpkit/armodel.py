@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg import solve_toeplitz
-from scipy.optimize import minimize
-from scipy.signal import lfilter
+from scipy.optimize import OptimizeResult, least_squares
+from scipy.signal import lfilter, lfiltic
 
 from .grids import write_atomic
 
@@ -30,6 +29,8 @@ __all__ = [
     "sample_acf",
     "theoretical_acf",
     "is_stationary",
+    "phi_from_pacf",
+    "pacf_from_phi",
     "fit_cls",
     "fit_multilag",
     "innovation_std_from_acf",
@@ -44,6 +45,11 @@ ARMODEL_FORMAT = "armodel-v1"
 
 # Burn-in for simulation defaults to this many slowest characteristic times.
 BURN_IN_FACTOR = 10.0
+
+# fit_multilag starts a Yule-Walker kappa beyond +-1 at +-START_PACF, where the fit
+# still responds, and clips u = atanh(kappa) to +-MAX_PACF_U (|kappa| <= 1 - 1.7e-6).
+START_PACF = 0.99
+MAX_PACF_U = 7.0
 
 
 @dataclass(frozen=True)
@@ -139,11 +145,29 @@ def is_stationary(phi) -> bool:
     return bool(np.all(np.abs(np.linalg.eigvals(companion)) < 1.0))
 
 
+def phi_from_pacf(kappa) -> np.ndarray:
+    """Levinson step-up: the AR coefficients whose partial autocorrelations are kappa."""
+    phi = np.empty(0)
+    for k in np.asarray(kappa, dtype=np.float64).reshape(-1):
+        phi = np.append(phi - k * phi[::-1], k)
+    return phi
+
+
+def pacf_from_phi(phi) -> np.ndarray:
+    """Levinson step-down, the inverse of :func:`phi_from_pacf`."""
+    phi = np.asarray(phi, dtype=np.float64).reshape(-1)
+    kappa = np.empty(phi.size)
+    for m in range(phi.size - 1, -1, -1):
+        kappa[m] = k = phi[m]
+        phi = (phi[:m] + k * phi[:m][::-1]) / (1.0 - k * k)
+    return kappa
+
+
 def theoretical_acf(phi, max_lag: int, dt: float) -> AcfSeries:
     """Exact autocorrelation of a stationary AR(p) model.
 
     Solves the order-p linear system for rho(1..p) and extends with the
-    recursion rho(k) = sum_j phi_j rho(k - j).
+    recursion rho(k) = sum_j phi_j rho(k - j), run as an all-pole filter.
     """
     coeffs = np.asarray(phi, dtype=np.float64).reshape(-1)
     p = coeffs.size
@@ -170,8 +194,9 @@ def theoretical_acf(phi, max_lag: int, dt: float) -> AcfSeries:
     vals[0] = 1.0
     upto = min(p, max_lag)
     vals[1 : upto + 1] = rho_head[:upto]
-    for k in range(p + 1, max_lag + 1):
-        vals[k] = np.dot(coeffs, vals[k - p : k][::-1])
+    denom = np.concatenate([[1.0], -coeffs])
+    state = lfiltic([1.0], denom, rho_head[::-1])
+    vals[p + 1 :] = lfilter([1.0], denom, np.zeros(max(max_lag - p, 0)), zi=state)[0]
     return AcfSeries(vals, dt)
 
 
@@ -201,23 +226,13 @@ def fit_cls(series, p: int, dt: float) -> ARModel:
     return ARModel(tuple(beta[1:]), sigma, dt)
 
 
-def _acf_mismatch(phi: np.ndarray, target: np.ndarray, dt: float) -> float:
-    """Sum of squared autocorrelation errors over lags 1..len(target)."""
-    if not is_stationary(phi):
-        return math.inf
-    model_rho = theoretical_acf(phi, target.size, dt).values[1:]
-    diff = model_rho - target
-    return float(np.dot(diff, diff))
-
-
 def fit_multilag(acf_data: AcfSeries, p: int, lag_count: int) -> tuple[tuple[float, ...], float]:
     """Fit AR coefficients by matching autocorrelations over many lags.
 
-    Minimises sum_k (rho_model(k) - rho_data(k))^2 for k = 1..lag_count
-    with a derivative-free simplex search started from the Yule-Walker
-    solution of the first p lags.  Non-stationary proposals score +inf,
-    which keeps the search inside the stationarity region.  Returns the
-    coefficients and the achieved criterion value.
+    Minimises sum_k (rho_model(k) - rho_data(k))^2 for k = 1..lag_count by
+    Levenberg-Marquardt, with no cap beyond scipy's defaults, over u = atanh(kappa),
+    kappa the partial autocorrelations (Barndorff-Nielsen & Schou 1973), so every
+    proposal is stationary.  Never ends worse than its start, the Yule-Walker point.
     """
     if p < 1:
         raise ValueError(f"model order must be >= 1, got {p}")
@@ -229,29 +244,24 @@ def fit_multilag(acf_data: AcfSeries, p: int, lag_count: int) -> tuple[tuple[flo
         raise ValueError(f"need at least {p} lags to fit order {p}")
 
     rho = acf_data.values
-    start = solve_toeplitz(rho[:p], rho[1 : p + 1])
-    if not is_stationary(start):
-        warnings.warn("Yule-Walker start was not stationary; shrinking it back inside")
-        while not is_stationary(start):
-            start = 0.98 * start
-
+    kappa = pacf_from_phi(solve_toeplitz(rho[:p], rho[1 : p + 1]))
+    start = np.arctanh(np.where(np.abs(kappa) < 1.0, kappa, np.sign(kappa) * START_PACF))
     target = rho[1 : lag_count + 1]
-    result = minimize(
-        _acf_mismatch,
-        start,
-        args=(target, acf_data.dt),
-        method="Nelder-Mead",
-        options={"maxfev": 10000, "xatol": 1e-10, "fatol": 1e-16},
-    )
-    best = result.x
-    crit = float(result.fun)
-    start_crit = _acf_mismatch(start, target, acf_data.dt)
-    if start_crit < crit:
-        best, crit = start, start_crit
-    if not is_stationary(best):
-        warnings.warn("optimum left the stationarity region; reverting to the start point")
-        best, crit = start, start_crit
-    return tuple(float(c) for c in best), crit
+
+    def coefficients(u):
+        return phi_from_pacf(np.tanh(np.clip(u, -MAX_PACF_U, MAX_PACF_U)))
+
+    def residual(u):
+        return theoretical_acf(coefficients(u), lag_count, acf_data.dt).values[1:] - target
+
+    start_fun = residual(start)
+    try:
+        result = least_squares(residual, start, method="lm")
+    except (ValueError, np.linalg.LinAlgError):  # several kappa at the clip: phi hits the boundary
+        result = OptimizeResult(x=start, fun=start_fun)
+    if start_fun @ start_fun < result.fun @ result.fun:
+        result.x, result.fun = start, start_fun
+    return tuple(float(c) for c in coefficients(result.x)), float(result.fun @ result.fun)
 
 
 def innovation_std_from_acf(phi, gamma0: float, acf_data: AcfSeries) -> float:

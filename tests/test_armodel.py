@@ -2,14 +2,16 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_discrete_lyapunov
+from scipy.linalg import solve_discrete_lyapunov, solve_toeplitz
+from scipy.optimize import minimize
 
-from sdpkit import armodel
+from sdpkit import armodel, storage
 from sdpkit.armodel import AcfSeries, ARModel
 
 
@@ -35,6 +37,53 @@ def oracle_acf(phi, max_lag):
         out[k] = (power @ cov)[0, 0]
         power = companion @ power
     return out / out[0]
+
+
+def pxp_acf_head(phi):
+    """rho(0..p) from the order-p linear system, as theoretical_acf solves it."""
+    p = len(phi)
+    a = np.eye(p)
+    rhs = np.zeros(p)
+    for k in range(1, p + 1):
+        for j in range(1, p + 1):
+            lag = abs(k - j)
+            if lag == 0:
+                rhs[k - 1] += phi[j - 1]
+            else:
+                a[k - 1, lag - 1] -= phi[j - 1]
+    return np.concatenate([[1.0], np.linalg.solve(a, rhs)])
+
+
+def scalar_acf_tail(phi, head, max_lag):
+    """Extend rho(0..p) with the scalar recursion rho(k) = sum_j phi_j rho(k - j)."""
+    vals = list(head)
+    for k in range(len(head), max_lag + 1):
+        vals.append(sum(c * vals[k - j] for j, c in enumerate(phi, start=1)))
+    return np.array(vals)
+
+
+def acf_criterion(phi, acf, lag_count):
+    """Sum of squared autocorrelation errors over lags 1..lag_count."""
+    diff = armodel.theoretical_acf(phi, lag_count, acf.dt).values[1:] - acf.values[1 : lag_count + 1]
+    return float(diff @ diff)
+
+
+def nelder_mead_fit(acf, p, lag_count):
+    """The simplex search fit_multilag used before, as a reference: non-stationary points score +inf."""
+    def mismatch(phi):
+        return acf_criterion(phi, acf, lag_count) if armodel.is_stationary(phi) else math.inf
+
+    start = solve_toeplitz(acf.values[:p], acf.values[1 : p + 1])
+    result = minimize(mismatch, start, method="Nelder-Mead",
+                      options={"maxfev": 10000, "xatol": 1e-10, "fatol": 1e-16})
+    return result.x, float(result.fun)
+
+
+def noisy_acf():
+    """The ACF of AR(2) (0.7, 0.1) with N(0, 0.01) noise on lags 1..20."""
+    acf = armodel.theoretical_acf((0.7, 0.1), max_lag=20, dt=1.0)
+    rng = np.random.default_rng(17)
+    return AcfSeries(np.concatenate([[1.0], acf.values[1:] + rng.normal(0, 0.01, 20)]), dt=1.0)
 
 
 def ar2_stationary_variance(phi1, phi2, sigma):
@@ -133,6 +182,47 @@ class TestTheoreticalAcf:
         with pytest.raises(ValueError):
             armodel.theoretical_acf((1.01,), max_lag=3, dt=1.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5), st.integers(1, 60))
+    def test_filter_tail_matches_scalar_recursion(self, u, max_lag):
+        phi = armodel.phi_from_pacf(np.tanh(u))
+        head = pxp_acf_head(phi)[: max_lag + 1]
+        expected = scalar_acf_tail(phi, head, max_lag)
+        got = armodel.theoretical_acf(phi, max_lag, dt=1.0).values
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5), st.integers(1, 60))
+    def test_head_is_the_pxp_solve_bit_for_bit(self, u, max_lag):
+        phi = armodel.phi_from_pacf(np.tanh(u))
+        upto = min(phi.size, max_lag)
+        got = armodel.theoretical_acf(phi, max_lag, dt=1.0).values[: upto + 1]
+        assert np.array_equal(got, pxp_acf_head(phi)[: upto + 1])
+
+
+class TestPacfMaps:
+    def test_known_ar2(self):
+        # kappa_1 = rho(1) = phi_1 / (1 - phi_2) and kappa_2 = phi_2 for AR(2)
+        kappa = armodel.pacf_from_phi((0.9, -0.2))
+        assert kappa == pytest.approx([0.9 / 1.2, -0.2], rel=1e-14)
+        assert armodel.phi_from_pacf(kappa) == pytest.approx([0.9, -0.2], rel=1e-14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5))
+    def test_pacf_cube_maps_to_stationary_models(self, u):
+        assert armodel.is_stationary(armodel.phi_from_pacf(np.tanh(u)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5))
+    def test_round_trip(self, u):
+        phi = armodel.phi_from_pacf(np.tanh(u))
+        back = armodel.phi_from_pacf(armodel.pacf_from_phi(phi))
+        assert np.max(np.abs(back - phi)) <= 1e-8
+
+    def test_non_stationary_model_has_pacf_outside_the_unit_interval(self):
+        assert np.max(np.abs(armodel.pacf_from_phi((0.2, 0.9)))) > 1.0
+        assert np.max(np.abs(armodel.pacf_from_phi((1.01,)))) > 1.0
+
 
 class TestFitCls:
     def test_noiseless_recursion_recovered_exactly(self):
@@ -191,14 +281,7 @@ class TestFitMultilag:
         assert crit < 1e-10
 
     def test_result_is_stationary_for_noisy_acf(self):
-        phi = (0.7, 0.1)
-        acf = armodel.theoretical_acf(phi, max_lag=20, dt=1.0)
-        rng = np.random.default_rng(17)
-        noisy = AcfSeries(
-            np.concatenate([[1.0], acf.values[1:] + rng.normal(0, 0.01, 20)]),
-            dt=1.0,
-        )
-        fitted, crit = armodel.fit_multilag(noisy, p=2, lag_count=20)
+        fitted, crit = armodel.fit_multilag(noisy_acf(), p=2, lag_count=20)
         assert armodel.is_stationary(fitted)
         assert math.isfinite(crit)
 
@@ -216,6 +299,85 @@ class TestFitMultilag:
             armodel.fit_multilag(acf, p=1, lag_count=6)
         with pytest.raises(ValueError):
             armodel.fit_multilag(acf, p=0, lag_count=3)
+
+    @pytest.mark.parametrize("acf, p, lag_count", [
+        (armodel.theoretical_acf((0.9, -0.2), max_lag=30, dt=1.0), 2, 30),
+        (armodel.theoretical_acf((1.9799, -0.9879), max_lag=100, dt=0.1), 2, 100),
+        (noisy_acf(), 2, 20),
+        (armodel.theoretical_acf((0.5, 0.2, 0.15), max_lag=40, dt=1.0), 2, 2),
+        (armodel.theoretical_acf((0.5, 0.2, 0.15), max_lag=40, dt=1.0), 2, 40),
+    ], ids=["exact", "oscillatory", "noisy", "misspecified-2", "misspecified-40"])
+    def test_matches_the_nelder_mead_search(self, acf, p, lag_count):
+        fitted, crit = armodel.fit_multilag(acf, p, lag_count)
+        reference, reference_crit = nelder_mead_fit(acf, p, lag_count)
+        assert crit == acf_criterion(fitted, acf, lag_count)
+        assert crit <= reference_crit * (1.0 + 1e-8) + 1e-24
+        assert fitted == pytest.approx(reference, abs=1e-5)
+
+    def test_non_stationary_yule_walker_start(self):
+        # rho(1) = 0.9 then rho(2) = 0.2: the lag-2 partial autocorrelation is -3.2
+        acf = AcfSeries(np.array([1.0, 0.9, 0.2, 0.1, 0.0, -0.1]), dt=1.0)
+        assert not armodel.is_stationary(solve_toeplitz(acf.values[:2], acf.values[1:3]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fitted, crit = armodel.fit_multilag(acf, p=2, lag_count=5)
+        assert armodel.is_stationary(fitted)
+        assert math.isfinite(crit)
+        assert crit == acf_criterion(fitted, acf, 5)
+        clipped_start = armodel.phi_from_pacf((0.9, -armodel.START_PACF))
+        assert crit < acf_criterion(clipped_start, acf, 5)
+
+    @pytest.mark.parametrize("values, p", [
+        ([1.0, 0.3, -0.8, 0.4, 0.3], 4),
+        ([1.0, 0.8, -0.9, 0.4, 0.7, -0.5], 4),
+        ([1.0, -0.6, -0.6, -0.9, -0.6], 4),
+    ])
+    def test_boundary_optimum_of_a_non_psd_acf(self, values, p):
+        # no stationary model reaches these: the search drives several kappa to the clip
+        acf = AcfSeries(np.array(values), dt=1.0)
+        lag_count = acf.max_lag
+        fitted, crit = armodel.fit_multilag(acf, p, lag_count)
+        assert armodel.is_stationary(fitted)
+        assert crit == acf_criterion(fitted, acf, lag_count)
+        kappa = armodel.pacf_from_phi(solve_toeplitz(acf.values[:p], acf.values[1 : p + 1]))
+        start = armodel.phi_from_pacf(np.where(np.abs(kappa) < 1, kappa, np.sign(kappa) * armodel.START_PACF))
+        assert crit <= acf_criterion(start, acf, lag_count)
+
+
+@pytest.fixture(scope="module")
+def bundled_model_acfs():
+    """Sample ACFs (150 lags) of the 10k-step series of seeds 1-3, as `sdpkit fit` sees them."""
+    model = storage.bundled_speed_model()
+    return [armodel.sample_acf(armodel.simulate(model, 10_000, seed), 150, model.dt)
+            for seed in (1, 2, 3)]
+
+
+class TestFitMultilagOracle:
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["seed1", "seed2", "seed3"])
+    def test_no_point_of_a_brute_force_grid_scores_lower(self, bundled_model_acfs, index):
+        acf = bundled_model_acfs[index]
+        fitted, crit = armodel.fit_multilag(acf, p=2, lag_count=150)
+        assert armodel.is_stationary(fitted)
+        offsets = np.linspace(-1e-4, 1e-4, 21)
+        grid_min = min(acf_criterion((fitted[0] + d1, fitted[1] + d2), acf, 150)
+                       for d1 in offsets for d2 in offsets)
+        assert crit <= grid_min
+        yule_walker = solve_toeplitz(acf.values[:2], acf.values[1:3])
+        assert crit <= acf_criterion(yule_walker, acf, 150)
+
+    def test_few_residual_evaluations(self, bundled_model_acfs, monkeypatch):
+        calls = []
+        real = armodel.theoretical_acf
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(armodel, "theoretical_acf", counted)
+        for acf in bundled_model_acfs:
+            calls.clear()
+            armodel.fit_multilag(acf, p=2, lag_count=150)
+            assert len(calls) <= 50
 
 
 class TestInnovationStd:
