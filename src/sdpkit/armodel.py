@@ -16,9 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_toeplitz
-from scipy.optimize import OptimizeResult, least_squares
-from scipy.signal import lfilter, lfiltic
 
 from .grids import write_atomic
 
@@ -194,9 +191,12 @@ def theoretical_acf(phi, max_lag: int, dt: float) -> AcfSeries:
     vals[0] = 1.0
     upto = min(p, max_lag)
     vals[1 : upto + 1] = rho_head[:upto]
-    denom = np.concatenate([[1.0], -coeffs])
-    state = lfiltic([1.0], denom, rho_head[::-1])
-    vals[p + 1 :] = lfilter([1.0], denom, np.zeros(max(max_lag - p, 0)), zi=state)[0]
+    if max_lag > p:
+        # Imported here: scipy.signal pulls in scipy.stats, most of a process's start-up time.
+        from scipy.signal import lfilter, lfiltic
+        denom = np.concatenate([[1.0], -coeffs])
+        state = lfiltic([1.0], denom, rho_head[::-1])
+        vals[p + 1 :] = lfilter([1.0], denom, np.zeros(max_lag - p), zi=state)[0]
     return AcfSeries(vals, dt)
 
 
@@ -243,8 +243,15 @@ def fit_multilag(acf_data: AcfSeries, p: int, lag_count: int) -> tuple[tuple[flo
     if acf_data.max_lag < p:
         raise ValueError(f"need at least {p} lags to fit order {p}")
 
+    # Imported here, so that solve, simulate and compare, which never fit, start without them.
+    from scipy.linalg import solve_toeplitz
+    from scipy.optimize import OptimizeResult, least_squares
     rho = acf_data.values
-    kappa = pacf_from_phi(solve_toeplitz(rho[:p], rho[1 : p + 1]))
+    try:
+        kappa = pacf_from_phi(solve_toeplitz(rho[:p], rho[1 : p + 1]))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"cannot fit order {p} over {lag_count} lags: "
+                         f"singular order-{p} Toeplitz block") from exc
     start = np.arctanh(np.where(np.abs(kappa) < 1.0, kappa, np.sign(kappa) * START_PACF))
     target = rho[1 : lag_count + 1]
 
@@ -315,6 +322,7 @@ def simulate(model: ARModel, n: int, seed: int, burn_in: int | None = None) -> n
         raise ValueError(f"burn-in must be >= 0, got {burn_in}")
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, model.sigma_eps, size=n + burn_in)
+    from scipy.signal import lfilter  # imported here: see theoretical_acf
     x = lfilter([1.0], np.concatenate([[1.0], -np.asarray(model.phi)]), eps)
     return x[burn_in:]
 

@@ -124,8 +124,7 @@ def _write_policy_slices(policy: grids.GridFunction, path: Path, n_levels: int) 
     e, om, ac = np.meshgrid(levels, om_axis.nodes, ac_axis.nodes, indexing="ij")
     pts = np.column_stack([e.ravel(), om.ravel(), ac.ravel()])
     rows = np.column_stack([pts, grids.interpolate(policy, pts)])
-    np.savetxt(path, rows, fmt="%.17g", delimiter=",",
-               header="e_sto,omega,accel,p_grid", comments="")
+    storage.write_csv(path, rows, "e_sto,omega,accel,p_grid")
 
 
 def cmd_solve(args) -> int:

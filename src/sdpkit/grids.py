@@ -312,8 +312,8 @@ def stencil_blend(weights: np.ndarray, corner_vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to a temporary sibling of ``path``, then move it into place.
+def write_atomic(path, data) -> None:
+    """Write ``data`` (bytes or byte chunks) to a temporary sibling of ``path``, then move it into place.
 
     A failure at any point leaves the previous file at ``path`` untouched
     and removes the temporary file.
@@ -322,7 +322,7 @@ def write_atomic(path, data: bytes) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            fh.writelines([data] if isinstance(data, bytes) else data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

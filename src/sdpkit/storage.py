@@ -26,6 +26,7 @@ batch pass, and each step is left with a 1-D interpolation in energy.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +36,7 @@ import numpy as np
 
 from .armodel import ARModel, stationary_moments, to_state_space
 from .grids import (GridFunction, RectGrid, axis_locator, build_grid, interpolation_stencil,
-                    stencil_blend)
+                    stencil_blend, write_atomic)
 from .grids import interpolate  # noqa: F401  kept as storage.interpolate: perfbench wraps it
 from .solver import ControlProblem, discretize_noise
 
@@ -55,6 +56,7 @@ __all__ = [
     "heuristic_policy_fn",
     "simulate_trajectory",
     "metrics",
+    "write_csv",
     "save_series",
     "load_series",
     "save_trajectory",
@@ -388,6 +390,14 @@ def metrics(traj: TrajectoryRecord) -> SmoothingMetrics:
 _FLOAT_FMT = "%.17g"
 
 
+def write_csv(path, block, header: str) -> None:
+    """Atomically write a 2-D block under a header line, in the bytes of ``np.savetxt(fmt="%.17g")``."""
+    row = ",".join([_FLOAT_FMT] * block.shape[1]) + "\n"
+    parts = np.array_split(block, range(256, len(block), 256))  # never the whole block as one string
+    write_atomic(path, (text.encode() for text in itertools.chain(
+        [header + "\n"], (row * len(part) % tuple(part.ravel().tolist()) for part in parts))))
+
+
 def save_series(path, t, omega, p_prod=None) -> None:
     """Write a speed series as CSV with header ``t,omega[,p_prod]``."""
     t = np.asarray(t, dtype=np.float64).reshape(-1)
@@ -399,8 +409,7 @@ def save_series(path, t, omega, p_prod=None) -> None:
         header += ",p_prod"
     if any(c.size != t.size for c in cols):
         raise ValueError("series columns must have equal length")
-    np.savetxt(path, np.column_stack(cols), fmt=_FLOAT_FMT, delimiter=",",
-               header=header, comments="")
+    write_csv(path, np.column_stack(cols), header)
 
 
 def _read_csv(path, required: tuple[str, ...]):
@@ -438,8 +447,7 @@ def save_trajectory(traj: TrajectoryRecord, path) -> None:
         block[:n, i] = getattr(traj, name)
     block[n, 0] = n * traj.dt
     block[n, -1] = traj.e_final
-    np.savetxt(path, block, fmt=_FLOAT_FMT, delimiter=",",
-               header=",".join(TRAJECTORY_COLUMNS), comments="")
+    write_csv(path, block, ",".join(TRAJECTORY_COLUMNS))
 
 
 def load_trajectory(path) -> TrajectoryRecord:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_lyapunov, solve_toeplitz
 from scipy.optimize import minimize
+from scipy.signal import lfilter, lfiltic
 
 from sdpkit import armodel, storage
 from sdpkit.armodel import AcfSeries, ARModel
@@ -60,6 +61,15 @@ def scalar_acf_tail(phi, head, max_lag):
     for k in range(len(head), max_lag + 1):
         vals.append(sum(c * vals[k - j] for j, c in enumerate(phi, start=1)))
     return np.array(vals)
+
+
+def filter_acf(phi, max_lag):
+    """rho(0..max_lag): the p x p head extended by scipy's all-pole filter, as theoretical_acf does."""
+    head = pxp_acf_head(phi)
+    denom = np.concatenate([[1.0], -np.asarray(phi, dtype=np.float64)])
+    state = lfiltic([1.0], denom, head[:0:-1])
+    tail = lfilter([1.0], denom, np.zeros(max(max_lag - len(phi), 0)), zi=state)[0]
+    return np.concatenate([head, tail])[: max_lag + 1]
 
 
 def acf_criterion(phi, acf, lag_count):
@@ -199,6 +209,18 @@ class TestTheoreticalAcf:
         got = armodel.theoretical_acf(phi, max_lag, dt=1.0).values[: upto + 1]
         assert np.array_equal(got, pxp_acf_head(phi)[: upto + 1])
 
+    @pytest.mark.parametrize("phi", [(0.8,), (0.9, -0.2), (1.9799, -0.9879), (0.4, 0.1, -0.3)])
+    def test_filter_runs_only_for_lags_beyond_the_order(self, phi):
+        # lags up to p come from the p x p solve alone; beyond p the all-pole
+        # filter extends them exactly as it did when it ran for every max_lag
+        p = len(phi)
+        for max_lag in range(1, p + 1):
+            got = armodel.theoretical_acf(phi, max_lag, dt=1.0).values
+            assert np.array_equal(got, pxp_acf_head(phi)[: max_lag + 1])
+        for max_lag in range(p + 1, p + 6):
+            got = armodel.theoretical_acf(phi, max_lag, dt=1.0).values
+            assert np.array_equal(got, filter_acf(phi, max_lag))
+
 
 class TestPacfMaps:
     def test_known_ar2(self):
@@ -299,6 +321,11 @@ class TestFitMultilag:
             armodel.fit_multilag(acf, p=1, lag_count=6)
         with pytest.raises(ValueError):
             armodel.fit_multilag(acf, p=0, lag_count=3)
+
+    def test_singular_toeplitz_block_is_a_value_error(self):
+        acf = AcfSeries([1.0, 1.0, 0.3], dt=0.1)  # rho(1) = 1: the 2x2 block [[1, 1], [1, 1]]
+        with pytest.raises(ValueError, match="order 2 over 2 lags: singular"):
+            armodel.fit_multilag(acf, p=2, lag_count=2)
 
     @pytest.mark.parametrize("acf, p, lag_count", [
         (armodel.theoretical_acf((0.9, -0.2), max_lag=30, dt=1.0), 2, 30),

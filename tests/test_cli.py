@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (in-process where possible)."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -135,12 +136,14 @@ class TestFit:
         assert info.value.code == cli.EXIT_USAGE
 
 
+TINY_GRID = ("--n-e", "4", "--n-omega", "5", "--n-accel", "5")
+
+
 @pytest.fixture(scope="module")
 def tiny_solution(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("tiny_solve")
     code = run_cli(
-        "solve", "--out-dir", str(out_dir),
-        "--n-e", "4", "--n-omega", "5", "--n-accel", "5",
+        "solve", "--out-dir", str(out_dir), *TINY_GRID,
         "--noise-nodes", "3", "--n-controls", "5",
         "--max-sweeps", "300", "--max-improvements", "3",
     )
@@ -176,8 +179,7 @@ class TestSolve:
     def test_sweep_cap_cut_off_is_reported(self, tmp_path, capsys):
         out_dir = tmp_path / "capped"
         code = run_cli(
-            "solve", "--out-dir", str(out_dir),
-            "--n-e", "4", "--n-omega", "5", "--n-accel", "5",
+            "solve", "--out-dir", str(out_dir), *TINY_GRID,
             "--noise-nodes", "3", "--n-controls", "5",
             "--max-sweeps", "1", "--max-improvements", "2",
         )
@@ -297,18 +299,25 @@ class TestCompare:
 
 
 class TestJsonWrites:
-    @pytest.mark.parametrize("command", ["fit", "simulate", "compare"])
+    """A crash at the final rename leaves each JSON and CSV artifact as it was."""
+
+    @pytest.mark.parametrize("command", ["fit", "simulate", "compare", "generate", "simulate-csv", "solve"])
     def test_failed_write_keeps_the_previous_file(self, speed_csv, tmp_path, monkeypatch, command):
         out_dir = tmp_path / "out"
         out_dir.mkdir()
-        out = out_dir / "doc.json"
+        out = out_dir / ("policy_slices.csv" if command == "solve" else "doc")
         series = str(speed_csv)
-        argv = {  # two runs whose JSON documents differ
+        argv = {  # two runs whose documents at `out` differ
             "fit": lambda v: ("fit", "--series", series, "--method", "cls", "--p", v, "--out", str(out)),
             "simulate": lambda v: ("simulate", "--policy", "heuristic", "--series", series, "--e0", f"{v}e6",
                                    "--out", str(tmp_path / "t.csv"), "--metrics-out", str(out)),
             "compare": lambda v: ("compare", "--policy", "heuristic", "--series", *[series] * int(v),
                                   "--out", str(out)),
+            "generate": lambda v: ("generate", "--n", "50", "--seed", v, "--out", str(out)),
+            "simulate-csv": lambda v: ("simulate", "--policy", "heuristic", "--series", series,
+                                       "--e0", f"{v}e6", "--out", str(out)),
+            "solve": lambda v: ("solve", "--out-dir", str(out_dir), *TINY_GRID, "--max-sweeps", "50",
+                                "--max-improvements", "1", "--slices", v),
         }[command]
         assert run_cli(*argv("1")) == cli.EXIT_OK
         before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
@@ -322,6 +331,35 @@ class TestJsonWrites:
         monkeypatch.setattr(grids.os, "replace", failing_replace)
         assert run_cli(*argv("2")) == cli.EXIT_IO
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+# Runs in a fresh interpreter: solve, simulate and compare must not load the
+# SciPy modules that only fitting and generating use; generate then must.
+START_UP_SCRIPT = """
+import sys
+from sdpkit import cli
+
+work, series, *grid = sys.argv[1:]
+fit_only = ("scipy.signal", "scipy.optimize", "scipy.linalg", "scipy.stats")
+policy = f"{work}/solution_policy_u0.gridfn"
+assert cli.main(["solve", "--out-dir", work, *grid]) == 0
+assert cli.main(["simulate", "--policy", policy, "--series", series, "--out", f"{work}/t.csv"]) == 0
+assert cli.main(["compare", "--policy", policy, "--series", series]) == 0
+loaded = [name for name in fit_only if name in sys.modules]
+assert not loaded, f"loaded without fitting: {loaded}"
+assert cli.main(["generate", "--n", "20", "--out", f"{work}/g.csv"]) == 0
+assert "scipy.signal" in sys.modules
+"""
+
+
+class TestStartUpImports:
+    def test_solve_simulate_compare_load_no_fit_only_scipy_module(self, speed_csv, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", START_UP_SCRIPT, str(tmp_path), str(speed_csv), *TINY_GRID],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestParserBasics:

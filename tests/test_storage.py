@@ -303,6 +303,18 @@ class TestMetrics:
 
 
 class TestCsvRoundTrips:
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (6, 7)])
+    def test_write_csv_matches_savetxt_bytes(self, tmp_path, shape):
+        rng = np.random.default_rng(23)
+        block = rng.normal(0.0, 1e6, size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        special = [np.nan, -0.0, np.inf, -np.inf, 5e-324, 0.1]
+        block.flat[: len(special)] = special[: block.size]
+        ours = tmp_path / "ours.csv"
+        reference = tmp_path / "reference.csv"
+        storage.write_csv(ours, block, "a,b")
+        np.savetxt(reference, block, fmt="%.17g", delimiter=",", header="a,b", comments="")
+        assert ours.read_bytes() == reference.read_bytes()
+
     def test_series_roundtrip_bit_exact(self, tmp_path):
         omega = speed_fixture(100, 13)
         t = np.arange(100) * PARAMS.dt
