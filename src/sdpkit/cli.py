@@ -158,6 +158,8 @@ def cmd_solve(args) -> int:
     print(f"improvement steps: {report.improvement_steps} "
           f"(policy {'converged' if report.converged else 'truncated at the improvement cap'})")
     print(f"evaluation sweeps: {report.sweeps_per_evaluation}")
+    print(f"evaluation {1e3 * sum(report.evaluation_seconds) / sum(report.sweeps_per_evaluation):.3g} ms "
+          f"per sweep, improvement {sum(report.improvement_seconds):.3g} s in all")
     capped = report.evaluation_converged.count(False)
     if capped:
         print(f"note: {capped} of {len(report.evaluation_converged)} evaluations stopped at the "

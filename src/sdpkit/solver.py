@@ -41,9 +41,12 @@ h -> cost + M G(h).  The lookahead takes one of two shapes:
   :class:`ControlProblem`).
 
 Determinism: identical inputs and configuration give bit-identical
-results regardless of the `threads` setting, because nodes are
-partitioned into chunks of a thread-independent size and every node's
-reduction runs in a fixed order.  Problem callbacks must be pure and
+results regardless of the `threads` setting.  Improvement sweeps run
+chunks of a thread-independent size, each node's reduction in a fixed
+order.  Policy evaluation keeps its iterate y-major, in the (plane node,
+controlled node) order of G, and each of ``min(threads, n_y)`` threads
+sweeps one block of plane nodes with the arithmetic of the whole sweep
+(see :func:`_relative_iteration`).  Problem callbacks must be pure and
 thread-safe; node computations may run concurrently.
 """
 
@@ -51,6 +54,8 @@ from __future__ import annotations
 
 import json
 import math
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -276,7 +281,9 @@ class SolveReport:
     its tolerance before the sweep cap and ``evaluation_span_ratio``
     gives its final span over that tolerance.  Per improvement sweep,
     ``bracket_history`` holds (min(Tv - v), max(Tv - v)), which brackets
-    the optimal average cost J* of the gridded problem.
+    the optimal average cost J* of the gridded problem.  Per improvement
+    step, ``evaluation_seconds`` and ``improvement_seconds`` hold the wall
+    times of both halves (value iteration: the whole run, and 0).
     """
 
     avg_cost: float
@@ -291,6 +298,8 @@ class SolveReport:
     evaluation_converged: list[bool]
     evaluation_span_ratio: list[float]
     bracket_history: list[tuple[float, float]]
+    evaluation_seconds: list[float]
+    improvement_seconds: list[float]
 
 
 def _check_divergence(residuals: list[float]) -> None:
@@ -298,10 +307,6 @@ def _check_divergence(residuals: list[float]) -> None:
         base = residuals[-1 - DIVERGENCE_WINDOW]
         if residuals[-1] > DIVERGENCE_FACTOR * base:
             raise DivergenceError(len(residuals), residuals[-1 - DIVERGENCE_WINDOW :])
-
-
-def _chunk_spans(n: int, chunk: int) -> list[tuple[int, int]]:
-    return [(a, min(a + chunk, n)) for a in range(0, n, chunk)]
 
 
 def _run_chunks(spans, worker, threads: int) -> None:
@@ -313,17 +318,13 @@ def _run_chunks(spans, worker, threads: int) -> None:
             list(pool.map(lambda s: worker(*s), spans))
 
 
-def _auto_chunk(config: SolverConfig, k: int) -> int:
-    if config.chunk_nodes > 0:
-        return config.chunk_nodes
-    return max(256, 400_000 // max(k, 1))
-
-
 def _candidate_chunks(
     problem: ControlProblem, grid: RectGrid, config: SolverConfig, noise_n: int = 1
 ) -> list[tuple[int, int]]:
+    """Node spans of a thread-independent size: by default about 65,536 (node, candidate, noise node) points."""
     k = problem.candidate_array(grid.all_nodes[:1]).shape[1]
-    return _chunk_spans(grid.size, _auto_chunk(config, k * noise_n))
+    chunk = config.chunk_nodes or max(256, 65_536 // (k * noise_n))  # small enough to stay in cache
+    return [(a, min(a + chunk, grid.size)) for a in range(0, grid.size, chunk)]
 
 
 def _check_grid(grid: RectGrid, problem: ControlProblem, config: SolverConfig) -> None:
@@ -371,6 +372,10 @@ class _Lookahead:
     n_y: int
     operator: sp.csr_matrix | None
     noise: DiscreteNoise
+
+    def row(self, nodes):
+        """Row of grid node(s) ``nodes`` in y-major (plane node, inner node) order."""
+        return nodes % self.n_y * self.inner.size + nodes // self.n_y
 
     def expect(self, h: np.ndarray) -> np.ndarray:
         """G: h itself, or H P_x^T for the value table H (z, y), flat in (y, z) order."""
@@ -500,26 +505,49 @@ def _span_ratio(residuals: list[float], anchors: list[float], config: SolverConf
     return residuals[-1] / (config.eval_tol * (abs(anchors[-1]) + 1.0))
 
 
-def _relative_iteration(step: Callable, n: int, config: SolverConfig):
-    """Iterate v <- step(v) - step(v)[ref] from v = 0; returns (v, anchors, residuals, converged).
+def _relative_iteration(blocks: list, reference: int, config: SolverConfig):
+    """Iterate v <- raw - raw[reference], raw = step(v), from v = 0; returns (v, anchors, residuals, converged).
 
-    Stops once the span of the increment drops to ``eval_tol * (|anchor| + 1)``
-    or after ``eval_max_sweeps`` sweeps; raises :class:`DivergenceError`
-    if the spans grow instead.
+    ``blocks`` holds ``(rows, step)`` pairs whose slices partition v; ``step(v)`` sweeps slice ``rows``.
+    Several blocks run on one thread each, alive for this call only, and wait twice per sweep: once
+    their raw values and increment extrema are written, and once their share of v is.  The span is
+    exact: the max of the block maxima minus the min of the minima.  Stops once it drops to
+    ``eval_tol * (|anchor| + 1)`` or after ``eval_max_sweeps`` sweeps; raises
+    :class:`DivergenceError` if the spans grow instead.
     """
-    v = np.zeros(n)
-    anchors: list[float] = []
-    residuals: list[float] = []
-    for _ in range(config.eval_max_sweeps):
-        raw = step(v)
-        anchors.append(float(raw[config.reference_node]))
-        increment = raw - v
-        residuals.append(float(increment.max() - increment.min()))
-        v = raw - anchors[-1]
-        if residuals[-1] <= config.eval_tol * (abs(anchors[-1]) + 1.0):
-            return v, anchors, residuals, True
-        _check_divergence(residuals)
-    return v, anchors, residuals, False
+    v = np.zeros(blocks[-1][0].stop)
+    raws, outcomes, extrema = [None] * len(blocks), [None] * len(blocks), np.empty((len(blocks), 2))
+    owner = next(t for t, (rows, _) in enumerate(blocks) if rows.start <= reference < rows.stop)
+    at = reference - blocks[owner][0].start
+    barrier = threading.Barrier(len(blocks))
+
+    def run(t: int, block: tuple) -> None:
+        (rows, step), anchors, residuals = block, [], []  # the same in every block
+        increment = np.empty(rows.stop - rows.start)
+        converged = False
+        try:
+            for _ in range(config.eval_max_sweeps):
+                raws[t] = raw = step(v)
+                np.subtract(raw, v[rows], out=increment)
+                extrema[t] = increment.min(), increment.max()
+                barrier.wait()
+                anchors.append(float(raws[owner][at]))
+                residuals.append(float(extrema[:, 1].max() - extrema[:, 0].min()))
+                np.subtract(raw, anchors[-1], out=v[rows])
+                converged = residuals[-1] <= config.eval_tol * (abs(anchors[-1]) + 1.0)
+                if converged:
+                    break
+                _check_divergence(residuals)
+                barrier.wait()
+            outcomes[t] = anchors, residuals, converged
+        except threading.BrokenBarrierError:
+            pass  # another block failed, and _run_chunks raises its error
+        except BaseException:
+            barrier.abort()  # release the other blocks
+            raise
+
+    _run_chunks(list(enumerate(blocks)), run, len(blocks))
+    return (v, *outcomes[0])
 
 
 def bellman_sweep(
@@ -542,24 +570,44 @@ def bellman_sweep(
     return GridFunction(grid, raw - avg), _policy_functions(grid, controls), avg
 
 
-def _project_policy_to_candidates(
-    policy: tuple[GridFunction, ...],
-    problem: ControlProblem,
-    grid: RectGrid,
-    config: SolverConfig,
-) -> np.ndarray:
-    """Per-node controls: the admissible candidate nearest the stored policy."""
-    stored = np.stack([p.values for p in policy], axis=1)  # (N, control_dim)
-    controls = np.empty_like(stored)
+def _fixed_policy_operator(look: _Lookahead, problem: ControlProblem, grid: RectGrid, policy, config: SolverConfig):
+    """Stage costs (n,) and matrix M of the sweep h -> cost + M G, rows in the y-major order of G.
+
+    A node's control is the candidate nearest the stored policy; its row holds the noise-weighted
+    stencils of its successors (it sums to 1), so a block of plane nodes reads only its rows of G.
+    """
+    n = grid.size
     nodes_xy = grid.all_nodes
+    stored = np.stack([p.values for p in policy], axis=1)  # (n, control_dim)
+    indices = np.empty((n, look.noise.n, 1 << look.inner.dim), dtype=np.int64)
+    data = np.empty(indices.shape)
+    cost = np.empty(n)
 
     def worker(a: int, b: int) -> None:
         cand = problem.candidate_array(nodes_xy[a:b])
-        dist = ((cand - stored[a:b, None, :]) ** 2).sum(axis=2)
-        controls[a:b] = cand[np.arange(b - a), np.argmin(dist, axis=1)]
+        u = cand[np.arange(b - a), np.argmin(((cand - stored[a:b, None, :]) ** 2).sum(axis=2), axis=1)]
+        rows = look.row(np.arange(a, b))
+        cost[rows], stencils = look.successors(problem, grid, nodes_xy[a:b], u, a, 1)
+        for l, (wprob, (idx, wts)) in enumerate(zip(look.noise.weights, stencils)):
+            indices[rows, l], data[rows, l] = idx, wprob * wts
 
-    _run_chunks(_candidate_chunks(problem, grid, config), worker, config.threads)
-    return controls
+    _run_chunks(_candidate_chunks(problem, grid, config, look.noise.n), worker, config.threads)
+    indptr = np.arange(n + 1, dtype=np.int64) * indices[0].size
+    return cost, sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))
+
+
+def _evaluation_block(look: _Lookahead, cost: np.ndarray, matrix: sp.csr_matrix, y0: int, y1: int):
+    """(rows, step) sweeping the rows of plane nodes y0..y1 of the y-major iterate."""
+    rows = slice(y0 * look.inner.size, y1 * look.inner.size)
+    c, m = cost[rows], matrix[rows, rows]
+    p = None if look.operator is None else look.operator[y0:y1]
+
+    def step(v: np.ndarray) -> np.ndarray:
+        raw = m @ (v if p is None else (p @ v.reshape(look.n_y, -1)).reshape(-1))
+        raw += c
+        return raw
+
+    return rows, step
 
 
 def policy_evaluation(
@@ -586,27 +634,14 @@ def policy_evaluation(
         raise ValueError(f"{len(policy)} policy components != control_dim {problem.control_dim}")
     _check_grid(grid, problem, config)
 
-    controls = _project_policy_to_candidates(policy, problem, grid, config)
     look = _lookahead(grid, problem, config)
-    n = grid.size
-    nodes_xy = grid.all_nodes
-    # row i of M: the noise-weighted stencils of node i's successors; rows sum to 1
-    indices = np.empty((n, look.noise.n, 1 << look.inner.dim), dtype=np.int64)
-    data = np.empty(indices.shape)
-    cost = np.empty(n)
-
-    def worker(a: int, b: int) -> None:
-        cost[a:b], stencils = look.successors(problem, grid, nodes_xy[a:b], controls[a:b], a, 1)
-        for l, (wprob, (idx, wts)) in enumerate(zip(look.noise.weights, stencils)):
-            indices[a:b, l], data[a:b, l] = idx, wprob * wts
-
-    _run_chunks(_chunk_spans(n, _auto_chunk(config, look.noise.n)), worker, config.threads)
-    indptr = np.arange(n + 1, dtype=np.int64) * indices[0].size
-    matrix = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))
-    step = lambda h: cost + matrix @ look.expect(h)
-    v, anchors, residuals, converged = _relative_iteration(step, grid.size, config)
-    return EvaluationResult(anchors[-1], GridFunction(grid, v), len(residuals), residuals, converged,
-                            _span_ratio(residuals, anchors, config))
+    cost, matrix = _fixed_policy_operator(look, problem, grid, policy, config)
+    count = min(config.threads, look.n_y)
+    blocks = [_evaluation_block(look, cost, matrix, look.n_y * t // count, look.n_y * (t + 1) // count)
+              for t in range(count)]
+    v, anchors, residuals, converged = _relative_iteration(blocks, look.row(config.reference_node), config)
+    return EvaluationResult(anchors[-1], GridFunction(grid, v.reshape(look.n_y, -1).T), len(residuals), residuals,
+                            converged, _span_ratio(residuals, anchors, config))
 
 
 def policy_improvement(
@@ -651,16 +686,19 @@ def policy_iteration(
     eval_converged: list[bool] = []
     eval_span_ratio: list[float] = []
     brackets: list[tuple[float, float]] = []
+    clock = [time.perf_counter()]  # before and after each evaluation and improvement
     converged = False
     evaluation = None
     for _ in range(config.max_improvements):
         evaluation = policy_evaluation(current, problem, config)
+        clock.append(time.perf_counter())
         eval_converged.append(evaluation.converged)
         eval_span_ratio.append(evaluation.span_ratio)
         sweeps_per_eval.append(evaluation.sweeps)
         residual_history.extend(evaluation.residuals)
         avg_history.append(evaluation.avg_cost)
         improved, bracket = policy_improvement(evaluation.value, problem, config)
+        clock.append(time.perf_counter())
         brackets.append(bracket)
         change = _max_policy_change(improved, current)
         change_history.append(change)
@@ -681,6 +719,8 @@ def policy_iteration(
         evaluation_converged=eval_converged,
         evaluation_span_ratio=eval_span_ratio,
         bracket_history=brackets,
+        evaluation_seconds=np.diff(clock)[0::2].tolist(),
+        improvement_seconds=np.diff(clock)[1::2].tolist(),
     )
 
 
@@ -697,18 +737,20 @@ def value_iteration(
     """
     config = config or SolverConfig()
     _check_grid(grid, problem, config)
+    start = time.perf_counter()
     look = _lookahead(grid, problem, config)
     controls = None
     bracket = None
 
     def step(v: np.ndarray) -> np.ndarray:
         nonlocal controls, bracket
-        raw, controls = _min_sweep(GridFunction(grid, v), problem, config, look)
+        raw, controls = _min_sweep(GridFunction(grid, v.copy()), problem, config, look)
         gain = raw - v
         bracket = (float(gain.min()), float(gain.max()))
         return raw
 
-    v, anchors, residuals, converged = _relative_iteration(step, grid.size, config)
+    blocks = [(slice(0, grid.size), step)]  # one block: the sweep is already chunk-threaded
+    v, anchors, residuals, converged = _relative_iteration(blocks, config.reference_node, config)
     return SolveReport(
         avg_cost=anchors[-1],
         value=GridFunction(grid, v),
@@ -722,6 +764,8 @@ def value_iteration(
         evaluation_converged=[converged],
         evaluation_span_ratio=[_span_ratio(residuals, anchors, config)],
         bracket_history=[bracket],
+        evaluation_seconds=[time.perf_counter() - start],
+        improvement_seconds=[0.0],
     )
 
 
@@ -756,6 +800,8 @@ def save_report(report: SolveReport, directory, stem: str = "solution") -> dict:
         "avg_cost_history": report.avg_cost_history,
         "policy_change_history": report.policy_change_history,
         "residual_history": report.residual_history,
+        "evaluation_seconds": report.evaluation_seconds,
+        "improvement_seconds": report.improvement_seconds,
     }
     report_path = directory / f"{stem}_report.json"
     write_atomic(report_path, (json.dumps(summary, indent=2) + "\n").encode())

@@ -3,10 +3,11 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_lyapunov, solve_toeplitz
 from scipy.optimize import minimize
@@ -55,12 +56,35 @@ def pxp_acf_head(phi):
     return np.concatenate([[1.0], np.linalg.solve(a, rhs)])
 
 
-def scalar_acf_tail(phi, head, max_lag):
-    """Extend rho(0..p) with the scalar recursion rho(k) = sum_j phi_j rho(k - j)."""
-    vals = list(head)
+def exact_acf_tail(phi, head, max_lag):
+    """rho(0..max_lag) extended exactly from the float head, and a rounding-error bound per lag.
+
+    The recursion rho(k) = sum_j phi_j rho(k - j) runs in rationals from
+    the same float phi and head.  A floating-point run of it, summing the
+    p products in any order, stays within e_k of the exact values, with
+    e_k = 0 on the head and
+    e_k = sum_j |phi_j| e_{k-j} + gamma_{p+1} sum_j |phi_j| (|rho_{k-j}| + e_{k-j}) + p eta,
+    gamma_n = n u / (1 - n u) for the unit roundoff u, and eta the smallest
+    subnormal, for products that underflow (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2002, sections 2.1 and 3.1).  Each bound is
+    rounded up to the next float, which keeps it a bound and the rationals
+    short.
+    """
+    def up(bound):
+        return Fraction(math.nextafter(float(bound), math.inf))
+
+    coeffs = [Fraction(c) for c in phi]
+    unit = (len(coeffs) + 1) * Fraction(1, 2**53)
+    gamma = up(unit / (1 - unit))
+    underflow = len(coeffs) * Fraction(1, 2**1074)
+    rho = [Fraction(h) for h in head]
+    err = [Fraction(0)] * len(rho)
     for k in range(len(head), max_lag + 1):
-        vals.append(sum(c * vals[k - j] for j, c in enumerate(phi, start=1)))
-    return np.array(vals)
+        lagged = [(up(abs(c)), up(abs(rho[k - j])), err[k - j]) for j, c in enumerate(coeffs, start=1)]
+        rho.append(sum(c * rho[k - j] for j, c in enumerate(coeffs, start=1)))
+        err.append(up(sum(a * e for a, _, e in lagged) + gamma * sum(a * (r + e) for a, r, e in lagged)
+                      + underflow))
+    return rho, err
 
 
 def filter_acf(phi, max_lag):
@@ -193,13 +217,14 @@ class TestTheoreticalAcf:
             armodel.theoretical_acf((1.01,), max_lag=3, dt=1.0)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5), st.integers(1, 60))
+    @given(u=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5), max_lag=st.integers(1, 60))
+    @example(u=[3.0] * 5, max_lag=27)  # near the unit root: once off by 1.008e-12 from a float reference
     def test_filter_tail_matches_scalar_recursion(self, u, max_lag):
         phi = armodel.phi_from_pacf(np.tanh(u))
         head = pxp_acf_head(phi)[: max_lag + 1]
-        expected = scalar_acf_tail(phi, head, max_lag)
+        exact, bound = exact_acf_tail(phi, head, max_lag)
         got = armodel.theoretical_acf(phi, max_lag, dt=1.0).values
-        assert np.max(np.abs(got - expected)) <= 1e-12
+        assert all(abs(Fraction(g) - r) <= e for g, r, e in zip(got.tolist(), exact, bound))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5), st.integers(1, 60))

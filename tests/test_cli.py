@@ -193,6 +193,17 @@ class TestSolve:
         assert len(notes) == 1
         assert notes[0].startswith(f"note: {doc['improvement_steps']} of {doc['improvement_steps']} evaluations")
 
+    def test_report_times_each_improvement_step(self, tmp_path, capsys):
+        out_dir = tmp_path / "timed"
+        assert run_cli("solve", "--out-dir", str(out_dir), *TINY_GRID, "--max-sweeps", "20",
+                       "--max-improvements", "2", "--threads", "2") == 0
+        doc = json.loads((out_dir / "solution_report.json").read_text())
+        steps = doc["improvement_steps"]
+        assert len(doc["evaluation_seconds"]) == len(doc["improvement_seconds"]) == steps
+        assert all(s > 0.0 for s in doc["evaluation_seconds"] + doc["improvement_seconds"])
+        timing = [line for line in capsys.readouterr().out.splitlines() if "ms per sweep" in line]
+        assert len(timing) == 1 and timing[0].startswith("evaluation ")
+
     def test_report_records_each_evaluation_and_bracket(self, tiny_solution):
         doc = json.loads((tiny_solution / "solution_report.json").read_text())
         steps = doc["improvement_steps"]
@@ -319,8 +330,15 @@ class TestJsonWrites:
             "solve": lambda v: ("solve", "--out-dir", str(out_dir), *TINY_GRID, "--max-sweeps", "50",
                                 "--max-improvements", "1", "--slices", v),
         }[command]
+        def files():  # the solve report is rewritten before the slices, with its own wall times
+            found = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+            if "solution_report.json" in found:
+                doc = json.loads(found["solution_report.json"])
+                found["solution_report.json"] = {k: v for k, v in doc.items() if not k.endswith("_seconds")}
+            return found
+
         assert run_cli(*argv("1")) == cli.EXIT_OK
-        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        before = files()
         real_replace = grids.os.replace
 
         def failing_replace(src, dst):
@@ -330,7 +348,7 @@ class TestJsonWrites:
 
         monkeypatch.setattr(grids.os, "replace", failing_replace)
         assert run_cli(*argv("2")) == cli.EXIT_IO
-        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+        assert files() == before
 
 
 # Runs in a fresh interpreter: solve, simulate and compare must not load the

@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -581,6 +584,105 @@ class TestPostDecisionSplit:
             split_problem(controlled_dims=controlled_dims)
 
 
+BLOCK_CASES = {
+    "synthetic-c2": synthetic_split_case,  # 7 plane nodes
+    "storage-4x5x7": lambda: storage_split_case(4, 5, 7),  # 35 plane nodes
+}
+
+
+class TestBlockParallelEvaluation:
+    """Policy evaluation sweeps y-major blocks of plane nodes, one thread per block."""
+
+    @pytest.mark.parametrize("case", list(BLOCK_CASES))
+    def test_thread_count_does_not_change_a_bit(self, case):
+        problem, grid, policy = BLOCK_CASES[case]()
+        n_y = grid.size // math.prod(grid.shape[: problem.controlled_dims])
+        assert n_y % 3 != 0
+        runs = []
+        for threads in (1, 2, 3, n_y + 1):
+            config = SolverConfig(eval_tol=1e-10, eval_max_sweeps=300, threads=threads, reference_node=grid.size // 2)
+            result = solver.policy_evaluation(policy, problem, config)
+            runs.append((result.avg_cost, result.value.values.tobytes(), result.residuals, result.sweeps,
+                         result.converged, result.span_ratio))
+        assert all(run == runs[0] for run in runs[1:])
+
+    def test_many_blocks_under_a_short_switch_interval(self):
+        # more blocks than cores, switching threads every microsecond: a lost update changes a bit
+        problem, grid, policy = storage_split_case(4, 5, 7)
+        config = SolverConfig(eval_tol=1e-10, eval_max_sweeps=200)
+        expected = solver.policy_evaluation(policy, problem, config)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run = threading.Thread(target=lambda: results.append(
+                solver.policy_evaluation(policy, problem, dataclasses.replace(config, threads=8))), daemon=True)
+            run.start()
+            run.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not run.is_alive() and len(results) == 1
+        assert results[0].value.values.tobytes() == expected.value.values.tobytes()
+        assert results[0].residuals == expected.residuals
+
+    def test_policy_iteration_agrees_across_thread_counts_and_times_each_step(self):
+        problem, grid, policy = storage_split_case(4, 5, 7)
+        runs = []
+        for threads in (1, 3):
+            config = SolverConfig(eval_max_sweeps=200, max_improvements=3, threads=threads)
+            report = solver.policy_iteration(problem, policy, config)
+            assert len(report.evaluation_seconds) == len(report.improvement_seconds) == report.improvement_steps
+            assert all(s > 0.0 for s in report.evaluation_seconds + report.improvement_seconds)
+            runs.append((report.value.values.tobytes(), report.policy[0].values.tobytes(),
+                         report.residual_history, report.avg_cost_history, report.bracket_history,
+                         report.policy_change_history, report.evaluation_span_ratio))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_reference_node_moves_to_its_y_major_row(self, threads):
+        problem, grid, policy = synthetic_split_case()
+        reference = 3 * 7 + 5  # controlled node 3, plane node 5: its y-major row is 5 * 20 + 3
+        config = SolverConfig(eval_tol=1e-11, eval_max_sweeps=600, reference_node=reference, threads=threads)
+        fast = solver.policy_evaluation(policy, problem, config)
+        slow = solver.policy_evaluation(policy, dataclasses.replace(problem, controlled_dims=0), config)
+        assert fast.value.values[reference] == 0.0
+        assert fast.sweeps == slow.sweeps
+        assert fast.avg_cost == pytest.approx(slow.avg_cost, rel=1e-12, abs=0.0)
+        assert_close_rel(fast.value.values, slow.value.values)
+
+    @pytest.mark.parametrize("failing", ["one block", "every block"])
+    def test_divergence_in_a_block_reaches_the_caller(self, failing, monkeypatch):
+        problem, grid, policy = storage_split_case(4, 5, 7)
+        first = threading.Lock()
+
+        def diverge_at_sweep_5(residuals):
+            if len(residuals) == 5 and (failing == "every block" or first.acquire(blocking=False)):
+                raise solver.DivergenceError(5, residuals[-2:])
+
+        monkeypatch.setattr(solver, "_check_divergence", diverge_at_sweep_5)
+        before = threading.active_count()
+        with pytest.raises(solver.DivergenceError, match="by sweep 5"):
+            solver.policy_evaluation(policy, problem, SolverConfig(eval_tol=1e-300, threads=3))
+        assert threading.active_count() == before
+
+    def test_non_finite_successor_names_the_node_while_the_operator_is_built(self):
+        base, grid = split_problem()
+        bad = 2 * 5 * 7 + 3 * 7 + 4  # z = (2, 3), y = 4: node 95 sits in y-major row 4 * 20 + 13 = 93
+
+        def dynamics(x, u, w):
+            out = base.dynamics(x, u, w)
+            # the middle candidate only: the split check and P_x see the first and last
+            out[np.all(x == grids.node_coordinates(grid, bad), axis=1) & (u[:, 0] == 0.0)] = np.nan
+            return out
+
+        problem, _ = split_problem(dynamics=dynamics)
+        policy = (grids.GridFunction(grid, np.zeros(grid.size)),)
+        coordinates = re.escape(str(grids.node_coordinates(grid, bad)))
+        for threads in (1, 2):
+            with pytest.raises(ValueError, match=f"^dynamics output is not finite at grid node {bad} {coordinates}"):
+                solver.policy_evaluation(policy, problem, SolverConfig(threads=threads, chunk_nodes=11))
+
+
 class TestBracket:
     def test_every_improvement_brackets_the_enumerated_optimum(self, small_mdps):
         config = SolverConfig(eval_tol=1e-12, eval_max_sweeps=4000, max_improvements=60)
@@ -634,6 +736,9 @@ class TestSaveReport:
 
         assert doc["evaluation_converged"] == report.evaluation_converged
         assert doc["bracket_history"] == [list(b) for b in report.bracket_history]
+        # value iteration times its whole run as one evaluation, with no separate improvement
+        assert doc["evaluation_seconds"] == report.evaluation_seconds and len(report.evaluation_seconds) == 1
+        assert doc["improvement_seconds"] == report.improvement_seconds == [0.0]
 
     def test_failed_report_write_keeps_the_previous_report(self, tmp_path, monkeypatch):
         problem, grid = make_tabular_problem(TestTwoStateCycle.COSTS)
