@@ -10,11 +10,10 @@ on a `RectGrid`, with the differential value h represented as a
 noise expectation taken over a `DiscreteNoise` distribution.
 
 All iteration is relative value iteration: after each sweep the value at
-a fixed reference node is subtracted from the whole table, so the table
-stays anchored at zero there, and the subtracted increment estimates the
-average cost per stage.  Convergence is measured in the span seminorm
-(max - min) of the sweep increment, which is invariant under the
-anchoring shift.
+node 0 is subtracted from the whole table, so the table stays anchored at
+zero there, and the subtracted increment estimates the average cost per
+stage.  Convergence is measured in the span seminorm (max - min) of the
+sweep increment, which is invariant under the anchoring shift.
 
 Both the improvement and the evaluation sweep go through one lookahead.
 It first maps the value table h to a table G of expected values, then
@@ -25,8 +24,9 @@ stencils are fixed while the policy is fixed: they are assembled once
 into a sparse row-stochastic matrix M, and each sweep is
 h -> cost + M G(h).  The lookahead takes one of two shapes:
 
-- Generic (``controlled_dims == 0``): G = h, and the stencils of every
-  noise node's successor are taken on the whole grid.
+- Generic (``controlled_dims == 0``): a one-node plane whose operator is
+  the 1x1 identity, so G = h, and the stencils of every noise node's
+  successor are taken on the whole grid.
 - Post-decision (``controlled_dims == c > 0``): the first c state
   components (the controlled sub-grid z) move deterministically, and the
   noise moves only the remaining exogenous components y, independently
@@ -57,7 +57,7 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -234,10 +234,10 @@ class SolverConfig:
     sweep increment drops below ``eval_tol * (|J| + 1)`` for the current
     average-cost estimate J.  ``chunk_nodes == 0`` picks a chunk size
     automatically; the choice never depends on ``threads``, which keeps
-    results bit-identical across thread counts.
+    results bit-identical across thread counts.  Relative iteration
+    anchors the value at node 0.
     """
 
-    reference_node: int = 0
     eval_tol: float = 1e-9
     eval_max_sweeps: int = 1000
     max_improvements: int = 10
@@ -246,10 +246,8 @@ class SolverConfig:
     chunk_nodes: int = 0
 
     def __post_init__(self) -> None:
-        if self.reference_node < 0:
-            raise ValueError("reference_node must be >= 0")
-        if self.eval_tol <= 0.0:
-            raise ValueError("eval_tol must be > 0")
+        if not 0.0 < self.eval_tol < math.inf:  # NaN would never stop an iteration, inf stops every one at once
+            raise ValueError("eval_tol must be finite and > 0")
         if self.eval_max_sweeps < 1 or self.max_improvements < 1:
             raise ValueError("sweep and improvement caps must be >= 1")
         if self.policy_change_tol < 0.0:
@@ -283,21 +281,23 @@ class SolveReport:
     ``bracket_history`` holds (min(Tv - v), max(Tv - v)), which brackets
     the optimal average cost J* of the gridded problem.  Per improvement
     step, ``evaluation_seconds`` and ``improvement_seconds`` hold the wall
-    times of both halves (value iteration: the whole run, and 0).
+    times of both halves (value iteration: the whole run, and 0).  Every
+    field but ``value`` and ``policy`` goes into the JSON report, in
+    declaration order.  Relative iteration anchors ``value`` at node 0.
     """
 
     avg_cost: float
     value: GridFunction
     policy: tuple[GridFunction, ...]
-    sweeps_per_evaluation: list[int]
     improvement_steps: int
-    residual_history: list[float]
-    avg_cost_history: list[float]
-    policy_change_history: list[float]
+    sweeps_per_evaluation: list[int]
     converged: bool
     evaluation_converged: list[bool]
     evaluation_span_ratio: list[float]
     bracket_history: list[tuple[float, float]]
+    avg_cost_history: list[float]
+    policy_change_history: list[float]
+    residual_history: list[float]
     evaluation_seconds: list[float]
     improvement_seconds: list[float]
 
@@ -327,11 +327,9 @@ def _candidate_chunks(
     return [(a, min(a + chunk, grid.size)) for a in range(0, grid.size, chunk)]
 
 
-def _check_grid(grid: RectGrid, problem: ControlProblem, config: SolverConfig) -> None:
+def _check_grid(grid: RectGrid, problem: ControlProblem) -> None:
     if grid.dim != problem.state_dim:
         raise ValueError(f"grid dimension {grid.dim} != problem state_dim {problem.state_dim}")
-    if not config.reference_node < grid.size:
-        raise ValueError(f"reference node {config.reference_node} outside grid of size {grid.size}")
 
 
 def _successors(problem: ControlProblem, grid: RectGrid, x, u, w, first_node: int, k: int):
@@ -363,14 +361,15 @@ class _Lookahead:
     controlled sub-grid) and index the table G = ``expect(h)``.  ``n_y``
     is the exogenous plane size (1 when generic): node i sits at inner
     node i // n_y and plane node i % n_y.  ``operator`` is the plane
-    operator P_x, or None when generic.  ``noise`` holds the noise nodes
-    whose successors are visited: all of them, or, post-decision, the
-    first with weight 1, since P_x already took the expectation.
+    operator P_x (the 1x1 identity when generic).  ``noise`` holds the
+    noise nodes whose successors are visited: all of them, or,
+    post-decision, the first with weight 1, since P_x already took the
+    expectation.
     """
 
     inner: RectGrid
     n_y: int
-    operator: sp.csr_matrix | None
+    operator: sp.csr_matrix
     noise: DiscreteNoise
 
     def row(self, nodes):
@@ -378,9 +377,7 @@ class _Lookahead:
         return nodes % self.n_y * self.inner.size + nodes // self.n_y
 
     def expect(self, h: np.ndarray) -> np.ndarray:
-        """G: h itself, or H P_x^T for the value table H (z, y), flat in (y, z) order."""
-        if self.operator is None:
-            return h
+        """G = H P_x^T for the value table H (z, y), flat in (y, z) order."""
         return np.ascontiguousarray(self.operator @ h.reshape(self.inner.size, self.n_y).T).reshape(-1)
 
     def successors(self, problem: ControlProblem, grid: RectGrid, x, u, first_node: int, k: int):
@@ -413,7 +410,7 @@ def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig) ->
     """The lookahead of ``problem`` on ``grid``: post-decision if declared, after checking the split."""
     c = problem.controlled_dims
     if c == 0:
-        return _Lookahead(grid, 1, None, problem.noise)
+        return _Lookahead(grid, 1, sp.identity(1, format="csr"), problem.noise)
     inner, plane = RectGrid(grid.axes[:c]), RectGrid(grid.axes[c:])
     n_y = plane.size
     noise = problem.noise
@@ -493,7 +490,7 @@ def _min_sweep(
 
 def _sweep(value: GridFunction, problem: ControlProblem, config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     """Check the inputs, then run one minimising sweep: (raw Tv, greedy controls)."""
-    _check_grid(value.grid, problem, config)
+    _check_grid(value.grid, problem)
     return _min_sweep(value, problem, config, _lookahead(value.grid, problem, config))
 
 
@@ -505,10 +502,11 @@ def _span_ratio(residuals: list[float], anchors: list[float], config: SolverConf
     return residuals[-1] / (config.eval_tol * (abs(anchors[-1]) + 1.0))
 
 
-def _relative_iteration(blocks: list, reference: int, config: SolverConfig):
-    """Iterate v <- raw - raw[reference], raw = step(v), from v = 0; returns (v, anchors, residuals, converged).
+def _relative_iteration(blocks: list, config: SolverConfig):
+    """Iterate v <- raw - raw[0], raw = step(v), from v = 0; returns (v, anchors, residuals, converged).
 
-    ``blocks`` holds ``(rows, step)`` pairs whose slices partition v; ``step(v)`` sweeps slice ``rows``.
+    ``blocks`` holds ``(rows, step)`` pairs whose slices partition v in order (so block 0 holds the
+    anchor); ``step(v)`` sweeps slice ``rows``.
     Several blocks run on one thread each, alive for this call only, and wait twice per sweep: once
     their raw values and increment extrema are written, and once their share of v is.  The span is
     exact: the max of the block maxima minus the min of the minima.  Stops once it drops to
@@ -517,8 +515,6 @@ def _relative_iteration(blocks: list, reference: int, config: SolverConfig):
     """
     v = np.zeros(blocks[-1][0].stop)
     raws, outcomes, extrema = [None] * len(blocks), [None] * len(blocks), np.empty((len(blocks), 2))
-    owner = next(t for t, (rows, _) in enumerate(blocks) if rows.start <= reference < rows.stop)
-    at = reference - blocks[owner][0].start
     barrier = threading.Barrier(len(blocks))
 
     def run(t: int, block: tuple) -> None:
@@ -531,7 +527,7 @@ def _relative_iteration(blocks: list, reference: int, config: SolverConfig):
                 np.subtract(raw, v[rows], out=increment)
                 extrema[t] = increment.min(), increment.max()
                 barrier.wait()
-                anchors.append(float(raws[owner][at]))
+                anchors.append(float(raws[0][0]))
                 residuals.append(float(extrema[:, 1].max() - extrema[:, 0].min()))
                 np.subtract(raw, anchors[-1], out=v[rows])
                 converged = residuals[-1] <= config.eval_tol * (abs(anchors[-1]) + 1.0)
@@ -557,16 +553,15 @@ def bellman_sweep(
 ) -> tuple[GridFunction, tuple[GridFunction, ...], float]:
     """One optimality sweep: minimise the one-stage lookahead at every node.
 
-    Returns the updated differential value (anchored to zero at the
-    reference node), the greedy policy (one GridFunction per control
-    component), and the subtracted anchor value, which estimates the
-    average cost per stage.  Ties in the minimisation resolve to the
+    Returns the updated differential value (anchored to zero at node 0),
+    the greedy policy (one GridFunction per control component), and the
+    subtracted anchor value, which estimates the average cost per stage.  Ties in the minimisation resolve to the
     first candidate in order.
     """
     config = config or SolverConfig()
     grid = value.grid
     raw, controls = _sweep(value, problem, config)
-    avg = float(raw[config.reference_node])
+    avg = float(raw[0])
     return GridFunction(grid, raw - avg), _policy_functions(grid, controls), avg
 
 
@@ -599,11 +594,12 @@ def _fixed_policy_operator(look: _Lookahead, problem: ControlProblem, grid: Rect
 def _evaluation_block(look: _Lookahead, cost: np.ndarray, matrix: sp.csr_matrix, y0: int, y1: int):
     """(rows, step) sweeping the rows of plane nodes y0..y1 of the y-major iterate."""
     rows = slice(y0 * look.inner.size, y1 * look.inner.size)
-    c, m = cost[rows], matrix[rows, rows]
-    p = None if look.operator is None else look.operator[y0:y1]
+    whole = y1 - y0 == look.n_y  # a single block sweeps the operators as built, without copying them
+    m, p = (matrix, look.operator) if whole else (matrix[rows, rows], look.operator[y0:y1])
+    c = cost[rows]
 
     def step(v: np.ndarray) -> np.ndarray:
-        raw = m @ (v if p is None else (p @ v.reshape(look.n_y, -1)).reshape(-1))
+        raw = m @ (p @ v.reshape(look.n_y, -1)).reshape(-1)
         raw += c
         return raw
 
@@ -632,14 +628,14 @@ def policy_evaluation(
             raise ValueError("policy components must share one grid")
     if len(policy) != problem.control_dim:
         raise ValueError(f"{len(policy)} policy components != control_dim {problem.control_dim}")
-    _check_grid(grid, problem, config)
+    _check_grid(grid, problem)
 
     look = _lookahead(grid, problem, config)
     cost, matrix = _fixed_policy_operator(look, problem, grid, policy, config)
     count = min(config.threads, look.n_y)
     blocks = [_evaluation_block(look, cost, matrix, look.n_y * t // count, look.n_y * (t + 1) // count)
               for t in range(count)]
-    v, anchors, residuals, converged = _relative_iteration(blocks, look.row(config.reference_node), config)
+    v, anchors, residuals, converged = _relative_iteration(blocks, config)
     return EvaluationResult(anchors[-1], GridFunction(grid, v.reshape(look.n_y, -1).T), len(residuals), residuals,
                             converged, _span_ratio(residuals, anchors, config))
 
@@ -731,12 +727,12 @@ def value_iteration(
 ) -> SolveReport:
     """Relative value iteration from a zero differential value.
 
-    Repeats the optimality sweep with reference-node anchoring until the
+    Repeats the optimality sweep, anchored at node 0, until the
     increment's span converges (same tolerance semantics as policy
     evaluation), then returns the final greedy policy.
     """
     config = config or SolverConfig()
-    _check_grid(grid, problem, config)
+    _check_grid(grid, problem)
     start = time.perf_counter()
     look = _lookahead(grid, problem, config)
     controls = None
@@ -750,7 +746,7 @@ def value_iteration(
         return raw
 
     blocks = [(slice(0, grid.size), step)]  # one block: the sweep is already chunk-threaded
-    v, anchors, residuals, converged = _relative_iteration(blocks, config.reference_node, config)
+    v, anchors, residuals, converged = _relative_iteration(blocks, config)
     return SolveReport(
         avg_cost=anchors[-1],
         value=GridFunction(grid, v),
@@ -774,9 +770,9 @@ def save_report(report: SolveReport, directory, stem: str = "solution") -> dict:
 
     Writes ``<stem>_value.gridfn`` (+ payload), one
     ``<stem>_policy_u<j>.gridfn`` per control component, and
-    ``<stem>_report.json`` with the scalar history, in that order; every
-    file is replaced atomically, so an interrupted save leaves each file
-    either old or new, never torn.  Returns the mapping of artifact
+    ``<stem>_report.json`` with every other report field, in that
+    order; every file is replaced atomically, so an interrupted save
+    leaves each file either old or new, never torn.  Returns the mapping of artifact
     names to paths.
     """
     directory = Path(directory)
@@ -789,20 +785,7 @@ def save_report(report: SolveReport, directory, stem: str = "solution") -> dict:
         policy_path = directory / f"{stem}_policy_u{j}.gridfn"
         save_grid_function(component, policy_path)
         paths[f"policy_u{j}"] = str(policy_path)
-    summary = {
-        "avg_cost": report.avg_cost,
-        "improvement_steps": report.improvement_steps,
-        "sweeps_per_evaluation": report.sweeps_per_evaluation,
-        "converged": report.converged,
-        "evaluation_converged": report.evaluation_converged,
-        "evaluation_span_ratio": report.evaluation_span_ratio,
-        "bracket_history": [list(b) for b in report.bracket_history],
-        "avg_cost_history": report.avg_cost_history,
-        "policy_change_history": report.policy_change_history,
-        "residual_history": report.residual_history,
-        "evaluation_seconds": report.evaluation_seconds,
-        "improvement_seconds": report.improvement_seconds,
-    }
+    summary = {f.name: getattr(report, f.name) for f in fields(report) if f.name not in ("value", "policy")}
     report_path = directory / f"{stem}_report.json"
     write_atomic(report_path, (json.dumps(summary, indent=2) + "\n").encode())
     paths["report"] = str(report_path)

@@ -30,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .solver import ControlProblem, discretize_noise
 
 __all__ = [
     "StorageParams",
-    "SystemState",
     "TrajectoryRecord",
     "SmoothingMetrics",
     "bundled_speed_model",
@@ -90,14 +89,6 @@ class StorageParams:
     @property
     def leveling_speed(self) -> float:
         return math.sqrt(self.p_max / self.beta)
-
-
-class SystemState(NamedTuple):
-    """Controller state: stored energy, generator speed, speed derivative."""
-
-    e_sto: float
-    omega: float
-    accel: float
 
 
 def bundled_speed_model() -> ARModel:

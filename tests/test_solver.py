@@ -267,24 +267,6 @@ class TestAgainstLinearSolve:
             assert result.avg_cost == pytest.approx(expected_j, abs=1e-9)
             assert np.max(np.abs(result.value.values - expected_v)) < 1e-8
 
-    def test_reference_node_choice_shifts_only_the_anchor(self):
-        rng = np.random.default_rng(55)
-        mdp = random_mdp(rng, 8, 3)
-        problem, grid = as_control_problem(mdp)
-        policy_idx = rng.integers(0, 3, size=8)
-        policy = policy_as_grid_functions(policy_idx, grid)
-        base = solver.policy_evaluation(
-            policy, problem, SolverConfig(eval_tol=1e-13, eval_max_sweeps=5000)
-        )
-        other = solver.policy_evaluation(
-            policy, problem,
-            SolverConfig(reference_node=5, eval_tol=1e-13, eval_max_sweeps=5000),
-        )
-        assert other.avg_cost == pytest.approx(base.avg_cost, abs=1e-9)
-        assert other.value.values[5] == 0.0
-        shifted = base.value.values - base.value.values[5]
-        assert np.max(np.abs(other.value.values - shifted)) < 1e-8
-
 
 @pytest.fixture(scope="module")
 def small_mdps():
@@ -407,22 +389,18 @@ class TestDivergenceGuard:
 
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
-        {"reference_node": -1},
         {"eval_tol": 0.0},
         {"eval_max_sweeps": 0},
         {"max_improvements": 0},
         {"policy_change_tol": -0.1},
         {"threads": 0},
         {"chunk_nodes": -5},
+        {"eval_tol": math.nan},
+        {"eval_tol": math.inf},
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
-
-    def test_reference_node_must_be_on_grid(self):
-        problem, grid = make_tabular_problem([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(ValueError, match="reference node"):
-            solver.value_iteration(problem, grid, SolverConfig(reference_node=99))
 
 
 def split_problem(**overrides):
@@ -501,6 +479,7 @@ class TestPostDecisionSplit:
         value = solver.policy_evaluation(policy, generic, config).value
         fast_value, fast_policy, fast_avg = solver.bellman_sweep(value, problem, config)
         slow_value, slow_policy, slow_avg = solver.bellman_sweep(value, generic, config)
+        assert fast_value.values[0] == slow_value.values[0] == 0.0
         assert np.array_equal(fast_policy[0].values, slow_policy[0].values)
         assert fast_avg == pytest.approx(slow_avg, rel=1e-12, abs=0.0)
         assert_close_rel(fast_value.values + fast_avg, slow_value.values + slow_avg)
@@ -527,6 +506,7 @@ class TestPostDecisionSplit:
         fast = solver.value_iteration(problem, grid, config)
         slow = solver.value_iteration(dataclasses.replace(problem, controlled_dims=0), grid, config)
         assert fast.converged and slow.converged
+        assert fast.value.values[0] == slow.value.values[0] == 0.0
         assert fast.sweeps_per_evaluation == slow.sweeps_per_evaluation
         assert np.array_equal(fast.policy[0].values, slow.policy[0].values)
         assert fast.avg_cost == pytest.approx(slow.avg_cost, rel=1e-12, abs=0.0)
@@ -600,8 +580,9 @@ class TestBlockParallelEvaluation:
         assert n_y % 3 != 0
         runs = []
         for threads in (1, 2, 3, n_y + 1):
-            config = SolverConfig(eval_tol=1e-10, eval_max_sweeps=300, threads=threads, reference_node=grid.size // 2)
+            config = SolverConfig(eval_tol=1e-10, eval_max_sweeps=300, threads=threads)
             result = solver.policy_evaluation(policy, problem, config)
+            assert result.value.values[0] == 0.0  # node 0 anchors, in block 0
             runs.append((result.avg_cost, result.value.values.tobytes(), result.residuals, result.sweeps,
                          result.converged, result.span_ratio))
         assert all(run == runs[0] for run in runs[1:])
@@ -637,18 +618,6 @@ class TestBlockParallelEvaluation:
                          report.residual_history, report.avg_cost_history, report.bracket_history,
                          report.policy_change_history, report.evaluation_span_ratio))
         assert runs[0] == runs[1]
-
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_reference_node_moves_to_its_y_major_row(self, threads):
-        problem, grid, policy = synthetic_split_case()
-        reference = 3 * 7 + 5  # controlled node 3, plane node 5: its y-major row is 5 * 20 + 3
-        config = SolverConfig(eval_tol=1e-11, eval_max_sweeps=600, reference_node=reference, threads=threads)
-        fast = solver.policy_evaluation(policy, problem, config)
-        slow = solver.policy_evaluation(policy, dataclasses.replace(problem, controlled_dims=0), config)
-        assert fast.value.values[reference] == 0.0
-        assert fast.sweeps == slow.sweeps
-        assert fast.avg_cost == pytest.approx(slow.avg_cost, rel=1e-12, abs=0.0)
-        assert_close_rel(fast.value.values, slow.value.values)
 
     @pytest.mark.parametrize("failing", ["one block", "every block"])
     def test_divergence_in_a_block_reaches_the_caller(self, failing, monkeypatch):
@@ -730,6 +699,8 @@ class TestSaveReport:
         assert np.array_equal(policy_back.values, report.policy[0].values)
 
         doc = json.loads((tmp_path / "case_report.json").read_text())
+        assert list(doc) == [f.name for f in dataclasses.fields(solver.SolveReport)
+                             if f.name not in ("value", "policy")]
         assert doc["avg_cost"] == report.avg_cost
         assert doc["converged"] is True
         assert doc["sweeps_per_evaluation"] == report.sweeps_per_evaluation
