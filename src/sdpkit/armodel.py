@@ -135,11 +135,15 @@ def is_stationary(phi) -> bool:
         return True
     if not np.isfinite(coeffs).all():
         return False
+    return _spectral_radius(coeffs) < 1.0
+
+
+def _spectral_radius(coeffs: np.ndarray) -> float:
+    """Largest modulus of the inverse roots: the eigenvalues of the recursion's companion matrix."""
     companion = np.zeros((coeffs.size, coeffs.size))
     companion[0, :] = coeffs
-    if coeffs.size > 1:
-        companion[np.arange(1, coeffs.size), np.arange(coeffs.size - 1)] = 1.0
-    return bool(np.all(np.abs(np.linalg.eigvals(companion)) < 1.0))
+    companion[np.arange(1, coeffs.size), np.arange(coeffs.size - 1)] = 1.0
+    return float(np.max(np.abs(np.linalg.eigvals(companion))))
 
 
 def phi_from_pacf(kappa) -> np.ndarray:
@@ -295,12 +299,9 @@ def innovation_std_from_acf(phi, gamma0: float, acf_data: AcfSeries) -> float:
 def _default_burn_in(phi) -> int:
     """Ten times the slowest characteristic time of the recursion, in steps."""
     coeffs = np.asarray(phi, dtype=np.float64)
-    poly = np.concatenate([[1.0], -coeffs])
-    if not np.any(poly[1:]):
+    if not np.any(coeffs):
         return 0
-    radius = float(np.max(np.abs(np.roots(poly))))
-    if radius <= 0.0:
-        return 0
+    radius = _spectral_radius(coeffs)
     if radius >= 1.0:
         raise ValueError("cannot pick a burn-in for a non-stationary model")
     tau = -1.0 / math.log(radius)

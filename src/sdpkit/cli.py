@@ -68,12 +68,15 @@ def _load_model(path: str | None, dt: float) -> armodel.ARModel:
 
 
 def _series_dt(t: np.ndarray) -> float:
+    """The series' uniform positive timestep, or 0.0 for fewer than two samples."""
     if t.size < 2:
         return 0.0
     steps = np.diff(t)
     dt = float(steps[0])
     if not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
         raise ValueError("series time column is not uniformly spaced")
+    if not dt > 0.0:
+        raise ValueError(f"series time column must increase, got step {dt}")
     return dt
 
 
@@ -134,22 +137,17 @@ def cmd_solve(args) -> int:
                                     n_controls=args.n_controls)
     grid = storage.default_state_grid(model, params, n_e=args.n_e,
                                       n_omega=args.n_omega, n_accel=args.n_accel)
-    policy_tol = args.policy_tol
-    if policy_tol is None:
-        # converged = no node moved to a different control level
-        policy_tol = 0.5 * params.p_max / (args.n_controls - 1)
     config = solver.SolverConfig(
         eval_tol=args.eval_tol,
         eval_max_sweeps=args.max_sweeps,
         max_improvements=args.max_improvements,
-        policy_change_tol=policy_tol,
         threads=args.threads,
     )
     seed = storage.heuristic_policy_on_grid(grid, params)
     report = solver.policy_iteration(problem, seed, config)
 
     out_dir = Path(args.out_dir)
-    paths = solver.save_report(report, out_dir, stem="solution")
+    paths = solver.save_report(report, out_dir)
     slices_path = out_dir / "policy_slices.csv"
     _write_policy_slices(report.policy[0], slices_path, args.slices)
 
@@ -228,6 +226,9 @@ def cmd_compare(args) -> int:
             p_prod = storage.pto_power(omega, params)
         heur = storage.metrics(storage.simulate_trajectory(heuristic_fn, omega, params, e0))
         opti = storage.metrics(storage.simulate_trajectory(optimized_fn, omega, params, e0))
+        if heur.std_p_grid == 0.0:
+            raise ValueError(f"{series_path}: the heuristic's injected power is constant, "
+                             "so no reduction relative to it exists")
         reduction = 100.0 * (1.0 - opti.std_p_grid / heur.std_p_grid)
         per_series.append({
             "series": str(series_path),
@@ -292,9 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative span tolerance per evaluation (default 1e-9)")
     p.add_argument("--max-improvements", type=_positive_int, default=10,
                    help="policy improvement cap (default 10)")
-    p.add_argument("--policy-tol", type=_positive_float, default=None,
-                   help="stop when the largest control change falls below this "
-                        "(default: half a control level)")
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="sweep parallelism (results are identical for any value)")
     p.add_argument("--slices", type=_positive_int, default=DEFAULT_SLICES,

@@ -93,6 +93,9 @@ __all__ = [
 
 WEIGHT_SUM_TOL = 1e-12
 
+# Improvement chunks hold about this many (node, candidate, noise node) points, small enough to stay in cache.
+CHUNK_POINTS = 65_536
+
 # Divergence guard: spans growing by this factor over this many sweeps abort.
 DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_WINDOW = 100
@@ -232,30 +235,24 @@ class SolverConfig:
 
     ``eval_tol`` is relative: an iteration stops once the span of the
     sweep increment drops below ``eval_tol * (|J| + 1)`` for the current
-    average-cost estimate J.  ``chunk_nodes == 0`` picks a chunk size
-    automatically; the choice never depends on ``threads``, which keeps
-    results bit-identical across thread counts.  Relative iteration
-    anchors the value at node 0.
+    average-cost estimate J.  ``eval_max_sweeps`` caps each evaluation,
+    ``max_improvements`` caps policy iteration, and ``threads`` sets the
+    sweep parallelism, which never changes a result bit.  Relative
+    iteration anchors the value at node 0.
     """
 
     eval_tol: float = 1e-9
     eval_max_sweeps: int = 1000
     max_improvements: int = 10
-    policy_change_tol: float = 0.0
     threads: int = 1
-    chunk_nodes: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eval_tol < math.inf:  # NaN would never stop an iteration, inf stops every one at once
             raise ValueError("eval_tol must be finite and > 0")
         if self.eval_max_sweeps < 1 or self.max_improvements < 1:
             raise ValueError("sweep and improvement caps must be >= 1")
-        if self.policy_change_tol < 0.0:
-            raise ValueError("policy_change_tol must be >= 0")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.chunk_nodes < 0:
-            raise ValueError("chunk_nodes must be >= 0")
 
 
 @dataclass
@@ -274,10 +271,11 @@ class EvaluationResult:
 class SolveReport:
     """Outcome of a full policy-iteration or value-iteration run.
 
-    ``converged`` is the policy-change test (value iteration: the span
-    test).  Per evaluation, ``evaluation_converged`` says whether it met
-    its tolerance before the sweep cap and ``evaluation_span_ratio``
-    gives its final span over that tolerance.  Per improvement sweep,
+    ``converged`` says that the last improvement changed no node's
+    control (value iteration: the span test).  Per evaluation,
+    ``evaluation_converged`` says whether it met its tolerance before the
+    sweep cap and ``evaluation_span_ratio`` gives its final span over
+    that tolerance.  Per improvement sweep,
     ``bracket_history`` holds (min(Tv - v), max(Tv - v)), which brackets
     the optimal average cost J* of the gridded problem.  Per improvement
     step, ``evaluation_seconds`` and ``improvement_seconds`` hold the wall
@@ -318,12 +316,10 @@ def _run_chunks(spans, worker, threads: int) -> None:
             list(pool.map(lambda s: worker(*s), spans))
 
 
-def _candidate_chunks(
-    problem: ControlProblem, grid: RectGrid, config: SolverConfig, noise_n: int = 1
-) -> list[tuple[int, int]]:
-    """Node spans of a thread-independent size: by default about 65,536 (node, candidate, noise node) points."""
+def _candidate_chunks(problem: ControlProblem, grid: RectGrid, noise_n: int = 1) -> list[tuple[int, int]]:
+    """Node spans of a thread-independent size: about ``CHUNK_POINTS`` (node, candidate, noise node) points."""
     k = problem.candidate_array(grid.all_nodes[:1]).shape[1]
-    chunk = config.chunk_nodes or max(256, 65_536 // (k * noise_n))  # small enough to stay in cache
+    chunk = max(1, CHUNK_POINTS // (k * noise_n))
     return [(a, min(a + chunk, grid.size)) for a in range(0, grid.size, chunk)]
 
 
@@ -445,7 +441,7 @@ def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig) ->
                                "dynamics: the exogenous components depend on the control "
                                f"or the controlled state ({declared})")
 
-    _run_chunks(_candidate_chunks(problem, grid, config), check, config.threads)
+    _run_chunks(_candidate_chunks(problem, grid), check, config.threads)
     indptr = np.arange(n_y + 1, dtype=np.int64) * indices.shape[1]
     operator = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(n_y, n_y))
     operator.sum_duplicates()  # noise nodes often share stencil corners: about half the entries
@@ -484,7 +480,7 @@ def _min_sweep(
         raw[a:b] = q[rows, best]
         controls[a:b] = cand[rows, best]
 
-    _run_chunks(_candidate_chunks(problem, grid, config, look.noise.n), worker, config.threads)
+    _run_chunks(_candidate_chunks(problem, grid, look.noise.n), worker, config.threads)
     return raw, controls
 
 
@@ -586,7 +582,7 @@ def _fixed_policy_operator(look: _Lookahead, problem: ControlProblem, grid: Rect
         for l, (wprob, (idx, wts)) in enumerate(zip(look.noise.weights, stencils)):
             indices[rows, l], data[rows, l] = idx, wprob * wts
 
-    _run_chunks(_candidate_chunks(problem, grid, config, look.noise.n), worker, config.threads)
+    _run_chunks(_candidate_chunks(problem, grid, look.noise.n), worker, config.threads)
     indptr = np.arange(n + 1, dtype=np.int64) * indices[0].size
     return cost, sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))
 
@@ -665,13 +661,14 @@ def policy_iteration(
     initial_policy: tuple[GridFunction, ...],
     config: SolverConfig | None = None,
 ) -> SolveReport:
-    """Alternate policy evaluation and greedy improvement.
+    """Alternate policy evaluation and greedy improvement (Howard's policy iteration).
 
-    Stops once the largest control change across nodes falls to
-    ``policy_change_tol`` or below, or after ``max_improvements``
-    improvement steps.  The reported average cost belongs to the last
-    policy that was evaluated; when the run converged this is also the
-    returned policy.
+    Stops, converged, once an improvement changes no node's control, or
+    after ``max_improvements`` improvement steps.  Every improved control
+    is one of the problem's candidate values, so an unchanged control is
+    bit-equal and the test needs no tolerance.  The reported average cost
+    belongs to the last policy that was evaluated; when the run converged
+    this is also the returned policy.
     """
     config = config or SolverConfig()
     current = tuple(initial_policy)
@@ -699,7 +696,7 @@ def policy_iteration(
         change = _max_policy_change(improved, current)
         change_history.append(change)
         current = improved
-        if change <= config.policy_change_tol:
+        if change == 0.0:
             converged = True
             break
     return SolveReport(
@@ -765,12 +762,12 @@ def value_iteration(
     )
 
 
-def save_report(report: SolveReport, directory, stem: str = "solution") -> dict:
+def save_report(report: SolveReport, directory) -> dict:
     """Persist a solve: value/policy tables plus a structured text summary.
 
-    Writes ``<stem>_value.gridfn`` (+ payload), one
-    ``<stem>_policy_u<j>.gridfn`` per control component, and
-    ``<stem>_report.json`` with every other report field, in that
+    Writes ``solution_value.gridfn`` (+ payload), one
+    ``solution_policy_u<j>.gridfn`` per control component, and
+    ``solution_report.json`` with every other report field, in that
     order; every file is replaced atomically, so an interrupted save
     leaves each file either old or new, never torn.  Returns the mapping of artifact
     names to paths.
@@ -778,15 +775,15 @@ def save_report(report: SolveReport, directory, stem: str = "solution") -> dict:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = {}
-    value_path = directory / f"{stem}_value.gridfn"
+    value_path = directory / "solution_value.gridfn"
     save_grid_function(report.value, value_path)
     paths["value"] = str(value_path)
     for j, component in enumerate(report.policy):
-        policy_path = directory / f"{stem}_policy_u{j}.gridfn"
+        policy_path = directory / f"solution_policy_u{j}.gridfn"
         save_grid_function(component, policy_path)
         paths[f"policy_u{j}"] = str(policy_path)
     summary = {f.name: getattr(report, f.name) for f in fields(report) if f.name not in ("value", "policy")}
-    report_path = directory / f"{stem}_report.json"
+    report_path = directory / "solution_report.json"
     write_atomic(report_path, (json.dumps(summary, indent=2) + "\n").encode())
     paths["report"] = str(report_path)
     return paths

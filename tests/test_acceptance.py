@@ -126,11 +126,7 @@ def test_criterion_3_iteration_counts_on_the_coarse_storage_grid():
     params = storage.StorageParams()
     problem = storage.build_problem(model, params)
     grid = storage.default_state_grid(model, params, n_e=15, n_omega=30, n_accel=30)
-    config = solver.SolverConfig(
-        eval_max_sweeps=1500,
-        max_improvements=10,
-        policy_change_tol=0.5 * params.p_max / 49,
-    )
+    config = solver.SolverConfig(eval_max_sweeps=1500, max_improvements=10)
     report = solver.policy_iteration(
         problem, storage.heuristic_policy_on_grid(grid, params), config
     )

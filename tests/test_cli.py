@@ -213,6 +213,7 @@ class TestSolve:
         assert len(doc["bracket_history"]) == steps
         for lo, hi in doc["bracket_history"]:
             assert lo <= hi
+        assert doc["converged"] == (doc["policy_change_history"][-1] == 0.0)
 
 
 class TestSimulate:
@@ -284,6 +285,18 @@ class TestSimulate:
         assert code == cli.EXIT_USAGE
         assert not (tmp_path / "cmp.json").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "simulate", "compare"])
+    def test_backward_time_column_is_a_usage_error(self, tmp_path, capsys, command):
+        series = tmp_path / "backward.csv"
+        storage.save_series(series, -0.1 * np.arange(50), np.sin(np.arange(50)))
+        out = tmp_path / "out"
+        argv = {"fit": ("fit", "--series", str(series)),
+                "simulate": ("simulate", "--policy", "heuristic", "--series", str(series)),
+                "compare": ("compare", "--policy", "heuristic", "--series", str(series))}[command]
+        assert run_cli(*argv, "--out", str(out)) == cli.EXIT_USAGE
+        assert "series time column must increase, got step -0.1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_self_comparison_reports_zero_reduction(self, speed_csv, tmp_path):
@@ -307,6 +320,16 @@ class TestCompare:
         assert code == 0
         doc = json.loads(out.read_text())
         assert "reduction_vs_heuristic_pct" in doc["series"][0]
+
+    def test_constant_heuristic_power_is_a_usage_error(self, tmp_path, capsys):
+        calm = tmp_path / "calm.csv"
+        storage.save_series(calm, np.arange(20) * 0.1, np.zeros(20))
+        out = tmp_path / "cmp.json"
+        code = run_cli("compare", "--policy", "heuristic", "--series", str(calm), "--e0", "0",
+                       "--out", str(out))
+        assert code == cli.EXIT_USAGE
+        assert f"invalid input: {calm}: the heuristic's injected power is constant" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestJsonWrites:
@@ -389,6 +412,11 @@ class TestParserBasics:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as info:
             run_cli("generate", "--frequency", "2")
+        assert info.value.code == cli.EXIT_USAGE
+
+    def test_policy_tolerance_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            run_cli("solve", "--out-dir", str(tmp_path), "--policy-tol", "1")
         assert info.value.code == cli.EXIT_USAGE
 
     def test_console_script_is_wired(self, tmp_path):

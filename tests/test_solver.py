@@ -312,6 +312,18 @@ class TestAgainstEnumeration:
             for earlier, later in zip(history, history[1:]):
                 assert later <= earlier + 1e-10
 
+    def test_converged_exactly_when_the_last_improvement_changed_no_control(self, small_mdps):
+        for mdp, _ in small_mdps:
+            problem, grid = as_control_problem(mdp)
+            initial = policy_as_grid_functions(np.zeros(mdp.n_states, dtype=int), grid)
+            for cap in (1, 2, 60):
+                config = dataclasses.replace(self._solve_config(), max_improvements=cap)
+                report = solver.policy_iteration(problem, initial, config)
+                history = report.policy_change_history
+                assert report.converged == (history[-1] == 0.0)
+                assert all(change > 0.0 for change in history[:-1])
+            assert report.converged
+
     def test_greedy_sweep_of_the_fixed_point_returns_the_same_policy(self, small_mdps):
         mdp, _ = small_mdps[0]
         problem, grid = as_control_problem(mdp)
@@ -321,22 +333,29 @@ class TestAgainstEnumeration:
         assert np.array_equal(greedy[0].values, report.policy[0].values)
 
 
+def shrink_chunks(monkeypatch, problem, grid, nodes):
+    """Set solver.CHUNK_POINTS so that each improvement chunk holds ``nodes`` nodes, and check there are several."""
+    k = problem.candidate_array(grid.all_nodes[:1]).shape[1]
+    noise_n = 1 if problem.controlled_dims else problem.noise.n
+    monkeypatch.setattr(solver, "CHUNK_POINTS", nodes * k * noise_n)
+    chunks = solver._candidate_chunks(problem, grid, noise_n)
+    assert chunks[0] == (0, nodes) and len(chunks) > 1
+
+
 class TestDeterminism:
-    def _run(self, threads):
+    def _run(self, monkeypatch, threads):
         rng = np.random.default_rng(303)
         mdp = random_mdp(rng, 40, 3)
         problem, grid = as_control_problem(mdp)
-        config = SolverConfig(
-            eval_tol=1e-11, eval_max_sweeps=3000, max_improvements=30,
-            threads=threads, chunk_nodes=7,
-        )
+        shrink_chunks(monkeypatch, problem, grid, 7)
+        config = SolverConfig(eval_tol=1e-11, eval_max_sweeps=3000, max_improvements=30, threads=threads)
         initial = policy_as_grid_functions(np.zeros(40, dtype=int), grid)
         return solver.policy_iteration(problem, initial, config)
 
-    def test_bit_identical_across_repeats_and_thread_counts(self):
-        first = self._run(1)
-        second = self._run(1)
-        threaded = self._run(3)
+    def test_bit_identical_across_repeats_and_thread_counts(self, monkeypatch):
+        first = self._run(monkeypatch, 1)
+        second = self._run(monkeypatch, 1)
+        threaded = self._run(monkeypatch, 3)
         for other in (second, threaded):
             assert other.avg_cost == first.avg_cost
             assert np.array_equal(other.value.values, first.value.values)
@@ -392,9 +411,7 @@ class TestConfigValidation:
         {"eval_tol": 0.0},
         {"eval_max_sweeps": 0},
         {"max_improvements": 0},
-        {"policy_change_tol": -0.1},
         {"threads": 0},
-        {"chunk_nodes": -5},
         {"eval_tol": math.nan},
         {"eval_tol": math.inf},
     ])
@@ -484,11 +501,12 @@ class TestPostDecisionSplit:
         assert fast_avg == pytest.approx(slow_avg, rel=1e-12, abs=0.0)
         assert_close_rel(fast_value.values + fast_avg, slow_value.values + slow_avg)
 
-    def test_thread_count_does_not_change_a_bit(self, split_case):
-        problem, _, _, policy, config = split_case
+    def test_thread_count_does_not_change_a_bit(self, split_case, monkeypatch):
+        problem, _, grid, policy, config = split_case
+        shrink_chunks(monkeypatch, problem, grid, 37)
         runs = []
         for threads in (1, 2):
-            cfg = dataclasses.replace(config, threads=threads, chunk_nodes=37, eval_max_sweeps=50)
+            cfg = dataclasses.replace(config, threads=threads, eval_max_sweeps=50)
             evaluation = solver.policy_evaluation(policy, problem, cfg)
             swept, greedy, avg = solver.bellman_sweep(evaluation.value, problem, cfg)
             runs.append((evaluation.value.values.tobytes(), evaluation.residuals,
@@ -634,7 +652,7 @@ class TestBlockParallelEvaluation:
             solver.policy_evaluation(policy, problem, SolverConfig(eval_tol=1e-300, threads=3))
         assert threading.active_count() == before
 
-    def test_non_finite_successor_names_the_node_while_the_operator_is_built(self):
+    def test_non_finite_successor_names_the_node_while_the_operator_is_built(self, monkeypatch):
         base, grid = split_problem()
         bad = 2 * 5 * 7 + 3 * 7 + 4  # z = (2, 3), y = 4: node 95 sits in y-major row 4 * 20 + 13 = 93
 
@@ -645,11 +663,12 @@ class TestBlockParallelEvaluation:
             return out
 
         problem, _ = split_problem(dynamics=dynamics)
+        shrink_chunks(monkeypatch, problem, grid, 11)
         policy = (grids.GridFunction(grid, np.zeros(grid.size)),)
         coordinates = re.escape(str(grids.node_coordinates(grid, bad)))
         for threads in (1, 2):
             with pytest.raises(ValueError, match=f"^dynamics output is not finite at grid node {bad} {coordinates}"):
-                solver.policy_evaluation(policy, problem, SolverConfig(threads=threads, chunk_nodes=11))
+                solver.policy_evaluation(policy, problem, SolverConfig(threads=threads))
 
 
 class TestBracket:
@@ -690,7 +709,7 @@ class TestSaveReport:
     def test_roundtrip(self, tmp_path):
         problem, grid = make_tabular_problem(TestTwoStateCycle.COSTS)
         report = solver.value_iteration(problem, grid)
-        paths = solver.save_report(report, tmp_path, stem="case")
+        paths = solver.save_report(report, tmp_path)
         assert set(paths) == {"value", "policy_u0", "report"}
 
         value_back = grids.load_grid_function(paths["value"])
@@ -698,7 +717,7 @@ class TestSaveReport:
         policy_back = grids.load_grid_function(paths["policy_u0"])
         assert np.array_equal(policy_back.values, report.policy[0].values)
 
-        doc = json.loads((tmp_path / "case_report.json").read_text())
+        doc = json.loads((tmp_path / "solution_report.json").read_text())
         assert list(doc) == [f.name for f in dataclasses.fields(solver.SolveReport)
                              if f.name not in ("value", "policy")]
         assert doc["avg_cost"] == report.avg_cost
@@ -714,7 +733,7 @@ class TestSaveReport:
     def test_failed_report_write_keeps_the_previous_report(self, tmp_path, monkeypatch):
         problem, grid = make_tabular_problem(TestTwoStateCycle.COSTS)
         report = solver.value_iteration(problem, grid)
-        solver.save_report(report, tmp_path, stem="case")
+        solver.save_report(report, tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         real_fsync = grids.os.fsync
         calls = {"n": 0}
@@ -728,5 +747,5 @@ class TestSaveReport:
         monkeypatch.setattr(grids.os, "fsync", failing_fsync)
         changed = dataclasses.replace(report, avg_cost=report.avg_cost + 1.0)
         with pytest.raises(OSError, match="simulated"):
-            solver.save_report(changed, tmp_path, stem="case")
+            solver.save_report(changed, tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
