@@ -411,7 +411,9 @@ class TestConfigValidation:
         {"eval_tol": 0.0},
         {"eval_max_sweeps": 0},
         {"max_improvements": 0},
+        {"eval_tol": -0.1},
         {"threads": 0},
+        {"threads": -5},
         {"eval_tol": math.nan},
         {"eval_tol": math.inf},
     ])
