@@ -1,7 +1,6 @@
 """Command-line pipeline: generate, fit, solve, simulate, compare.
 
-Exit codes: 0 success, 2 usage or invalid input, 3 I/O failure,
-4 solver non-convergence.
+Exit codes: 0 success, 2 usage or invalid input, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -16,12 +15,11 @@ import numpy as np
 
 from . import armodel, grids, solver, storage
 
-__all__ = ["main", "entry", "EXIT_OK", "EXIT_USAGE", "EXIT_IO", "EXIT_NONCONVERGENCE"]
+__all__ = ["main", "entry", "EXIT_OK", "EXIT_USAGE", "EXIT_IO"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
-EXIT_NONCONVERGENCE = 4
 
 # Default number of fixed-energy levels in the policy-slice CSV.
 DEFAULT_SLICES = 7
@@ -253,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sdpkit",
         description="Storage smoothing of wave-converter power via average-cost dynamic programming.",
-        epilog="exit codes: 0 ok, 2 usage/invalid input, 3 I/O failure, 4 solver non-convergence",
+        epilog="exit codes: 0 ok, 2 usage/invalid input, 3 I/O failure",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -329,9 +327,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except solver.DivergenceError as exc:
-        print(f"sdpkit: solver failed to converge: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
     except OSError as exc:
         print(f"sdpkit: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

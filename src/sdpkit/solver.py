@@ -36,9 +36,8 @@ h -> cost + M G(h).  The lookahead takes one of two shapes:
   controlled-axis slice): G = H P_x^T, with H the value table shaped
   (z, y), gives E_w h(z', y'(y, w)) = interp_z(G[:, y], z').  So a
   single successor per (node, control), with its stencil on the
-  controlled sub-grid, stands for all noise nodes.  Before each solve
-  the solver checks the declared split on every node (see
-  :class:`ControlProblem`).
+  controlled sub-grid, stands for all noise nodes.  Once per solve the
+  solver checks the declared split on every node (see :class:`ControlProblem`).
 
 Determinism: identical inputs and configuration give bit-identical
 results regardless of the `threads` setting.  Improvement sweeps run
@@ -81,7 +80,6 @@ __all__ = [
     "SolverConfig",
     "EvaluationResult",
     "SolveReport",
-    "DivergenceError",
     "discretize_noise",
     "bellman_sweep",
     "policy_evaluation",
@@ -95,23 +93,6 @@ WEIGHT_SUM_TOL = 1e-12
 
 # Improvement chunks hold about this many (node, candidate, noise node) points, small enough to stay in cache.
 CHUNK_POINTS = 65_536
-
-# Divergence guard: spans growing by this factor over this many sweeps abort.
-DIVERGENCE_FACTOR = 10.0
-DIVERGENCE_WINDOW = 100
-
-
-class DivergenceError(RuntimeError):
-    """Raised when an iteration's span residuals grow instead of contracting."""
-
-    def __init__(self, sweep: int, recent_spans: list[float]):
-        self.sweep = sweep
-        self.recent_spans = recent_spans
-        super().__init__(
-            f"span residual diverged by sweep {sweep}: "
-            f"{recent_spans[0]:.6g} -> {recent_spans[-1]:.6g} "
-            f"over the last {len(recent_spans) - 1} sweeps"
-        )
 
 
 @dataclass(frozen=True)
@@ -300,13 +281,6 @@ class SolveReport:
     improvement_seconds: list[float]
 
 
-def _check_divergence(residuals: list[float]) -> None:
-    if len(residuals) > DIVERGENCE_WINDOW:
-        base = residuals[-1 - DIVERGENCE_WINDOW]
-        if residuals[-1] > DIVERGENCE_FACTOR * base:
-            raise DivergenceError(len(residuals), residuals[-1 - DIVERGENCE_WINDOW :])
-
-
 def _run_chunks(spans, worker, threads: int) -> None:
     if threads <= 1 or len(spans) <= 1:
         for a, b in spans:
@@ -484,12 +458,6 @@ def _min_sweep(
     return raw, controls
 
 
-def _sweep(value: GridFunction, problem: ControlProblem, config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Check the inputs, then run one minimising sweep: (raw Tv, greedy controls)."""
-    _check_grid(value.grid, problem)
-    return _min_sweep(value, problem, config, _lookahead(value.grid, problem, config))
-
-
 def _policy_functions(grid: RectGrid, controls: np.ndarray) -> tuple[GridFunction, ...]:
     return tuple(GridFunction(grid, controls[:, j].copy()) for j in range(controls.shape[1]))
 
@@ -506,8 +474,7 @@ def _relative_iteration(blocks: list, config: SolverConfig):
     Several blocks run on one thread each, alive for this call only, and wait twice per sweep: once
     their raw values and increment extrema are written, and once their share of v is.  The span is
     exact: the max of the block maxima minus the min of the minima.  Stops once it drops to
-    ``eval_tol * (|anchor| + 1)`` or after ``eval_max_sweeps`` sweeps; raises
-    :class:`DivergenceError` if the spans grow instead.
+    ``eval_tol * (|anchor| + 1)`` or after ``eval_max_sweeps`` sweeps.
     """
     v = np.zeros(blocks[-1][0].stop)
     raws, outcomes, extrema = [None] * len(blocks), [None] * len(blocks), np.empty((len(blocks), 2))
@@ -529,7 +496,6 @@ def _relative_iteration(blocks: list, config: SolverConfig):
                 converged = residuals[-1] <= config.eval_tol * (abs(anchors[-1]) + 1.0)
                 if converged:
                     break
-                _check_divergence(residuals)
                 barrier.wait()
             outcomes[t] = anchors, residuals, converged
         except threading.BrokenBarrierError:
@@ -556,7 +522,8 @@ def bellman_sweep(
     """
     config = config or SolverConfig()
     grid = value.grid
-    raw, controls = _sweep(value, problem, config)
+    _check_grid(grid, problem)
+    raw, controls = _min_sweep(value, problem, config, _lookahead(grid, problem, config))
     avg = float(raw[0])
     return GridFunction(grid, raw - avg), _policy_functions(grid, controls), avg
 
@@ -602,10 +569,24 @@ def _evaluation_block(look: _Lookahead, cost: np.ndarray, matrix: sp.csr_matrix,
     return rows, step
 
 
+def _policy_grid(policy: tuple[GridFunction, ...], problem: ControlProblem) -> RectGrid:
+    """The one grid of ``policy``, after checking the policy against ``problem``."""
+    if len(policy) < 1:
+        raise ValueError("policy needs at least one control component")
+    grid = policy[0].grid
+    if any(p.grid != grid for p in policy[1:]):
+        raise ValueError("policy components must share one grid")
+    if len(policy) != problem.control_dim:
+        raise ValueError(f"{len(policy)} policy components != control_dim {problem.control_dim}")
+    _check_grid(grid, problem)
+    return grid
+
+
 def policy_evaluation(
     policy: tuple[GridFunction, ...],
     problem: ControlProblem,
     config: SolverConfig | None = None,
+    look: _Lookahead | None = None,
 ) -> EvaluationResult:
     """Average cost and differential value of a fixed policy.
 
@@ -613,20 +594,11 @@ def policy_evaluation(
     each node is the stored policy value projected to the nearest
     admissible candidate) with relative-value anchoring until the span
     of the increment drops below the tolerance or the sweep cap is hit.
-    Raises :class:`DivergenceError` if the spans grow instead.
+    ``look``, the lookahead of ``problem`` on the policy's grid, is built when omitted.
     """
     config = config or SolverConfig()
-    if len(policy) < 1:
-        raise ValueError("policy needs at least one control component")
-    grid = policy[0].grid
-    for p in policy[1:]:
-        if p.grid != grid:
-            raise ValueError("policy components must share one grid")
-    if len(policy) != problem.control_dim:
-        raise ValueError(f"{len(policy)} policy components != control_dim {problem.control_dim}")
-    _check_grid(grid, problem)
-
-    look = _lookahead(grid, problem, config)
+    grid = _policy_grid(policy, problem)
+    look = look or _lookahead(grid, problem, config)
     cost, matrix = _fixed_policy_operator(look, problem, grid, policy, config)
     count = min(config.threads, look.n_y)
     blocks = [_evaluation_block(look, cost, matrix, look.n_y * t // count, look.n_y * (t + 1) // count)
@@ -640,14 +612,16 @@ def policy_improvement(
     value: GridFunction,
     problem: ControlProblem,
     config: SolverConfig | None = None,
+    look: _Lookahead | None = None,
 ) -> tuple[tuple[GridFunction, ...], tuple[float, float]]:
     """Greedy policy with respect to a differential value function v.
 
     Also returns the bracket (min(Tv - v), max(Tv - v)) of the sweep,
-    which contains the optimal average cost J*.
+    which contains the optimal average cost J*.  ``look``: as in :func:`policy_evaluation`.
     """
     config = config or SolverConfig()
-    raw, controls = _sweep(value, problem, config)
+    _check_grid(value.grid, problem)
+    raw, controls = _min_sweep(value, problem, config, look or _lookahead(value.grid, problem, config))
     gain = raw - value.values
     return _policy_functions(value.grid, controls), (float(gain.min()), float(gain.max()))
 
@@ -668,10 +642,11 @@ def policy_iteration(
     is one of the problem's candidate values, so an unchanged control is
     bit-equal and the test needs no tolerance.  The reported average cost
     belongs to the last policy that was evaluated; when the run converged
-    this is also the returned policy.
+    this is also the returned policy.  One lookahead serves every step.
     """
     config = config or SolverConfig()
     current = tuple(initial_policy)
+    grid = _policy_grid(current, problem)
     residual_history: list[float] = []
     avg_history: list[float] = []
     change_history: list[float] = []
@@ -680,17 +655,18 @@ def policy_iteration(
     eval_span_ratio: list[float] = []
     brackets: list[tuple[float, float]] = []
     clock = [time.perf_counter()]  # before and after each evaluation and improvement
+    look = _lookahead(grid, problem, config)  # timed with the first evaluation
     converged = False
     evaluation = None
     for _ in range(config.max_improvements):
-        evaluation = policy_evaluation(current, problem, config)
+        evaluation = policy_evaluation(current, problem, config, look)
         clock.append(time.perf_counter())
         eval_converged.append(evaluation.converged)
         eval_span_ratio.append(evaluation.span_ratio)
         sweeps_per_eval.append(evaluation.sweeps)
         residual_history.extend(evaluation.residuals)
         avg_history.append(evaluation.avg_cost)
-        improved, bracket = policy_improvement(evaluation.value, problem, config)
+        improved, bracket = policy_improvement(evaluation.value, problem, config, look)
         clock.append(time.perf_counter())
         brackets.append(bracket)
         change = _max_policy_change(improved, current)

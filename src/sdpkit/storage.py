@@ -407,6 +407,8 @@ def _read_csv(path, required: tuple[str, ...]):
     path = Path(path)
     with path.open() as fh:
         header = fh.readline().strip()
+        if not any(line.partition("#")[0].strip() for line in fh):  # stops at the first row
+            raise ValueError(f"{path} has no data rows")
     names = [c.strip() for c in header.split(",")]
     for col in required:
         if col not in names:
@@ -448,7 +450,6 @@ def load_trajectory(path) -> TrajectoryRecord:
     if t.size < 2:
         raise ValueError(f"{path}: trajectory needs at least one step plus the final row")
     n = t.size - 1
-    dt = float(t[1] - t[0]) if n >= 1 else 0.0
     return TrajectoryRecord(
         t=t[:n],
         omega=cols["omega"][:n],
@@ -458,5 +459,5 @@ def load_trajectory(path) -> TrajectoryRecord:
         p_sto=cols["p_sto"][:n],
         e_sto=cols["e_sto"][:n],
         e_final=float(cols["e_sto"][n]),
-        dt=dt,
+        dt=float(t[1] - t[0]),
     )

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +296,20 @@ class TestSimulate:
                 "compare": ("compare", "--policy", "heuristic", "--series", str(series))}[command]
         assert run_cli(*argv, "--out", str(out)) == cli.EXIT_USAGE
         assert "series time column must increase, got step -0.1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "simulate", "compare"])
+    def test_header_only_series_is_a_usage_error(self, tmp_path, capsys, command):
+        series = tmp_path / "empty.csv"
+        series.write_text("t,omega\n")
+        out = tmp_path / "out"
+        argv = {"fit": ("fit", "--series", str(series)),
+                "simulate": ("simulate", "--policy", "heuristic", "--series", str(series)),
+                "compare": ("compare", "--policy", "heuristic", "--series", str(series))}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv, "--out", str(out)) == cli.EXIT_USAGE
+        assert f"{series} has no data rows" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Solver tests: quadrature references, hand-worked cases, dense linear-algebra checks."""
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -364,46 +365,81 @@ class TestDeterminism:
             assert other.avg_cost_history == first.avg_cost_history
 
 
-class TestDivergenceGuard:
-    def test_growing_spans_raise(self):
-        residuals = [1.0] * 101
-        residuals.append(10.1)
-        with pytest.raises(solver.DivergenceError):
-            solver._check_divergence(residuals)
+def count_calls(monkeypatch, name):
+    """Wrap ``solver.<name>`` so that each call appends its positional arguments to the returned list."""
+    calls, original = [], getattr(solver, name)
 
-    def test_shrinking_and_flat_spans_pass(self):
-        solver._check_divergence([1.0] * 500)
-        solver._check_divergence([2.0 ** (-k) for k in range(300)])
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    def test_error_carries_the_sweep_number(self):
-        residuals = [1.0] * 150 + [25.0]
-        with pytest.raises(solver.DivergenceError) as info:
-            solver._check_divergence(residuals)
-        assert "151" in str(info.value)
+    monkeypatch.setattr(solver, name, counted)
+    return calls
 
-    def test_expanding_dynamics_diverge_in_evaluation(self):
-        # value interpolation is hull-clipped, so divergence cannot come
-        # from the state feedback; a cost that grows without bound still
-        # trips the guard through the average-cost anchor
-        grid = grids.build_grid([(0.0, 1.0, 2)])
-        step = {"k": 0}
 
-        def runaway_cost(x, u, w):
-            step["k"] += 1
-            return x[:, 0] * 1.5 ** step["k"]
+def random_mdp_case():
+    problem, grid = as_control_problem(random_mdp(np.random.default_rng(404), 30, 4))
+    return problem, grid, policy_as_grid_functions(np.zeros(30, dtype=int), grid)
 
-        problem = ControlProblem(
-            state_dim=1,
-            control_dim=1,
-            dynamics=lambda x, u, w: x.copy(),
-            stage_cost=runaway_cost,
-            control_candidates=fixed_candidates(np.array([[0.0]])),
-            noise=DiscreteNoise(np.array([0.0]), np.array([1.0])),
-        )
-        policy = (grids.GridFunction(grid, np.zeros(2)),)
-        config = SolverConfig(eval_tol=1e-300, eval_max_sweeps=10**6)
-        with pytest.raises(solver.DivergenceError):
-            solver.value_iteration(problem, grid, config)
+
+class TestOneLookaheadPerSolve:
+    """A solve builds the lookahead (P_x and the split check) once and shares it across its sweeps."""
+
+    CASES = {"storage-5x6x6": lambda: storage_split_case(5, 6, 6), "random-mdp": random_mdp_case}
+    CONFIG = SolverConfig(eval_max_sweeps=60, max_improvements=4, threads=2)
+
+    def test_each_solve_builds_one_lookahead(self, monkeypatch):
+        problem, grid, policy = storage_split_case(5, 6, 6)
+        builds = count_calls(monkeypatch, "_lookahead")
+        report = solver.policy_iteration(problem, policy, self.CONFIG)
+        assert report.improvement_steps >= 3 and len(builds) == 1
+        solver.value_iteration(problem, grid, self.CONFIG)
+        assert len(builds) == 2
+
+    def test_standalone_calls_build_one_lookahead_each(self, monkeypatch):
+        problem, grid, policy = storage_split_case(5, 6, 6)
+        builds = count_calls(monkeypatch, "_lookahead")
+        evaluation = solver.policy_evaluation(policy, problem, self.CONFIG)
+        assert len(builds) == 1
+        solver.policy_improvement(evaluation.value, problem, self.CONFIG)
+        assert len(builds) == 2
+        solver.bellman_sweep(evaluation.value, problem, self.CONFIG)
+        assert len(builds) == 3
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_policy_iteration_matches_standalone_steps(self, case):
+        problem, grid, policy = self.CASES[case]()
+        report = solver.policy_iteration(problem, policy, self.CONFIG)
+        current, evaluation, steps, converged = policy, None, [], False
+        for _ in range(self.CONFIG.max_improvements):
+            evaluation = solver.policy_evaluation(current, problem, self.CONFIG)
+            improved, bracket = solver.policy_improvement(evaluation.value, problem, self.CONFIG)
+            change = max(float(np.max(np.abs(n.values - o.values))) for n, o in zip(improved, current))
+            steps.append((evaluation.sweeps, evaluation.converged, evaluation.span_ratio, evaluation.avg_cost,
+                          evaluation.residuals, bracket, change))
+            current = improved
+            if change == 0.0:
+                converged = True
+                break
+        assert report.improvement_steps == len(steps) >= 2 and report.converged == converged
+        assert report.avg_cost == evaluation.avg_cost
+        assert report.value.values.tobytes() == evaluation.value.values.tobytes()
+        assert [p.values.tobytes() for p in report.policy] == [p.values.tobytes() for p in current]
+        assert report.sweeps_per_evaluation == [s[0] for s in steps]
+        assert report.evaluation_converged == [s[1] for s in steps]
+        assert report.evaluation_span_ratio == [s[2] for s in steps]
+        assert report.avg_cost_history == [s[3] for s in steps]
+        assert report.residual_history == [r for s in steps for r in s[4]]
+        assert report.bracket_history == [s[5] for s in steps]
+        assert report.policy_change_history == [s[6] for s in steps]
+
+    def test_each_step_calls_the_module_functions_with_config_third(self, monkeypatch):
+        problem, grid, policy = storage_split_case(5, 6, 6)
+        evaluations = count_calls(monkeypatch, "policy_evaluation")
+        improvements = count_calls(monkeypatch, "policy_improvement")
+        report = solver.policy_iteration(problem, policy, self.CONFIG)
+        assert len(evaluations) == len(improvements) == report.improvement_steps >= 3
+        assert all(args[1] is problem and args[2] is self.CONFIG for args in evaluations + improvements)
 
 
 class TestConfigValidation:
@@ -641,16 +677,25 @@ class TestBlockParallelEvaluation:
 
     @pytest.mark.parametrize("failing", ["one block", "every block"])
     def test_divergence_in_a_block_reaches_the_caller(self, failing, monkeypatch):
+        """A block whose sweep raises releases the other blocks, and its error reaches the caller."""
         problem, grid, policy = storage_split_case(4, 5, 7)
         first = threading.Lock()
+        build = solver._evaluation_block
 
-        def diverge_at_sweep_5(residuals):
-            if len(residuals) == 5 and (failing == "every block" or first.acquire(blocking=False)):
-                raise solver.DivergenceError(5, residuals[-2:])
+        def failing_block(*args):
+            rows, step = build(*args)
+            sweeps = itertools.count(1)
 
-        monkeypatch.setattr(solver, "_check_divergence", diverge_at_sweep_5)
+            def fail_at_sweep_5(v):
+                if next(sweeps) == 5 and (failing == "every block" or first.acquire(blocking=False)):
+                    raise RuntimeError("block failed at sweep 5")
+                return step(v)
+
+            return rows, fail_at_sweep_5
+
+        monkeypatch.setattr(solver, "_evaluation_block", failing_block)
         before = threading.active_count()
-        with pytest.raises(solver.DivergenceError, match="by sweep 5"):
+        with pytest.raises(RuntimeError, match="block failed at sweep 5"):
             solver.policy_evaluation(policy, problem, SolverConfig(eval_tol=1e-300, threads=3))
         assert threading.active_count() == before
 

@@ -1,6 +1,7 @@
 """Storage-smoothing tests: closed forms, exact invariants, CSV round trips."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -371,3 +372,12 @@ class TestCsvRoundTrips:
         path.write_text(",".join(storage.TRAJECTORY_COLUMNS) + "\n" + ",".join(["0.0"] * 7) + "\n")
         with pytest.raises(ValueError, match="at least one step"):
             storage.load_trajectory(path)
+
+    @pytest.mark.parametrize("load", [storage.load_series, storage.load_trajectory], ids=["series", "trajectory"])
+    def test_header_only_file_has_no_data_rows(self, tmp_path, load):
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(storage.TRAJECTORY_COLUMNS) + "\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="has no data rows"):
+                load(path)
