@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -68,6 +69,10 @@ class Axis:
             raise ValueError(f"axis bounds out of order: lo={self.lo} > hi={self.hi}")
         if self.n >= 2 and self.lo == self.hi:
             raise ValueError(f"axis with n={self.n} nodes needs lo < hi, got lo == hi == {self.lo}")
+        # numpy scalars pass the checks above; plain numbers keep float64 nodes and JSON metadata
+        object.__setattr__(self, "lo", float(self.lo))
+        object.__setattr__(self, "hi", float(self.hi))
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def step(self) -> float:
@@ -219,22 +224,17 @@ def _locate(grid: RectGrid, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def axis_locator(ax: Axis):
     """Scalar twin of :func:`_locate` for one axis with ``n >= 2``.
 
-    Returns ``locate(q) -> (i, f)``: the same cell index and fraction as
-    the batch version, from the same arithmetic in plain floats, at a
-    small fraction of a batch call's cost.
+    Returns ``locate(q) -> (i, f)``: for finite ``q``, the same cell and fraction
+    as the batch version, by bisection, at a small fraction of a batch call's cost.
     """
     if ax.n < 2:
         raise ValueError("a locator needs an axis with at least 2 nodes")
     nodes = ax.nodes.tolist()
-    lo, hi, step, last = ax.lo, ax.hi, ax.step, ax.n - 2
+    lo, hi, last = ax.lo, ax.hi, ax.n - 2
 
     def locate(q: float) -> tuple[int, float]:
         q = min(max(q, lo), hi)
-        i = min(int((q - lo) / step), last)
-        if q < nodes[i]:
-            i = max(i - 1, 0)
-        if q >= nodes[i + 1] and i < last:
-            i += 1
+        i = min(bisect_right(nodes, q) - 1, last)
         f = (q - nodes[i]) / (nodes[i + 1] - nodes[i])
         return i, min(max(f, 0.0), 1.0)
 

@@ -158,20 +158,20 @@ def discretize_noise(std: float, n_nodes: int) -> DiscreteNoise:
 class ControlProblem:
     """A stationary control problem on a continuous state space.
 
-    The callbacks are batch-oriented: for ``m`` evaluation points,
-    ``dynamics(x, u, w)`` and ``stage_cost(x, u, w)`` receive
-    ``x (m, state_dim)``, ``u (m, control_dim)`` and ``w (m,)`` arrays
-    and return ``(m, state_dim)`` next states / ``(m,)`` costs.  They
-    must be pure and thread-safe.
+    The callbacks are batch-oriented: for ``m`` evaluation points on a
+    grid of dimension n, ``dynamics(x, u, w)`` and ``stage_cost(x, u, w)``
+    receive ``x (m, n)``, ``u (m, d)`` and ``w (m,)`` arrays, d being the
+    candidates' width, and return ``(m, n)`` next states / ``(m,)`` costs.
+    They must be pure and thread-safe.
 
-    ``control_candidates(states)`` maps ``m`` state points
-    ``(m, state_dim)`` to their admissible controls
-    ``(m, K, control_dim)``, in preference order.  The candidate count
-    K >= 1 is state-independent; where fewer distinct controls are
-    admissible, repeat one of them.  Repeated candidates are harmless:
-    ties in the minimisation always resolve to the first candidate.
+    ``control_candidates(states)`` maps ``m`` state points ``(m, n)`` to
+    their admissible controls ``(m, K, d)``, in preference order.  The
+    candidate count K >= 1 and the width d >= 1 are state-independent;
+    where fewer distinct controls are admissible, repeat one of them.
+    Repeated candidates are harmless: ties in the minimisation always
+    resolve to the first candidate.
 
-    ``controlled_dims = c > 0`` (0 < c < state_dim) declares a
+    ``controlled_dims = c > 0`` (0 < c < n) declares a
     post-decision split, which the solver exploits to take the noise
     expectation once per exogenous node instead of once per (node,
     candidate).  It carries three obligations, checked before each solve
@@ -186,8 +186,6 @@ class ControlProblem:
     With the default ``controlled_dims = 0`` nothing is assumed.
     """
 
-    state_dim: int
-    control_dim: int
     dynamics: Callable
     stage_cost: Callable
     control_candidates: Callable
@@ -195,18 +193,14 @@ class ControlProblem:
     controlled_dims: int = 0
 
     def __post_init__(self) -> None:
-        if self.state_dim < 1 or self.control_dim < 1:
-            raise ValueError("state_dim and control_dim must be >= 1")
-        if not 0 <= self.controlled_dims < self.state_dim:
-            raise ValueError(f"controlled_dims must lie in [0, state_dim), got {self.controlled_dims}")
+        if self.controlled_dims < 0:
+            raise ValueError(f"controlled_dims must be >= 0, got {self.controlled_dims}")
 
     def candidate_array(self, states: np.ndarray) -> np.ndarray:
-        """Admissible controls at a batch of states, shape (m, K, control_dim)."""
+        """Admissible controls at a batch of states, shape (m, K, d) with K, d >= 1."""
         out = np.asarray(self.control_candidates(states), dtype=np.float64)
-        if out.ndim != 3 or out.shape[0] != states.shape[0] or out.shape[2] != self.control_dim:
-            raise ValueError(f"control_candidates gave shape {out.shape}, expected (m, K, {self.control_dim})")
-        if out.shape[1] < 1:
-            raise ValueError("control candidates must not be empty")
+        if out.ndim != 3 or out.shape[0] != states.shape[0] or 0 in out.shape[1:]:
+            raise ValueError(f"control_candidates gave shape {out.shape}, expected (m, K, d) with K, d >= 1")
         return out
 
 
@@ -298,20 +292,20 @@ def _candidate_chunks(problem: ControlProblem, grid: RectGrid, noise_n: int = 1)
 
 
 def _check_grid(grid: RectGrid, problem: ControlProblem) -> None:
-    if grid.dim != problem.state_dim:
-        raise ValueError(f"grid dimension {grid.dim} != problem state_dim {problem.state_dim}")
+    if not 0 <= problem.controlled_dims < grid.dim:
+        raise ValueError(f"controlled_dims must lie in [0, grid dimension {grid.dim}), got {problem.controlled_dims}")
 
 
 def _successors(problem: ControlProblem, grid: RectGrid, x, u, w, first_node: int, k: int):
-    """Next states (m, state_dim) and stage costs (m,) at the m points x, u, w.
+    """Next states (m, n) and stage costs (m,) at the m points x (m, n), u, w.
 
     Point i belongs to grid node ``first_node + i // k``.  An output of
     the wrong shape, or the first non-finite one, raises ValueError.
     """
     m = x.shape[0]
     xn = np.asarray(problem.dynamics(x, u, w), dtype=np.float64)
-    if xn.shape != (m, problem.state_dim):
-        raise ValueError(f"dynamics returned shape {xn.shape}, expected {(m, problem.state_dim)}")
+    if xn.shape != x.shape:
+        raise ValueError(f"dynamics returned shape {xn.shape}, expected {x.shape}")
     cost = np.asarray(problem.stage_cost(x, u, w), dtype=np.float64)
     if cost.shape != (m,):
         raise ValueError(f"stage_cost returned shape {cost.shape}, expected {(m,)}")
@@ -430,21 +424,20 @@ def _min_sweep(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One minimising sweep over all nodes.
 
-    Returns the un-anchored swept values (N,) and the greedy controls
-    (N, control_dim).
+    Returns the un-anchored swept values (N,) and the greedy controls (N, d).
     """
     grid = value.grid
     n = grid.size
     nodes_xy = grid.all_nodes
     raw = np.empty(n)
-    controls = np.empty((n, problem.control_dim))
+    controls = np.empty((n, problem.candidate_array(nodes_xy[:1]).shape[2]))
     g = look.expect(value.values)
 
     def worker(a: int, b: int) -> None:
         xc = nodes_xy[a:b]
         cand = problem.candidate_array(xc)
         mc, k, _ = cand.shape
-        u_rep = cand.reshape(mc * k, problem.control_dim)
+        u_rep = cand.reshape(mc * k, -1)
         q, stencils = look.successors(problem, grid, np.repeat(xc, k, axis=0), u_rep, a, k)
         for wprob, (idx, wts) in zip(look.noise.weights, stencils):
             q += wprob * stencil_blend(wts, g[idx])
@@ -536,7 +529,7 @@ def _fixed_policy_operator(look: _Lookahead, problem: ControlProblem, grid: Rect
     """
     n = grid.size
     nodes_xy = grid.all_nodes
-    stored = np.stack([p.values for p in policy], axis=1)  # (n, control_dim)
+    stored = np.stack([p.values for p in policy], axis=1)  # (n, d)
     indices = np.empty((n, look.noise.n, 1 << look.inner.dim), dtype=np.int64)
     data = np.empty(indices.shape)
     cost = np.empty(n)
@@ -576,9 +569,10 @@ def _policy_grid(policy: tuple[GridFunction, ...], problem: ControlProblem) -> R
     grid = policy[0].grid
     if any(p.grid != grid for p in policy[1:]):
         raise ValueError("policy components must share one grid")
-    if len(policy) != problem.control_dim:
-        raise ValueError(f"{len(policy)} policy components != control_dim {problem.control_dim}")
     _check_grid(grid, problem)
+    width = problem.candidate_array(grid.all_nodes[:1]).shape[2]
+    if len(policy) != width:
+        raise ValueError(f"{len(policy)} policy components != candidate width {width}")
     return grid
 
 

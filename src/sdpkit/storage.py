@@ -198,8 +198,6 @@ def build_problem(
         return np.clip(base[None, :], lo[:, None], hi[:, None])[:, :, None]
 
     return ControlProblem(
-        state_dim=3,
-        control_dim=1,
         dynamics=dynamics,
         stage_cost=stage_cost,
         control_candidates=control_candidates,

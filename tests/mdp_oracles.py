@@ -127,8 +127,6 @@ def as_control_problem(mdp: FiniteMDP) -> tuple[solver.ControlProblem, grids.Rec
         return cost[s, a] if cost.ndim == 2 else cost[s, a, w.astype(np.int64)]
 
     problem = solver.ControlProblem(
-        state_dim=1,
-        control_dim=1,
         dynamics=dynamics,
         stage_cost=stage_cost,
         control_candidates=lambda xs: np.broadcast_to(actions, (xs.shape[0], mdp.n_actions, 1)),

@@ -299,6 +299,28 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "simulate", "compare"])
+    def test_unevenly_spaced_time_column_is_a_usage_error(self, tmp_path, capsys, command):
+        series = tmp_path / "uneven.csv"
+        t = 0.1 * np.arange(50)
+        t[20:] += 0.05
+        storage.save_series(series, t, np.sin(np.arange(50)))
+        out = tmp_path / "out"
+        argv = {"fit": ("fit", "--series", str(series)),
+                "simulate": ("simulate", "--policy", "heuristic", "--series", str(series)),
+                "compare": ("compare", "--policy", "heuristic", "--series", str(series))}[command]
+        assert run_cli(*argv, "--out", str(out)) == cli.EXIT_USAGE
+        assert "series time column is not uniformly spaced" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fit_on_a_single_sample_is_a_usage_error(self, tmp_path, capsys):
+        series = tmp_path / "one.csv"
+        storage.save_series(series, [0.0], [0.3])
+        out = tmp_path / "model.json"
+        assert run_cli("fit", "--series", str(series), "--out", str(out)) == cli.EXIT_USAGE
+        assert "need at least two samples to infer the timestep" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "simulate", "compare"])
     def test_header_only_series_is_a_usage_error(self, tmp_path, capsys, command):
         series = tmp_path / "empty.csv"
         series.write_text("t,omega\n")

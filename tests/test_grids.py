@@ -94,6 +94,15 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             grids.build_grid([spec])
 
+    def test_axis_rejects_a_non_integer_node_count(self):
+        for n in (2.5, 3.0, True, "3"):
+            with pytest.raises(ValueError, match="node count must be an integer"):
+                grids.Axis(0.0, 1.0, n)
+
+    def test_grid_rejects_a_non_axis_entry(self):
+        with pytest.raises(ValueError, match="must be Axis instances"):
+            grids.RectGrid((grids.Axis(0.0, 1.0, 2), (0.0, 1.0, 2)))
+
     def test_node_coordinates_row_major(self):
         g = grids.build_grid([(0, 1, 2), (0, 1, 2)])
         assert grids.node_coordinates(g, 0) == (0.0, 0.0)
@@ -263,6 +272,22 @@ class TestPersistence:
         back = grids.load_grid_function(path)
         assert back.grid == g
         assert np.array_equal(back.values, gf.values)
+        assert back.values.tobytes() == gf.values.tobytes()
+
+    @pytest.mark.parametrize("lo, hi, n", [
+        (np.int64(-2), np.int64(3), np.int64(3)),
+        (0.0, 1.0, np.int32(3)),
+        (np.float32(0.1), np.float32(2.7), 4),
+    ], ids=["int64", "int32", "float32"])
+    def test_grid_of_numpy_scalars_roundtrips(self, tmp_path, lo, hi, n):
+        g = grids.RectGrid((grids.Axis(lo, hi, n), grids.Axis(0.0, 1.0, 2)))
+        assert all(ax.nodes.dtype == np.float64 for ax in g.axes)
+        gf = grids.GridFunction(g, np.arange(g.size) * 0.5)
+        path = tmp_path / "fn.gridfn"
+        grids.save_grid_function(gf, path)
+        back = grids.load_grid_function(path)
+        assert back.grid == g
+        assert np.array_equal(back.grid.axes[0].nodes, g.axes[0].nodes)
         assert back.values.tobytes() == gf.values.tobytes()
 
     def test_save_is_deterministic(self, tmp_path):

@@ -92,7 +92,7 @@ class TestDiscretizeNoise:
 
 
 def fixed_candidates(cands):
-    """Candidate callback offering the same (K, control_dim) candidates at every state."""
+    """Candidate callback offering the same (K, d) candidates at every state."""
     return lambda xs: np.broadcast_to(cands, (xs.shape[0],) + cands.shape)
 
 
@@ -110,8 +110,6 @@ def make_tabular_problem(cost_table):
         return cost_table[x[:, 0].astype(int), u[:, 0].astype(int)]
 
     problem = ControlProblem(
-        state_dim=1,
-        control_dim=1,
         dynamics=dynamics,
         stage_cost=stage_cost,
         control_candidates=fixed_candidates(actions),
@@ -131,8 +129,6 @@ class TestBellmanSweep:
     def test_single_node_constant_cost(self):
         grid = grids.build_grid([(0.0, 1.0, 1)])
         problem = ControlProblem(
-            state_dim=1,
-            control_dim=1,
             dynamics=lambda x, u, w: x.copy(),
             stage_cost=lambda x, u, w: np.full(x.shape[0], 3.5),
             control_candidates=fixed_candidates(np.array([[0.0]])),
@@ -148,8 +144,6 @@ class TestBellmanSweep:
         grid = grids.build_grid([(0.0, 1.0, 1)])
         candidates = np.array([[-1.0], [-0.5], [0.0], [0.5], [1.0]])
         problem = ControlProblem(
-            state_dim=1,
-            control_dim=1,
             dynamics=lambda x, u, w: x.copy(),
             stage_cost=lambda x, u, w: u[:, 0] ** 2,
             control_candidates=fixed_candidates(candidates),
@@ -164,8 +158,6 @@ class TestBellmanSweep:
         grid = grids.build_grid([(0.0, 1.0, 1)])
         candidates = np.array([[1.0], [-1.0]])  # same |u|, first must win
         problem = ControlProblem(
-            state_dim=1,
-            control_dim=1,
             dynamics=lambda x, u, w: x.copy(),
             stage_cost=lambda x, u, w: np.abs(u[:, 0]),
             control_candidates=fixed_candidates(candidates),
@@ -184,8 +176,6 @@ class TestBellmanSweep:
             return out
 
         problem = ControlProblem(
-            state_dim=1,
-            control_dim=1,
             dynamics=bad_dynamics,
             stage_cost=lambda x, u, w: np.zeros(x.shape[0]),
             control_candidates=fixed_candidates(np.array([[0.0]])),
@@ -204,8 +194,6 @@ class TestBellmanSweep:
         callbacks = {"dynamics": lambda x, u, w: x.copy(), "stage_cost": lambda x, u, w: np.zeros(x.shape[0])}
         callbacks[callback] = bad
         problem = ControlProblem(
-            state_dim=1,
-            control_dim=1,
             control_candidates=fixed_candidates(np.array([[0.0]])),
             noise=DiscreteNoise(np.array([0.0]), np.array([1.0])),
             **callbacks,
@@ -216,6 +204,33 @@ class TestBellmanSweep:
         policy = (grids.GridFunction(grid, np.zeros(3)),)
         with pytest.raises(ValueError, match=f"{callback} returned shape"):
             solver.policy_evaluation(policy, problem)
+
+    @pytest.mark.parametrize("bad", [
+        lambda xs: np.zeros((xs.shape[0], 2)),  # (m, K): no width axis
+        lambda xs: np.zeros((xs.shape[0], 0, 1)),  # K = 0
+        lambda xs: np.zeros((xs.shape[0], 1, 0)),  # d = 0
+    ], ids=["two-dimensional", "no-candidates", "no-width"])
+    def test_malformed_candidates_name_the_callback(self, bad):
+        problem, grid = make_tabular_problem([[0.0, 0.0], [0.0, 0.0]])
+        problem = dataclasses.replace(problem, control_candidates=bad)
+        value = grids.GridFunction(grid, np.zeros(grid.size))
+        with pytest.raises(ValueError, match="control.candidates"):
+            solver.bellman_sweep(value, problem)
+
+    @pytest.mark.parametrize("case, message", [
+        ("empty", "at least one control component"),
+        ("two-grids", "share one grid"),
+        ("too-wide", "policy components != "),
+    ])
+    def test_malformed_policy_is_rejected(self, case, message):
+        problem, grid = make_tabular_problem([[0.0, 0.0], [0.0, 0.0]])
+        zeros = grids.GridFunction(grid, np.zeros(grid.size))
+        elsewhere = grids.GridFunction(grids.build_grid([(0.0, 2.0, 2)]), np.zeros(2))
+        policy = {"empty": (), "two-grids": (zeros, elsewhere), "too-wide": (zeros, zeros)}[case]
+        with pytest.raises(ValueError, match=message):
+            solver.policy_evaluation(policy, problem)
+        with pytest.raises(ValueError, match=message):
+            solver.policy_iteration(problem, policy)
 
     def test_dimension_mismatch_rejected(self):
         problem, _ = make_tabular_problem([[0.0, 0.0], [0.0, 0.0]])
@@ -472,8 +487,6 @@ def split_problem(**overrides):
         return (x[:, 0] - 0.5) ** 2 + x[:, 1] ** 2 + 0.1 * u[:, 0] ** 2 + 0.3 * x[:, 2] * u[:, 0]
 
     fields = dict(
-        state_dim=3,
-        control_dim=1,
         dynamics=dynamics,
         stage_cost=stage_cost,
         control_candidates=fixed_candidates(np.linspace(-0.5, 0.5, 5)[:, None]),
@@ -616,8 +629,10 @@ class TestPostDecisionSplit:
 
     @pytest.mark.parametrize("controlled_dims", [-1, 3])
     def test_controlled_dims_must_leave_an_exogenous_axis(self, controlled_dims):
+        # a negative count fails at construction, one that covers the grid at the first solver call
         with pytest.raises(ValueError, match="controlled_dims"):
-            split_problem(controlled_dims=controlled_dims)
+            problem, grid = split_problem(controlled_dims=controlled_dims)
+            solver.bellman_sweep(grids.GridFunction(grid, np.zeros(grid.size)), problem)
 
 
 BLOCK_CASES = {

@@ -241,6 +241,18 @@ class TestSimulateTrajectory:
         assert np.all(energy <= PARAMS.e_rated)
         assert energy[-1] > PARAMS.e_rated - 1.0
 
+    @pytest.mark.parametrize("e0", [7577288.453082914, 4069478.0063930615])
+    def test_rounding_past_empty_is_undone_one_ulp_at_a_time(self, e0):
+        # at zero speed a full drain requests p_sto = -e0/dt, which rounds the store below zero
+        dt = PARAMS.dt
+        assert e0 + (-e0 / dt) * dt < 0.0
+        traj = storage.simulate_trajectory(constant_policy(math.inf), np.zeros(1), PARAMS, e0)
+        assert traj.p_sto[0] == math.nextafter(-e0 / dt, 0.0)
+        energy = traj.energy_path()
+        assert np.all(energy >= 0.0) and np.all(energy <= PARAMS.e_rated)
+        assert np.array_equal(energy[1:], traj.e_sto + traj.p_sto * dt)
+        assert np.array_equal(traj.p_grid, traj.p_prod - traj.p_sto)
+
     def test_zero_speed_with_proportional_rule_drains_geometrically(self):
         traj = storage.simulate_trajectory(
             storage.heuristic_policy_fn(PARAMS), np.zeros(50), PARAMS, e0=1e6
