@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import write_atomic
+from .grids import _is_number, write_atomic
 
 __all__ = [
     "ARModel",
@@ -415,11 +415,18 @@ def load_ar_model(path) -> tuple[ARModel, dict | None]:
     missing = [key for key in ("p", "phi", "sigma_eps", "dt") if key not in doc]
     if missing:
         raise ValueError(f"{path} lacks the field(s) {', '.join(missing)}")
+    phi = doc["phi"]
+    if not (isinstance(phi, list) and phi and all(_is_number(c) for c in phi)):
+        raise ValueError(f"{path}: malformed field phi: {phi!r} is not a non-empty list of numbers")
+    for key in ("sigma_eps", "dt"):
+        if not _is_number(doc[key]):
+            raise ValueError(f"{path}: malformed field {key}: {doc[key]!r} is not a number")
+    if not isinstance(doc["p"], int) or isinstance(doc["p"], bool):
+        raise ValueError(f"{path}: malformed field p: {doc['p']!r} is not an integer")
     try:
-        model = ARModel(tuple(doc["phi"]), float(doc["sigma_eps"]), float(doc["dt"]))
-        order = int(doc["p"])
-    except TypeError as exc:
+        model = ARModel(tuple(phi), float(doc["sigma_eps"]), float(doc["dt"]))
+    except OverflowError as exc:  # an integer too large for a float
         raise ValueError(f"{path}: malformed field: {exc}") from exc
-    if model.p != order:
+    if model.p != doc["p"]:
         raise ValueError(f"{path}: declared order {doc['p']} does not match {model.p} coefficients")
     return model, doc.get("fit")

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,8 +35,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    if not 0.0 < value < math.inf:  # NaN and inf too
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text}")
     return value
 
 

@@ -15,13 +15,14 @@ zero there, and the subtracted increment estimates the average cost per
 stage.  Convergence is measured in the span seminorm (max - min) of the
 sweep increment, which is invariant under the anchoring shift.
 
-Both the improvement and the evaluation sweep go through one lookahead.
-It first maps the value table h to a table G of expected values, then
-reads each (node, control) pair as its expected stage cost plus the
-noise-weighted sum of successor stencils into G, each clipped to its
-corner values.  Policy evaluation exploits that the stage costs and
-stencils are fixed while the policy is fixed: they are assembled once
-into a sparse row-stochastic matrix M, and each sweep is
+Both the improvement and the evaluation sweep go through one lookahead,
+built once per solve.  It holds the node spans (chunks) that every
+sweep runs, and it first maps the value table h to a table G of
+expected values, then reads each (node, control) pair as its expected
+stage cost plus the noise-weighted sum of successor stencils into G,
+each clipped to its corner values.  Policy evaluation exploits that the
+stage costs and stencils are fixed while the policy is fixed: they are
+assembled once into a sparse row-stochastic matrix M, and each sweep is
 h -> cost + M G(h).  The lookahead takes one of two shapes:
 
 - Generic (``controlled_dims == 0``): a one-node plane whose operator is
@@ -36,8 +37,8 @@ h -> cost + M G(h).  The lookahead takes one of two shapes:
   controlled-axis slice): G = H P_x^T, with H the value table shaped
   (z, y), gives E_w h(z', y'(y, w)) = interp_z(G[:, y], z').  So a
   single successor per (node, control), with its stencil on the
-  controlled sub-grid, stands for all noise nodes.  Once per solve the
-  solver checks the declared split on every node (see :class:`ControlProblem`).
+  controlled sub-grid, stands for all noise nodes.  The lookahead's
+  build checks the declared split on every node (see :class:`ControlProblem`).
 
 Determinism: identical inputs and configuration give bit-identical
 results regardless of the `threads` setting.  Improvement sweeps run
@@ -284,18 +285,6 @@ def _run_chunks(spans, worker, threads: int) -> None:
             list(pool.map(lambda s: worker(*s), spans))
 
 
-def _candidate_chunks(problem: ControlProblem, grid: RectGrid, noise_n: int = 1) -> list[tuple[int, int]]:
-    """Node spans of a thread-independent size: about ``CHUNK_POINTS`` (node, candidate, noise node) points."""
-    k = problem.candidate_array(grid.all_nodes[:1]).shape[1]
-    chunk = max(1, CHUNK_POINTS // (k * noise_n))
-    return [(a, min(a + chunk, grid.size)) for a in range(0, grid.size, chunk)]
-
-
-def _check_grid(grid: RectGrid, problem: ControlProblem) -> None:
-    if not 0 <= problem.controlled_dims < grid.dim:
-        raise ValueError(f"controlled_dims must lie in [0, grid dimension {grid.dim}), got {problem.controlled_dims}")
-
-
 def _successors(problem: ControlProblem, grid: RectGrid, x, u, w, first_node: int, k: int):
     """Next states (m, n) and stage costs (m,) at the m points x (m, n), u, w.
 
@@ -319,7 +308,7 @@ def _successors(problem: ControlProblem, grid: RectGrid, x, u, w, first_node: in
 
 @dataclass(frozen=True)
 class _Lookahead:
-    """The one-stage lookahead of a problem on a grid, generic or post-decision.
+    """The one-stage lookahead of ``problem`` on ``grid``, generic or post-decision: a solve's derived state.
 
     Successor stencils live on ``inner`` (the whole grid, or the
     controlled sub-grid) and index the table G = ``expect(h)``.  ``n_y``
@@ -328,13 +317,19 @@ class _Lookahead:
     operator P_x (the 1x1 identity when generic).  ``noise`` holds the
     noise nodes whose successors are visited: all of them, or,
     post-decision, the first with weight 1, since P_x already took the
-    expectation.
+    expectation.  ``chunks`` holds the node spans every sweep runs, about
+    ``CHUNK_POINTS`` (node, candidate, visited noise node) points each,
+    and ``width`` the candidates' width d.
     """
 
+    grid: RectGrid
+    problem: ControlProblem
     inner: RectGrid
     n_y: int
     operator: sp.csr_matrix
     noise: DiscreteNoise
+    chunks: list[tuple[int, int]]
+    width: int
 
     def row(self, nodes):
         """Row of grid node(s) ``nodes`` in y-major (plane node, inner node) order."""
@@ -344,7 +339,7 @@ class _Lookahead:
         """G = H P_x^T for the value table H (z, y), flat in (y, z) order."""
         return np.ascontiguousarray(self.operator @ h.reshape(self.inner.size, self.n_y).T).reshape(-1)
 
-    def successors(self, problem: ControlProblem, grid: RectGrid, x, u, first_node: int, k: int):
+    def successors(self, x, u, first_node: int, k: int):
         """Expected stage cost (m,) and, per noise node, its stencil: (indices into G, weights).
 
         Point i belongs to grid node ``first_node + i // k``.
@@ -354,7 +349,7 @@ class _Lookahead:
         cost = np.zeros(m)
         stencils = []
         for wval, wprob in zip(self.noise.nodes, self.noise.weights):
-            xn, stage = _successors(problem, grid, x, u, np.full(m, wval), first_node, k)
+            xn, stage = _successors(self.problem, self.grid, x, u, np.full(m, wval), first_node, k)
             cost += wprob * stage
             flat, wts = interpolation_stencil(self.inner, xn[:, : self.inner.dim])
             stencils.append((offset[:, None] + flat, wts))
@@ -373,11 +368,17 @@ def _require_equal(a: np.ndarray, b: np.ndarray, grid: RectGrid, first_node: int
 def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig) -> _Lookahead:
     """The lookahead of ``problem`` on ``grid``: post-decision if declared, after checking the split."""
     c = problem.controlled_dims
+    if not 0 <= c < grid.dim:
+        raise ValueError(f"controlled_dims must lie in [0, grid dimension {grid.dim}), got {c}")
+    k, width = problem.candidate_array(grid.all_nodes[:1]).shape[1:]
+    noise = problem.noise
+    visited = DiscreteNoise(noise.nodes[:1], [1.0]) if c else noise
+    step = max(1, CHUNK_POINTS // (k * visited.n))
+    chunks = [(a, min(a + step, grid.size)) for a in range(0, grid.size, step)]
     if c == 0:
-        return _Lookahead(grid, 1, sp.identity(1, format="csr"), problem.noise)
+        return _Lookahead(grid, problem, grid, 1, sp.identity(1, format="csr"), noise, chunks, width)
     inner, plane = RectGrid(grid.axes[:c]), RectGrid(grid.axes[c:])
     n_y = plane.size
-    noise = problem.noise
     nodes_xy = grid.all_nodes
     slice0 = nodes_xy[:n_y]
     u0 = np.ascontiguousarray(problem.candidate_array(slice0)[:, 0])
@@ -409,36 +410,30 @@ def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig) ->
                                "dynamics: the exogenous components depend on the control "
                                f"or the controlled state ({declared})")
 
-    _run_chunks(_candidate_chunks(problem, grid), check, config.threads)
+    _run_chunks(chunks, check, config.threads)
     indptr = np.arange(n_y + 1, dtype=np.int64) * indices.shape[1]
     operator = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(n_y, n_y))
     operator.sum_duplicates()  # noise nodes often share stencil corners: about half the entries
-    return _Lookahead(inner, n_y, operator, DiscreteNoise(noise.nodes[:1], [1.0]))
+    return _Lookahead(grid, problem, inner, n_y, operator, visited, chunks, width)
 
 
-def _min_sweep(
-    value: GridFunction,
-    problem: ControlProblem,
-    config: SolverConfig,
-    look: _Lookahead,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One minimising sweep over all nodes.
+def _min_sweep(look: _Lookahead, values: np.ndarray, threads: int):
+    """One minimising sweep of the value table v (N,) over all nodes.
 
-    Returns the un-anchored swept values (N,) and the greedy controls (N, d).
+    Returns the un-anchored swept values Tv (N,), the greedy controls (N, d)
+    and the bracket (min(Tv - v), max(Tv - v)).
     """
-    grid = value.grid
-    n = grid.size
-    nodes_xy = grid.all_nodes
-    raw = np.empty(n)
-    controls = np.empty((n, problem.candidate_array(nodes_xy[:1]).shape[2]))
-    g = look.expect(value.values)
+    nodes_xy = look.grid.all_nodes
+    raw = np.empty(look.grid.size)
+    controls = np.empty((look.grid.size, look.width))
+    g = look.expect(values)
 
     def worker(a: int, b: int) -> None:
         xc = nodes_xy[a:b]
-        cand = problem.candidate_array(xc)
+        cand = look.problem.candidate_array(xc)
         mc, k, _ = cand.shape
         u_rep = cand.reshape(mc * k, -1)
-        q, stencils = look.successors(problem, grid, np.repeat(xc, k, axis=0), u_rep, a, k)
+        q, stencils = look.successors(np.repeat(xc, k, axis=0), u_rep, a, k)
         for wprob, (idx, wts) in zip(look.noise.weights, stencils):
             q += wprob * stencil_blend(wts, g[idx])
         q = q.reshape(mc, k)
@@ -447,8 +442,9 @@ def _min_sweep(
         raw[a:b] = q[rows, best]
         controls[a:b] = cand[rows, best]
 
-    _run_chunks(_candidate_chunks(problem, grid, look.noise.n), worker, config.threads)
-    return raw, controls
+    _run_chunks(look.chunks, worker, threads)
+    gain = raw - values
+    return raw, controls, (float(gain.min()), float(gain.max()))
 
 
 def _policy_functions(grid: RectGrid, controls: np.ndarray) -> tuple[GridFunction, ...]:
@@ -515,34 +511,33 @@ def bellman_sweep(
     """
     config = config or SolverConfig()
     grid = value.grid
-    _check_grid(grid, problem)
-    raw, controls = _min_sweep(value, problem, config, _lookahead(grid, problem, config))
+    raw, controls, _ = _min_sweep(_lookahead(grid, problem, config), value.values, config.threads)
     avg = float(raw[0])
     return GridFunction(grid, raw - avg), _policy_functions(grid, controls), avg
 
 
-def _fixed_policy_operator(look: _Lookahead, problem: ControlProblem, grid: RectGrid, policy, config: SolverConfig):
+def _fixed_policy_operator(look: _Lookahead, policy, threads: int):
     """Stage costs (n,) and matrix M of the sweep h -> cost + M G, rows in the y-major order of G.
 
     A node's control is the candidate nearest the stored policy; its row holds the noise-weighted
     stencils of its successors (it sums to 1), so a block of plane nodes reads only its rows of G.
     """
-    n = grid.size
-    nodes_xy = grid.all_nodes
+    n = look.grid.size
+    nodes_xy = look.grid.all_nodes
     stored = np.stack([p.values for p in policy], axis=1)  # (n, d)
     indices = np.empty((n, look.noise.n, 1 << look.inner.dim), dtype=np.int64)
     data = np.empty(indices.shape)
     cost = np.empty(n)
 
     def worker(a: int, b: int) -> None:
-        cand = problem.candidate_array(nodes_xy[a:b])
+        cand = look.problem.candidate_array(nodes_xy[a:b])
         u = cand[np.arange(b - a), np.argmin(((cand - stored[a:b, None, :]) ** 2).sum(axis=2), axis=1)]
         rows = look.row(np.arange(a, b))
-        cost[rows], stencils = look.successors(problem, grid, nodes_xy[a:b], u, a, 1)
+        cost[rows], stencils = look.successors(nodes_xy[a:b], u, a, 1)
         for l, (wprob, (idx, wts)) in enumerate(zip(look.noise.weights, stencils)):
             indices[rows, l], data[rows, l] = idx, wprob * wts
 
-    _run_chunks(_candidate_chunks(problem, grid, look.noise.n), worker, config.threads)
+    _run_chunks(look.chunks, worker, threads)
     indptr = np.arange(n + 1, dtype=np.int64) * indices[0].size
     return cost, sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))
 
@@ -562,18 +557,17 @@ def _evaluation_block(look: _Lookahead, cost: np.ndarray, matrix: sp.csr_matrix,
     return rows, step
 
 
-def _policy_grid(policy: tuple[GridFunction, ...], problem: ControlProblem) -> RectGrid:
-    """The one grid of ``policy``, after checking the policy against ``problem``."""
+def _policy_lookahead(policy: tuple[GridFunction, ...], problem: ControlProblem, config: SolverConfig,
+                      look: _Lookahead | None = None) -> _Lookahead:
+    """``look``, or the lookahead of ``problem`` on the one grid of ``policy``, after checking the policy."""
     if len(policy) < 1:
         raise ValueError("policy needs at least one control component")
-    grid = policy[0].grid
-    if any(p.grid != grid for p in policy[1:]):
+    if any(p.grid != policy[0].grid for p in policy[1:]):
         raise ValueError("policy components must share one grid")
-    _check_grid(grid, problem)
-    width = problem.candidate_array(grid.all_nodes[:1]).shape[2]
-    if len(policy) != width:
-        raise ValueError(f"{len(policy)} policy components != candidate width {width}")
-    return grid
+    look = look or _lookahead(policy[0].grid, problem, config)
+    if len(policy) != look.width:
+        raise ValueError(f"{len(policy)} policy components != candidate width {look.width}")
+    return look
 
 
 def policy_evaluation(
@@ -591,14 +585,13 @@ def policy_evaluation(
     ``look``, the lookahead of ``problem`` on the policy's grid, is built when omitted.
     """
     config = config or SolverConfig()
-    grid = _policy_grid(policy, problem)
-    look = look or _lookahead(grid, problem, config)
-    cost, matrix = _fixed_policy_operator(look, problem, grid, policy, config)
+    look = _policy_lookahead(policy, problem, config, look)
+    cost, matrix = _fixed_policy_operator(look, policy, config.threads)
     count = min(config.threads, look.n_y)
     blocks = [_evaluation_block(look, cost, matrix, look.n_y * t // count, look.n_y * (t + 1) // count)
               for t in range(count)]
     v, anchors, residuals, converged = _relative_iteration(blocks, config)
-    return EvaluationResult(anchors[-1], GridFunction(grid, v.reshape(look.n_y, -1).T), len(residuals), residuals,
+    return EvaluationResult(anchors[-1], GridFunction(look.grid, v.reshape(look.n_y, -1).T), len(residuals), residuals,
                             converged, _span_ratio(residuals, anchors, config))
 
 
@@ -614,10 +607,8 @@ def policy_improvement(
     which contains the optimal average cost J*.  ``look``: as in :func:`policy_evaluation`.
     """
     config = config or SolverConfig()
-    _check_grid(value.grid, problem)
-    raw, controls = _min_sweep(value, problem, config, look or _lookahead(value.grid, problem, config))
-    gain = raw - value.values
-    return _policy_functions(value.grid, controls), (float(gain.min()), float(gain.max()))
+    _, controls, bracket = _min_sweep(look or _lookahead(value.grid, problem, config), value.values, config.threads)
+    return _policy_functions(value.grid, controls), bracket
 
 
 def _max_policy_change(new: tuple[GridFunction, ...], old: tuple[GridFunction, ...]) -> float:
@@ -640,7 +631,6 @@ def policy_iteration(
     """
     config = config or SolverConfig()
     current = tuple(initial_policy)
-    grid = _policy_grid(current, problem)
     residual_history: list[float] = []
     avg_history: list[float] = []
     change_history: list[float] = []
@@ -649,7 +639,7 @@ def policy_iteration(
     eval_span_ratio: list[float] = []
     brackets: list[tuple[float, float]] = []
     clock = [time.perf_counter()]  # before and after each evaluation and improvement
-    look = _lookahead(grid, problem, config)  # timed with the first evaluation
+    look = _policy_lookahead(current, problem, config)  # timed with the first evaluation
     converged = False
     evaluation = None
     for _ in range(config.max_improvements):
@@ -699,17 +689,13 @@ def value_iteration(
     evaluation), then returns the final greedy policy.
     """
     config = config or SolverConfig()
-    _check_grid(grid, problem)
     start = time.perf_counter()
     look = _lookahead(grid, problem, config)
-    controls = None
-    bracket = None
+    controls = bracket = None
 
     def step(v: np.ndarray) -> np.ndarray:
         nonlocal controls, bracket
-        raw, controls = _min_sweep(GridFunction(grid, v.copy()), problem, config, look)
-        gain = raw - v
-        bracket = (float(gain.min()), float(gain.max()))
+        raw, controls, bracket = _min_sweep(look, v, config.threads)
         return raw
 
     blocks = [(slice(0, grid.size), step)]  # one block: the sweep is already chunk-threaded

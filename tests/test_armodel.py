@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -627,4 +628,31 @@ class TestPersistence:
             doc = {**saved, **doc}
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
+            armodel.load_ar_model(path)
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"p": 2, "phi": "12"}, "phi"),
+        ({"phi": {"0.5": 1}}, "phi"),
+        ({"phi": []}, "phi"),
+        ({"phi": [0.5, True]}, "phi"),
+        ({"p": 2.9, "phi": [0.5, 0.2]}, "p"),
+        ({"p": True}, "p"),
+        ({"sigma_eps": "0.1"}, "sigma_eps"),
+        ({"dt": True}, "dt"),
+    ], ids=["string-phi", "object-phi", "empty-phi", "bool-in-phi", "float-p", "bool-p", "string-sigma_eps",
+            "bool-dt"])
+    def test_rejects_a_field_of_the_wrong_type(self, tmp_path, fields, name):
+        """Each document is otherwise consistent, so only the type check can reject it."""
+        path = tmp_path / "model.json"
+        doc = {"format": armodel.ARMODEL_FORMAT, "p": 1, "phi": [0.5], "sigma_eps": 1.0, "dt": 1.0, **fields}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed field {name}: "):
+            armodel.load_ar_model(path)
+
+    @pytest.mark.parametrize("fields", [{"dt": 10**400}, {"phi": [10**400]}], ids=["dt", "phi"])
+    def test_rejects_an_integer_too_large_for_a_float(self, tmp_path, fields):
+        path = tmp_path / "model.json"
+        doc = {"format": armodel.ARMODEL_FORMAT, "p": 1, "phi": [0.5], "sigma_eps": 1.0, "dt": 1.0, **fields}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed field: int too large"):
             armodel.load_ar_model(path)

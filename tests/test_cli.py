@@ -153,6 +153,15 @@ def tiny_solution(tmp_path_factory):
 
 
 class TestSolve:
+    def test_malformed_model_file_is_a_usage_error(self, tmp_path, capsys):
+        model_path = tmp_path / "bad.json"
+        model_path.write_text(json.dumps({"format": armodel.ARMODEL_FORMAT, "p": 2, "phi": "12",
+                                          "sigma_eps": 0.1, "dt": 0.1}))
+        code = run_cli("solve", "--model", str(model_path), *TINY_GRID, "--out-dir", str(tmp_path / "solution"))
+        assert code == cli.EXIT_USAGE
+        assert "malformed field phi" in capsys.readouterr().err
+        assert not (tmp_path / "solution").exists()
+
     def test_artifacts_exist_and_load(self, tiny_solution):
         value = grids.load_grid_function(tiny_solution / "solution_value.gridfn")
         policy = grids.load_grid_function(tiny_solution / "solution_policy_u0.gridfn")
@@ -449,6 +458,19 @@ class TestParserBasics:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as info:
             run_cli("generate", "--frequency", "2")
+        assert info.value.code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("command, flag", [
+        ("generate", "--e-rated"), ("generate", "--p-max"), ("generate", "--beta"), ("generate", "--dt"),
+        ("fit", "--lag-seconds"), ("solve", "--eval-tol"),
+    ])
+    def test_non_finite_float_flag_exits_2(self, speed_csv, tmp_path, command, flag, value):
+        required = {"generate": ("--n", "5", "--out", str(tmp_path / "s.csv")),
+                    "fit": ("--series", str(speed_csv), "--out", str(tmp_path / "m.json")),
+                    "solve": (*TINY_GRID, "--out-dir", str(tmp_path / "solution"))}[command]
+        with pytest.raises(SystemExit) as info:
+            run_cli(command, *required, flag, value)
         assert info.value.code == cli.EXIT_USAGE
 
     def test_policy_tolerance_flag_is_gone(self, tmp_path):

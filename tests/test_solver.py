@@ -354,7 +354,7 @@ def shrink_chunks(monkeypatch, problem, grid, nodes):
     k = problem.candidate_array(grid.all_nodes[:1]).shape[1]
     noise_n = 1 if problem.controlled_dims else problem.noise.n
     monkeypatch.setattr(solver, "CHUNK_POINTS", nodes * k * noise_n)
-    chunks = solver._candidate_chunks(problem, grid, noise_n)
+    chunks = solver._lookahead(grid, problem, SolverConfig()).chunks
     assert chunks[0] == (0, nodes) and len(chunks) > 1
 
 
@@ -406,8 +406,12 @@ class TestOneLookaheadPerSolve:
     def test_each_solve_builds_one_lookahead(self, monkeypatch):
         problem, grid, policy = storage_split_case(5, 6, 6)
         builds = count_calls(monkeypatch, "_lookahead")
+        rows = []
+        candidates = problem.control_candidates
+        problem.control_candidates = lambda states: rows.append(len(states)) or candidates(states)
         report = solver.policy_iteration(problem, policy, self.CONFIG)
         assert report.improvement_steps >= 3 and len(builds) == 1
+        assert rows.count(1) == 1  # one node-0 probe per solve
         solver.value_iteration(problem, grid, self.CONFIG)
         assert len(builds) == 2
 
@@ -455,6 +459,36 @@ class TestOneLookaheadPerSolve:
         report = solver.policy_iteration(problem, policy, self.CONFIG)
         assert len(evaluations) == len(improvements) == report.improvement_steps >= 3
         assert all(args[1] is problem and args[2] is self.CONFIG for args in evaluations + improvements)
+
+
+class TestValueIterationSweeps:
+    """Value iteration is the fold of :func:`solver.bellman_sweep` from a zero value."""
+
+    CASES = {"storage-5x6x6": lambda: storage_split_case(5, 6, 6)[:2], "random-mdp": lambda: random_mdp_case()[:2]}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_value_iteration_is_the_fold_of_bellman_sweeps(self, case):
+        problem, grid = self.CASES[case]()
+        config = SolverConfig(eval_max_sweeps=400)
+        report = solver.value_iteration(problem, grid, config)
+        assert report.converged == (case == "random-mdp")  # the storage run stops at the cap
+        value = grids.GridFunction(grid, np.zeros(grid.size))
+        for _ in range(report.sweeps_per_evaluation[0]):
+            value, policy, anchor = solver.bellman_sweep(value, problem, config)
+        assert value.values.tobytes() == report.value.values.tobytes()
+        assert [p.values.tobytes() for p in policy] == [p.values.tobytes() for p in report.policy]
+        assert anchor == report.avg_cost
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_thread_count_does_not_change_a_bit(self, case, monkeypatch):
+        problem, grid = self.CASES[case]()
+        shrink_chunks(monkeypatch, problem, grid, 7)
+        runs = []
+        for threads in (1, 3):
+            report = solver.value_iteration(problem, grid, SolverConfig(eval_max_sweeps=60, threads=threads))
+            runs.append((report.value.values.tobytes(), report.policy[0].values.tobytes(), report.avg_cost,
+                         report.residual_history, report.bracket_history, report.converged))
+        assert runs[0] == runs[1]
 
 
 class TestConfigValidation:
