@@ -156,7 +156,8 @@ def cmd_solve(args) -> int:
           f"(policy {'converged' if report.converged else 'truncated at the improvement cap'})")
     print(f"evaluation sweeps: {report.sweeps_per_evaluation}")
     print(f"evaluation {1e3 * sum(report.evaluation_seconds) / sum(report.sweeps_per_evaluation):.3g} ms "
-          f"per sweep, improvement {sum(report.improvement_seconds):.3g} s in all")
+          f"per sweep, improvement {sum(report.improvement_seconds):.3g} s in all, "
+          f"lookahead build {report.lookahead_seconds:.3g} s")
     capped = report.evaluation_converged.count(False)
     if capped:
         print(f"note: {capped} of {len(report.evaluation_converged)} evaluations stopped at the "
@@ -189,19 +190,19 @@ def _policy_fn(spec: str, params: storage.StorageParams):
 
 
 def _load_storage_series(series_path, params: storage.StorageParams):
-    """Speed and optional production columns of a series sampled at the storage timestep."""
-    t, omega, p_prod = storage.load_series(series_path)
+    """Speed column of a series sampled at the storage timestep; runs derive production from it."""
+    t, omega, _ = storage.load_series(series_path)
     dt = _series_dt(t)
     if dt > 0.0 and abs(dt - params.dt) > 1e-9 * params.dt:
         raise ValueError(f"series timestep {dt} != storage timestep {params.dt}")
-    return omega, p_prod
+    return omega
 
 
 def cmd_simulate(args) -> int:
     params = _storage_params(args)
     e0 = params.e_rated / 2.0 if args.e0 is None else args.e0
     policy_fn = _policy_fn(args.policy, params)
-    omega, _ = _load_storage_series(args.series, params)
+    omega = _load_storage_series(args.series, params)
     traj = storage.simulate_trajectory(policy_fn, omega, params, e0)
     storage.save_trajectory(traj, args.out)
     m = storage.metrics(traj)
@@ -220,10 +221,9 @@ def cmd_compare(args) -> int:
     heuristic_fn = storage.heuristic_policy_fn(params)
     per_series = []
     for series_path in args.series:
-        omega, p_prod = _load_storage_series(series_path, params)
-        if p_prod is None:
-            p_prod = storage.pto_power(omega, params)
-        heur = storage.metrics(storage.simulate_trajectory(heuristic_fn, omega, params, e0))
+        omega = _load_storage_series(series_path, params)
+        heur_traj = storage.simulate_trajectory(heuristic_fn, omega, params, e0)
+        heur = storage.metrics(heur_traj)
         opti = storage.metrics(storage.simulate_trajectory(optimized_fn, omega, params, e0))
         if heur.std_p_grid == 0.0:
             raise ValueError(f"{series_path}: the heuristic's injected power is constant, "
@@ -231,7 +231,7 @@ def cmd_compare(args) -> int:
         reduction = 100.0 * (1.0 - opti.std_p_grid / heur.std_p_grid)
         per_series.append({
             "series": str(series_path),
-            "std_no_storage": float(np.std(p_prod)),
+            "std_no_storage": float(np.std(heur_traj.p_prod)),  # the production both runs smooth
             "std_heuristic": heur.std_p_grid,
             "std_optimized": opti.std_p_grid,
             "reduction_vs_heuristic_pct": reduction,

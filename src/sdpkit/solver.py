@@ -62,8 +62,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import ndtri
 
 from .grids import (
     GridFunction,
@@ -144,6 +142,8 @@ def discretize_noise(std: float, n_nodes: int) -> DiscreteNoise:
         raise ValueError(f"need at least one node, got {n_nodes}")
     if std == 0.0 or n_nodes == 1:
         return DiscreteNoise(np.zeros(n_nodes), np.full(n_nodes, 1.0 / n_nodes))
+    # Imported here, so that simulate and compare, which never solve, start without SciPy.
+    from scipy.special import ndtri
 
     edges = ndtri(np.arange(n_nodes + 1) / n_nodes)  # edges[0], edges[-1] infinite
     pdf = np.exp(-0.5 * np.square(edges)) / _SQRT_2PI  # exp(-inf) -> 0 at the tails
@@ -253,9 +253,11 @@ class SolveReport:
     sweep cap and ``evaluation_span_ratio`` gives its final span over
     that tolerance.  Per improvement sweep,
     ``bracket_history`` holds (min(Tv - v), max(Tv - v)), which brackets
-    the optimal average cost J* of the gridded problem.  Per improvement
-    step, ``evaluation_seconds`` and ``improvement_seconds`` hold the wall
-    times of both halves (value iteration: the whole run, and 0).  Every
+    the optimal average cost J* of the gridded problem.
+    ``lookahead_seconds`` is the wall time of the solve's one lookahead
+    build.  Per improvement step, ``evaluation_seconds`` and
+    ``improvement_seconds`` hold the wall times of both halves (value
+    iteration: every sweep after the build, and 0).  Every
     field but ``value`` and ``policy`` goes into the JSON report, in
     declaration order.  Relative iteration anchors ``value`` at node 0.
     """
@@ -272,6 +274,7 @@ class SolveReport:
     avg_cost_history: list[float]
     policy_change_history: list[float]
     residual_history: list[float]
+    lookahead_seconds: float
     evaluation_seconds: list[float]
     improvement_seconds: list[float]
 
@@ -367,6 +370,7 @@ def _require_equal(a: np.ndarray, b: np.ndarray, grid: RectGrid, first_node: int
 
 def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig) -> _Lookahead:
     """The lookahead of ``problem`` on ``grid``: post-decision if declared, after checking the split."""
+    import scipy.sparse as sp  # imported here: see discretize_noise
     c = problem.controlled_dims
     if not 0 <= c < grid.dim:
         raise ValueError(f"controlled_dims must lie in [0, grid dimension {grid.dim}), got {c}")
@@ -522,6 +526,7 @@ def _fixed_policy_operator(look: _Lookahead, policy, threads: int):
     A node's control is the candidate nearest the stored policy; its row holds the noise-weighted
     stencils of its successors (it sums to 1), so a block of plane nodes reads only its rows of G.
     """
+    import scipy.sparse as sp  # imported here: see discretize_noise
     n = look.grid.size
     nodes_xy = look.grid.all_nodes
     stored = np.stack([p.values for p in policy], axis=1)  # (n, d)
@@ -638,8 +643,9 @@ def policy_iteration(
     eval_converged: list[bool] = []
     eval_span_ratio: list[float] = []
     brackets: list[tuple[float, float]] = []
+    start = time.perf_counter()
+    look = _policy_lookahead(current, problem, config)
     clock = [time.perf_counter()]  # before and after each evaluation and improvement
-    look = _policy_lookahead(current, problem, config)  # timed with the first evaluation
     converged = False
     evaluation = None
     for _ in range(config.max_improvements):
@@ -672,6 +678,7 @@ def policy_iteration(
         evaluation_converged=eval_converged,
         evaluation_span_ratio=eval_span_ratio,
         bracket_history=brackets,
+        lookahead_seconds=clock[0] - start,
         evaluation_seconds=np.diff(clock)[0::2].tolist(),
         improvement_seconds=np.diff(clock)[1::2].tolist(),
     )
@@ -691,6 +698,7 @@ def value_iteration(
     config = config or SolverConfig()
     start = time.perf_counter()
     look = _lookahead(grid, problem, config)
+    built = time.perf_counter()
     controls = bracket = None
 
     def step(v: np.ndarray) -> np.ndarray:
@@ -713,7 +721,8 @@ def value_iteration(
         evaluation_converged=[converged],
         evaluation_span_ratio=[_span_ratio(residuals, anchors, config)],
         bracket_history=[bracket],
-        evaluation_seconds=[time.perf_counter() - start],
+        lookahead_seconds=built - start,
+        evaluation_seconds=[time.perf_counter() - built],
         improvement_seconds=[0.0],
     )
 

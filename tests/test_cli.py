@@ -211,8 +211,12 @@ class TestSolve:
         steps = doc["improvement_steps"]
         assert len(doc["evaluation_seconds"]) == len(doc["improvement_seconds"]) == steps
         assert all(s > 0.0 for s in doc["evaluation_seconds"] + doc["improvement_seconds"])
+        assert isinstance(doc["lookahead_seconds"], float) and doc["lookahead_seconds"] > 0.0
         timing = [line for line in capsys.readouterr().out.splitlines() if "ms per sweep" in line]
         assert len(timing) == 1 and timing[0].startswith("evaluation ")
+        ms_per_sweep = 1e3 * sum(doc["evaluation_seconds"]) / sum(doc["sweeps_per_evaluation"])
+        assert timing[0].startswith(f"evaluation {ms_per_sweep:.3g} ms per sweep")
+        assert timing[0].endswith(f"lookahead build {doc['lookahead_seconds']:.3g} s")
 
     def test_report_records_each_evaluation_and_bracket(self, tiny_solution):
         doc = json.loads((tiny_solution / "solution_report.json").read_text())
@@ -367,6 +371,24 @@ class TestCompare:
         doc = json.loads(out.read_text())
         assert "reduction_vs_heuristic_pct" in doc["series"][0]
 
+    def test_std_no_storage_uses_the_production_of_the_closed_loop(self, tmp_path):
+        """A series generated with another --beta keeps its p_prod column, which compare ignores."""
+        series = tmp_path / "beta2e6.csv"
+        assert run_cli("generate", "--n", "400", "--seed", "3", "--beta", "2e6", "--out", str(series)) == 0
+        _, omega, stored = storage.load_series(series)
+        docs = {}
+        for beta in ("4.4e6", "2e6"):
+            out = tmp_path / f"cmp{beta}.json"
+            assert run_cli("compare", "--policy", "heuristic", "--series", str(series), "--beta", beta,
+                           "--out", str(out)) == 0
+            docs[beta] = json.loads(out.read_text())["series"][0]
+            production = storage.pto_power(omega, storage.StorageParams(beta=float(beta)))
+            assert docs[beta]["std_no_storage"] == float(np.std(production))
+        # at the series' own beta the stored column round-trips, so the figure matches it bit for bit
+        assert docs["2e6"]["std_no_storage"] == float(np.std(stored))
+        assert docs["4.4e6"]["std_no_storage"] > docs["4.4e6"]["std_heuristic"]
+        assert docs["4.4e6"]["std_no_storage"] != docs["2e6"]["std_no_storage"]
+
     def test_constant_heuristic_power_is_a_usage_error(self, tmp_path, capsys):
         calm = tmp_path / "calm.csv"
         storage.save_series(calm, np.arange(20) * 0.1, np.zeros(20))
@@ -420,16 +442,19 @@ class TestJsonWrites:
         assert files() == before
 
 
-# Runs in a fresh interpreter: solve, simulate and compare must not load the
-# SciPy modules that only fitting and generating use; generate then must.
+# Runs in a fresh interpreter: importing the CLI loads no SciPy module; solve
+# loads scipy.sparse and scipy.special; solve, simulate and compare must not
+# load the SciPy modules that only fitting and generating use; generate then must.
 START_UP_SCRIPT = """
 import sys
 from sdpkit import cli
 
 work, series, *grid = sys.argv[1:]
+assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
 fit_only = ("scipy.signal", "scipy.optimize", "scipy.linalg", "scipy.stats")
 policy = f"{work}/solution_policy_u0.gridfn"
 assert cli.main(["solve", "--out-dir", work, *grid]) == 0
+assert "scipy.sparse" in sys.modules and "scipy.special" in sys.modules
 assert cli.main(["simulate", "--policy", policy, "--series", series, "--out", f"{work}/t.csv"]) == 0
 assert cli.main(["compare", "--policy", policy, "--series", series]) == 0
 loaded = [name for name in fit_only if name in sys.modules]
@@ -438,14 +463,33 @@ assert cli.main(["generate", "--n", "20", "--out", f"{work}/g.csv"]) == 0
 assert "scipy.signal" in sys.modules
 """
 
+# Runs in a fresh interpreter: simulate and compare on a saved policy load no SciPy module at all.
+NO_SCIPY_SCRIPT = """
+import sys
+from sdpkit import cli
+
+work, series, policy = sys.argv[1:]
+assert cli.main(["simulate", "--policy", policy, "--series", series, "--out", f"{work}/t.csv"]) == 0
+assert cli.main(["compare", "--policy", policy, "--series", series, "--out", f"{work}/c.json"]) == 0
+loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+assert not loaded, f"loaded without solving or fitting: {loaded}"
+"""
+
+
+def run_fresh(script: str, *argv) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
 
 class TestStartUpImports:
     def test_solve_simulate_compare_load_no_fit_only_scipy_module(self, speed_csv, tmp_path):
-        src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.run(
-            [sys.executable, "-c", START_UP_SCRIPT, str(tmp_path), str(speed_csv), *TINY_GRID],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
-        )
+        proc = run_fresh(START_UP_SCRIPT, str(tmp_path), str(speed_csv), *TINY_GRID)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_simulate_and_compare_load_no_scipy_module(self, tiny_solution, speed_csv, tmp_path):
+        proc = run_fresh(NO_SCIPY_SCRIPT, str(tmp_path), str(speed_csv),
+                         str(tiny_solution / "solution_policy_u0.gridfn"))
         assert proc.returncode == 0, proc.stderr
 
 

@@ -7,6 +7,7 @@ import math
 import re
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -719,10 +720,24 @@ class TestBlockParallelEvaluation:
             report = solver.policy_iteration(problem, policy, config)
             assert len(report.evaluation_seconds) == len(report.improvement_seconds) == report.improvement_steps
             assert all(s > 0.0 for s in report.evaluation_seconds + report.improvement_seconds)
+            assert isinstance(report.lookahead_seconds, float) and report.lookahead_seconds > 0.0
             runs.append((report.value.values.tobytes(), report.policy[0].values.tobytes(),
                          report.residual_history, report.avg_cost_history, report.bracket_history,
                          report.policy_change_history, report.evaluation_span_ratio))
         assert runs[0] == runs[1]
+
+    def test_lookahead_build_is_timed_apart_from_the_first_evaluation(self, monkeypatch):
+        problem, grid, policy = storage_split_case(4, 5, 7)
+        build = solver._lookahead
+
+        def slow_build(*args):
+            time.sleep(0.2)
+            return build(*args)
+
+        monkeypatch.setattr(solver, "_lookahead", slow_build)
+        config = SolverConfig(eval_max_sweeps=5, max_improvements=1)
+        for report in (solver.policy_iteration(problem, policy, config), solver.value_iteration(problem, grid, config)):
+            assert report.lookahead_seconds >= 0.2 > report.evaluation_seconds[0]
 
     @pytest.mark.parametrize("failing", ["one block", "every block"])
     def test_divergence_in_a_block_reaches_the_caller(self, failing, monkeypatch):
@@ -822,7 +837,8 @@ class TestSaveReport:
 
         assert doc["evaluation_converged"] == report.evaluation_converged
         assert doc["bracket_history"] == [list(b) for b in report.bracket_history]
-        # value iteration times its whole run as one evaluation, with no separate improvement
+        # value iteration times its lookahead build, then every sweep as one evaluation, with no separate improvement
+        assert doc["lookahead_seconds"] == report.lookahead_seconds > 0.0
         assert doc["evaluation_seconds"] == report.evaluation_seconds and len(report.evaluation_seconds) == 1
         assert doc["improvement_seconds"] == report.improvement_seconds == [0.0]
 
