@@ -386,9 +386,12 @@ def load_grid_function(path) -> GridFunction:
         raise ValueError(f"{path}: metadata is not a JSON object")
     if meta.get("format") != GRIDFN_FORMAT:
         raise ValueError(f"{path} is not a grid function file (format={meta.get('format')!r})")
-    missing = [key for key in ("axes", "payload", "value_count") if key not in meta]
+    missing = [key for key in ("axes", "payload", "value_count", "dtype", "order") if key not in meta]
     if missing:
         raise ValueError(f"{path} lacks the field(s) {', '.join(missing)}")
+    for key, written in (("dtype", "<f8"), ("order", "row-major")):
+        if meta[key] != written:
+            raise ValueError(f"{path}: {key} {meta[key]!r} is not {written!r}")
     name = meta["payload"]
     # the payload must sit next to its metadata file: a plain name, no path
     if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:

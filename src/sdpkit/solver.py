@@ -16,14 +16,16 @@ stage.  Convergence is measured in the span seminorm (max - min) of the
 sweep increment, which is invariant under the anchoring shift.
 
 Both the improvement and the evaluation sweep go through one lookahead,
-built once per solve.  It holds the node spans (chunks) that every
-sweep runs, and it first maps the value table h to a table G of
+built once per solve.  It fixes one row order for every sweep, y-major
+(plane node, then controlled node), and holds the row spans (chunks)
+that every sweep runs.  It first maps the value table h to a table G of
 expected values, then reads each (node, control) pair as its expected
 stage cost plus the noise-weighted sum of successor stencils into G,
 each clipped to its corner values.  Policy evaluation exploits that the
 stage costs and stencils are fixed while the policy is fixed: they are
 assembled once into a sparse row-stochastic matrix M, and each sweep is
-h -> cost + M G(h).  The lookahead takes one of two shapes:
+h -> cost + M G(h).  Grid order appears only where a GridFunction comes
+in or goes out.  The lookahead takes one of two shapes:
 
 - Generic (``controlled_dims == 0``): a one-node plane whose operator is
   the 1x1 identity, so G = h, and the stencils of every noise node's
@@ -34,8 +36,8 @@ h -> cost + M G(h).  The lookahead takes one of two shapes:
   of the control and of z.  The noise expectation then factors through
   the plane operator P_x on the exogenous sub-grid (row y holds the
   noise-weighted stencils of y's successors, built once from one
-  controlled-axis slice): G = H P_x^T, with H the value table shaped
-  (z, y), gives E_w h(z', y'(y, w)) = interp_z(G[:, y], z').  So a
+  controlled-axis slice): G = P_x H, with H the value table shaped
+  (y, z), gives E_w h(z', y'(y, w)) = interp_z(G[y], z').  So a
   single successor per (node, control), with its stencil on the
   controlled sub-grid, stands for all noise nodes.  The lookahead's
   build checks the declared split on every node (see :class:`ControlProblem`).
@@ -43,11 +45,12 @@ h -> cost + M G(h).  The lookahead takes one of two shapes:
 Determinism: identical inputs and configuration give bit-identical
 results regardless of the `threads` setting.  Improvement sweeps run
 chunks of a thread-independent size, each node's reduction in a fixed
-order.  Policy evaluation keeps its iterate y-major, in the (plane node,
-controlled node) order of G, and each of ``min(threads, n_y)`` threads
-sweeps one block of plane nodes with the arithmetic of the whole sweep
-(see :func:`_relative_iteration`).  Problem callbacks must be pure and
-thread-safe; node computations may run concurrently.
+order.  Policy evaluation gives each of ``min(threads, n_y)`` threads
+one block of plane nodes, a contiguous span of rows, and sweeps it with
+the arithmetic of the whole sweep (see :func:`_relative_iteration`).
+When several nodes fail one check, its error names the first in row
+order.  Problem callbacks must be pure and thread-safe; node
+computations may run concurrently.
 """
 
 from __future__ import annotations
@@ -288,10 +291,10 @@ def _run_chunks(spans, worker, threads: int) -> None:
             list(pool.map(lambda s: worker(*s), spans))
 
 
-def _successors(problem: ControlProblem, grid: RectGrid, x, u, w, first_node: int, k: int):
+def _successors(problem: ControlProblem, grid: RectGrid, x, u, w, nodes: np.ndarray, k: int):
     """Next states (m, n) and stage costs (m,) at the m points x (m, n), u, w.
 
-    Point i belongs to grid node ``first_node + i // k``.  An output of
+    Point i belongs to grid node ``nodes[i // k]``.  An output of
     the wrong shape, or the first non-finite one, raises ValueError.
     """
     m = x.shape[0]
@@ -302,27 +305,33 @@ def _successors(problem: ControlProblem, grid: RectGrid, x, u, w, first_node: in
     if cost.shape != (m,):
         raise ValueError(f"stage_cost returned shape {cost.shape}, expected {(m,)}")
     for what, out in (("dynamics output", xn), ("stage cost", cost)):
-        if not np.isfinite(out).all():
-            bad = ~np.isfinite(out.reshape(m, -1)).all(axis=1)
-            node = first_node + int(np.argmax(bad)) // k
-            raise ValueError(f"{what} is not finite at grid node {node} {node_coordinates(grid, node)}")
+        _require(np.isfinite(out).reshape(m // k, -1), grid, nodes, f"{what} is not finite")
     return xn, cost
+
+
+def _require(ok: np.ndarray, grid: RectGrid, nodes: np.ndarray, what: str) -> None:
+    """ValueError ``what`` at grid node ``nodes[i]``, i the first row of ``ok`` that is not all true."""
+    if not ok.all():
+        node = int(nodes[int(np.argmin(ok.reshape(ok.shape[0], -1).all(axis=1)))])
+        raise ValueError(f"{what} at grid node {node} {node_coordinates(grid, node)}")
 
 
 @dataclass(frozen=True)
 class _Lookahead:
     """The one-stage lookahead of ``problem`` on ``grid``, generic or post-decision: a solve's derived state.
 
-    Successor stencils live on ``inner`` (the whole grid, or the
-    controlled sub-grid) and index the table G = ``expect(h)``.  ``n_y``
-    is the exogenous plane size (1 when generic): node i sits at inner
-    node i // n_y and plane node i % n_y.  ``operator`` is the plane
-    operator P_x (the 1x1 identity when generic).  ``noise`` holds the
-    noise nodes whose successors are visited: all of them, or,
-    post-decision, the first with weight 1, since P_x already took the
-    expectation.  ``chunks`` holds the node spans every sweep runs, about
-    ``CHUNK_POINTS`` (node, candidate, visited noise node) points each,
-    and ``width`` the candidates' width d.
+    Every sweep runs over the same rows, y-major: row y * inner.size + z
+    holds plane node y at controlled node z, which is grid node
+    ``order[row]`` at ``nodes[row]``.  Successor stencils live on
+    ``inner`` (the whole grid, or the controlled sub-grid) and index the
+    table G = ``expect(h)``, whose rows are in that order too.  ``n_y``
+    is the exogenous plane size (1 when generic, so rows are grid
+    nodes).  ``operator`` is the plane operator P_x (the 1x1 identity
+    when generic).  ``noise`` holds the noise nodes whose successors are
+    visited: all of them, or, post-decision, the first with weight 1,
+    since P_x already took the expectation.  ``chunks`` holds the row
+    spans every sweep runs, about ``CHUNK_POINTS`` (node, candidate,
+    visited noise node) points each, and ``width`` the candidates' width d.
     """
 
     grid: RectGrid
@@ -333,39 +342,34 @@ class _Lookahead:
     noise: DiscreteNoise
     chunks: list[tuple[int, int]]
     width: int
-
-    def row(self, nodes):
-        """Row of grid node(s) ``nodes`` in y-major (plane node, inner node) order."""
-        return nodes % self.n_y * self.inner.size + nodes // self.n_y
+    order: np.ndarray
+    nodes: np.ndarray
 
     def expect(self, h: np.ndarray) -> np.ndarray:
-        """G = H P_x^T for the value table H (z, y), flat in (y, z) order."""
-        return np.ascontiguousarray(self.operator @ h.reshape(self.inner.size, self.n_y).T).reshape(-1)
+        """G = P_x H for the value table H (y, z), flat in row order."""
+        return (self.operator @ h.reshape(self.n_y, -1)).reshape(-1)
 
-    def successors(self, x, u, first_node: int, k: int):
+    def successors(self, x, u, first_row: int, k: int):
         """Expected stage cost (m,) and, per noise node, its stencil: (indices into G, weights).
 
-        Point i belongs to grid node ``first_node + i // k``.
+        Point i belongs to row ``first_row + i // k``.
         """
         m = x.shape[0]
-        offset = (first_node + np.arange(m) // k) % self.n_y * self.inner.size
+        offset = (first_row + np.arange(m) // k) // self.inner.size * self.inner.size  # its plane node's first row
         cost = np.zeros(m)
         stencils = []
         for wval, wprob in zip(self.noise.nodes, self.noise.weights):
-            xn, stage = _successors(self.problem, self.grid, x, u, np.full(m, wval), first_node, k)
+            xn, stage = _successors(self.problem, self.grid, x, u, np.full(m, wval), self.order[first_row:], k)
             cost += wprob * stage
             flat, wts = interpolation_stencil(self.inner, xn[:, : self.inner.dim])
             stencils.append((offset[:, None] + flat, wts))
         return cost, stencils
 
-
-def _require_equal(a: np.ndarray, b: np.ndarray, grid: RectGrid, first_node: int, what: str) -> None:
-    bad = a != b
-    if bad.ndim == 2:
-        bad = bad.any(axis=1)
-    if bad.any():
-        node = first_node + int(np.argmax(bad))
-        raise ValueError(f"{what} at grid node {node} {node_coordinates(grid, node)}")
+    def grid_function(self, rows: np.ndarray) -> GridFunction:
+        """The GridFunction holding ``rows[r]`` at grid node ``order[r]``."""
+        values = np.empty(self.grid.size)
+        values[self.order] = rows
+        return GridFunction(self.grid, values)
 
 
 def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig) -> _Lookahead:
@@ -374,24 +378,26 @@ def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig) ->
     c = problem.controlled_dims
     if not 0 <= c < grid.dim:
         raise ValueError(f"controlled_dims must lie in [0, grid dimension {grid.dim}), got {c}")
-    k, width = problem.candidate_array(grid.all_nodes[:1]).shape[1:]
+    inner = RectGrid(grid.axes[:c]) if c else grid
+    n_y = grid.size // inner.size
+    order = np.arange(grid.size).reshape(inner.size, n_y).T.reshape(-1)
+    nodes = grid.all_nodes[order]
+    k, width = problem.candidate_array(nodes[:1]).shape[1:]
     noise = problem.noise
     visited = DiscreteNoise(noise.nodes[:1], [1.0]) if c else noise
     step = max(1, CHUNK_POINTS // (k * visited.n))
     chunks = [(a, min(a + step, grid.size)) for a in range(0, grid.size, step)]
     if c == 0:
-        return _Lookahead(grid, problem, grid, 1, sp.identity(1, format="csr"), noise, chunks, width)
-    inner, plane = RectGrid(grid.axes[:c]), RectGrid(grid.axes[c:])
-    n_y = plane.size
-    nodes_xy = grid.all_nodes
-    slice0 = nodes_xy[:n_y]
+        return _Lookahead(grid, problem, grid, 1, sp.identity(1, format="csr"), noise, chunks, width, order, nodes)
+    plane = RectGrid(grid.axes[c:])
+    slice0 = np.ascontiguousarray(nodes[:: inner.size])  # controlled node 0: grid nodes 0 .. n_y - 1
     u0 = np.ascontiguousarray(problem.candidate_array(slice0)[:, 0])
     ncorner = 1 << plane.dim
     indices = np.empty((n_y, noise.n * ncorner), dtype=np.int64)
     data = np.empty((n_y, noise.n * ncorner))
     exogenous = []
     for l, (wval, wprob) in enumerate(zip(noise.nodes, noise.weights)):
-        xn, _ = _successors(problem, grid, slice0, u0, np.full(n_y, wval), 0, 1)
+        xn, _ = _successors(problem, grid, slice0, u0, np.full(n_y, wval), order[:: inner.size], 1)
         exogenous.append(xn[:, c:])
         flat, wts = interpolation_stencil(plane, xn[:, c:])
         indices[:, l * ncorner : (l + 1) * ncorner] = flat
@@ -400,40 +406,39 @@ def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig) ->
     declared = f"controlled_dims={c} declares otherwise"
 
     def check(a: int, b: int) -> None:
-        xc = nodes_xy[a:b]
+        xc, at = nodes[a:b], order[a:b]
         cand = problem.candidate_array(xc)
-        y = np.arange(a, b) % n_y
+        y = np.arange(a, b) // inner.size
         for j in (0, -1):
             u = np.ascontiguousarray(cand[:, j])
-            (x0, c0), (x1, c1) = (_successors(problem, grid, xc, u, np.full(b - a, w), a, 1) for w, _ in ends)
-            _require_equal(x0[:, :c], x1[:, :c], grid, a,
-                           f"dynamics: the controlled components depend on the noise ({declared})")
-            _require_equal(c0, c1, grid, a, f"stage_cost depends on the noise ({declared})")
+            (x0, c0), (x1, c1) = (_successors(problem, grid, xc, u, np.full(b - a, w), at, 1) for w, _ in ends)
+            _require(x0[:, :c] == x1[:, :c], grid, at,
+                     f"dynamics: the controlled components depend on the noise ({declared})")
+            _require(c0 == c1, grid, at, f"stage_cost depends on the noise ({declared})")
             for xn, (_, ref) in zip((x0, x1), ends):
-                _require_equal(xn[:, c:], ref[y], grid, a,
-                               "dynamics: the exogenous components depend on the control "
-                               f"or the controlled state ({declared})")
+                _require(xn[:, c:] == ref[y], grid, at,
+                         "dynamics: the exogenous components depend on the control "
+                         f"or the controlled state ({declared})")
 
     _run_chunks(chunks, check, config.threads)
     indptr = np.arange(n_y + 1, dtype=np.int64) * indices.shape[1]
     operator = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(n_y, n_y))
     operator.sum_duplicates()  # noise nodes often share stencil corners: about half the entries
-    return _Lookahead(grid, problem, inner, n_y, operator, visited, chunks, width)
+    return _Lookahead(grid, problem, inner, n_y, operator, visited, chunks, width, order, nodes)
 
 
 def _min_sweep(look: _Lookahead, values: np.ndarray, threads: int):
-    """One minimising sweep of the value table v (N,) over all nodes.
+    """One minimising sweep of the value table v (N,) over all rows, both in row order.
 
-    Returns the un-anchored swept values Tv (N,), the greedy controls (N, d)
-    and the bracket (min(Tv - v), max(Tv - v)).
+    Returns the un-anchored swept values Tv (N,), the greedy policy (one GridFunction
+    per control component) and the bracket (min(Tv - v), max(Tv - v)).
     """
-    nodes_xy = look.grid.all_nodes
     raw = np.empty(look.grid.size)
-    controls = np.empty((look.grid.size, look.width))
+    controls = np.empty((look.width, look.grid.size))
     g = look.expect(values)
 
     def worker(a: int, b: int) -> None:
-        xc = nodes_xy[a:b]
+        xc = look.nodes[a:b]
         cand = look.problem.candidate_array(xc)
         mc, k, _ = cand.shape
         u_rep = cand.reshape(mc * k, -1)
@@ -444,15 +449,11 @@ def _min_sweep(look: _Lookahead, values: np.ndarray, threads: int):
         best = np.argmin(q, axis=1)
         rows = np.arange(mc)
         raw[a:b] = q[rows, best]
-        controls[a:b] = cand[rows, best]
+        controls[:, a:b] = cand[rows, best].T
 
     _run_chunks(look.chunks, worker, threads)
     gain = raw - values
-    return raw, controls, (float(gain.min()), float(gain.max()))
-
-
-def _policy_functions(grid: RectGrid, controls: np.ndarray) -> tuple[GridFunction, ...]:
-    return tuple(GridFunction(grid, controls[:, j].copy()) for j in range(controls.shape[1]))
+    return raw, tuple(look.grid_function(u) for u in controls), (float(gain.min()), float(gain.max()))
 
 
 def _span_ratio(residuals: list[float], anchors: list[float], config: SolverConfig) -> float:
@@ -514,33 +515,31 @@ def bellman_sweep(
     first candidate in order.
     """
     config = config or SolverConfig()
-    grid = value.grid
-    raw, controls, _ = _min_sweep(_lookahead(grid, problem, config), value.values, config.threads)
+    look = _lookahead(value.grid, problem, config)
+    raw, policy, _ = _min_sweep(look, value.values[look.order], config.threads)
     avg = float(raw[0])
-    return GridFunction(grid, raw - avg), _policy_functions(grid, controls), avg
+    return look.grid_function(raw - avg), policy, avg
 
 
 def _fixed_policy_operator(look: _Lookahead, policy, threads: int):
-    """Stage costs (n,) and matrix M of the sweep h -> cost + M G, rows in the y-major order of G.
+    """Stage costs (n,) and matrix M of the sweep h -> cost + M G, both in the row order of G.
 
     A node's control is the candidate nearest the stored policy; its row holds the noise-weighted
     stencils of its successors (it sums to 1), so a block of plane nodes reads only its rows of G.
     """
     import scipy.sparse as sp  # imported here: see discretize_noise
     n = look.grid.size
-    nodes_xy = look.grid.all_nodes
-    stored = np.stack([p.values for p in policy], axis=1)  # (n, d)
+    stored = np.stack([p.values for p in policy], axis=1)[look.order]  # (n, d)
     indices = np.empty((n, look.noise.n, 1 << look.inner.dim), dtype=np.int64)
     data = np.empty(indices.shape)
     cost = np.empty(n)
 
     def worker(a: int, b: int) -> None:
-        cand = look.problem.candidate_array(nodes_xy[a:b])
+        cand = look.problem.candidate_array(look.nodes[a:b])
         u = cand[np.arange(b - a), np.argmin(((cand - stored[a:b, None, :]) ** 2).sum(axis=2), axis=1)]
-        rows = look.row(np.arange(a, b))
-        cost[rows], stencils = look.successors(nodes_xy[a:b], u, a, 1)
+        cost[a:b], stencils = look.successors(look.nodes[a:b], u, a, 1)
         for l, (wprob, (idx, wts)) in enumerate(zip(look.noise.weights, stencils)):
-            indices[rows, l], data[rows, l] = idx, wprob * wts
+            indices[a:b, l], data[a:b, l] = idx, wprob * wts
 
     _run_chunks(look.chunks, worker, threads)
     indptr = np.arange(n + 1, dtype=np.int64) * indices[0].size
@@ -548,7 +547,7 @@ def _fixed_policy_operator(look: _Lookahead, policy, threads: int):
 
 
 def _evaluation_block(look: _Lookahead, cost: np.ndarray, matrix: sp.csr_matrix, y0: int, y1: int):
-    """(rows, step) sweeping the rows of plane nodes y0..y1 of the y-major iterate."""
+    """(rows, step) sweeping plane nodes y0..y1 of the iterate: a contiguous span of rows."""
     rows = slice(y0 * look.inner.size, y1 * look.inner.size)
     whole = y1 - y0 == look.n_y  # a single block sweeps the operators as built, without copying them
     m, p = (matrix, look.operator) if whole else (matrix[rows, rows], look.operator[y0:y1])
@@ -596,8 +595,8 @@ def policy_evaluation(
     blocks = [_evaluation_block(look, cost, matrix, look.n_y * t // count, look.n_y * (t + 1) // count)
               for t in range(count)]
     v, anchors, residuals, converged = _relative_iteration(blocks, config)
-    return EvaluationResult(anchors[-1], GridFunction(look.grid, v.reshape(look.n_y, -1).T), len(residuals), residuals,
-                            converged, _span_ratio(residuals, anchors, config))
+    return EvaluationResult(anchors[-1], look.grid_function(v), len(residuals), residuals, converged,
+                            _span_ratio(residuals, anchors, config))
 
 
 def policy_improvement(
@@ -612,8 +611,9 @@ def policy_improvement(
     which contains the optimal average cost J*.  ``look``: as in :func:`policy_evaluation`.
     """
     config = config or SolverConfig()
-    _, controls, bracket = _min_sweep(look or _lookahead(value.grid, problem, config), value.values, config.threads)
-    return _policy_functions(value.grid, controls), bracket
+    look = look or _lookahead(value.grid, problem, config)
+    _, policy, bracket = _min_sweep(look, value.values[look.order], config.threads)
+    return policy, bracket
 
 
 def _max_policy_change(new: tuple[GridFunction, ...], old: tuple[GridFunction, ...]) -> float:
@@ -699,19 +699,19 @@ def value_iteration(
     start = time.perf_counter()
     look = _lookahead(grid, problem, config)
     built = time.perf_counter()
-    controls = bracket = None
+    policy = bracket = None
 
     def step(v: np.ndarray) -> np.ndarray:
-        nonlocal controls, bracket
-        raw, controls, bracket = _min_sweep(look, v, config.threads)
+        nonlocal policy, bracket
+        raw, policy, bracket = _min_sweep(look, v, config.threads)
         return raw
 
     blocks = [(slice(0, grid.size), step)]  # one block: the sweep is already chunk-threaded
     v, anchors, residuals, converged = _relative_iteration(blocks, config)
     return SolveReport(
         avg_cost=anchors[-1],
-        value=GridFunction(grid, v),
-        policy=_policy_functions(grid, controls),
+        value=look.grid_function(v),
+        policy=policy,
         sweeps_per_evaluation=[len(residuals)],
         improvement_steps=1,
         residual_history=residuals,

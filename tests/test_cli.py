@@ -271,8 +271,13 @@ class TestSimulate:
 
     @pytest.mark.parametrize("meta", [
         "[]",
-        '{"format": "gridfn-v1", "axes": [{"lo": 0, "n": 2}], "payload": "p.bin", "value_count": 2}',
-    ], ids=["list", "axis-without-hi"])
+        '{"format": "gridfn-v1", "axes": [{"lo": 0, "n": 2}], "payload": "p.bin", "value_count": 2, '
+        '"dtype": "<f8", "order": "row-major"}',
+        '{"format": "gridfn-v1", "axes": [{"lo": 0, "hi": 1, "n": 2}], "payload": "p.bin", "value_count": 2, '
+        '"dtype": ">f8", "order": "row-major"}',
+        '{"format": "gridfn-v1", "axes": [{"lo": 0, "hi": 1, "n": 2}], "payload": "p.bin", "value_count": 2, '
+        '"dtype": "<f8", "order": "column-major"}',
+    ], ids=["list", "axis-without-hi", "big-endian", "column-major"])
     def test_malformed_policy_file_is_a_usage_error(self, speed_csv, tmp_path, meta, capsys):
         bad = tmp_path / "bad.gridfn"
         bad.write_text(meta)

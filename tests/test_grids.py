@@ -320,7 +320,7 @@ class TestPersistence:
         with pytest.raises(ValueError, match="not a grid function"):
             grids.load_grid_function(path)
 
-    @pytest.mark.parametrize("field", ["axes", "payload", "value_count"])
+    @pytest.mark.parametrize("field", ["axes", "payload", "value_count", "dtype", "order"])
     def test_load_rejects_missing_field(self, tmp_path, field):
         path = tmp_path / "fn.gridfn"
         grids.save_grid_function(grids.GridFunction(grids.build_grid([(0, 1, 2)]), [0.0, 1.0]), path)
@@ -363,8 +363,10 @@ class TestPersistence:
         ({"axes": [{"lo": 0, "hi": 1, "n": "2"}]}, "not an integer"),
         ({"axes": [{"lo": 0, "hi": 1, "n": True}]}, "not an integer"),
         ({"axes": [{"lo": None, "hi": 1, "n": 2}]}, "not numbers"),
+        ({"dtype": ">f8"}, "dtype '>f8'"),
+        ({"order": "column-major"}, "order 'column-major'"),
     ], ids=["list", "string", "axes-object", "axis-list", "no-lo", "no-hi", "no-n",
-            "float-n", "string-n", "bool-n", "null-lo"])
+            "float-n", "string-n", "bool-n", "null-lo", "big-endian", "column-major"])
     def test_load_rejects_malformed_metadata(self, tmp_path, meta, message):
         path = tmp_path / "fn.gridfn"
         grids.save_grid_function(grids.GridFunction(grids.build_grid([(0, 1, 2)]), [0.0, 1.0]), path)

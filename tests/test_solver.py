@@ -462,6 +462,25 @@ class TestOneLookaheadPerSolve:
         assert all(args[1] is problem and args[2] is self.CONFIG for args in evaluations + improvements)
 
 
+class TestRowOrder:
+    """Every sweep visits the nodes in one row order: plane node, then controlled node."""
+
+    def test_both_phases_visit_each_energy_column_whole_in_plane_order(self, monkeypatch):
+        problem, grid, policy = storage_split_case(5, 6, 6)
+        shrink_chunks(monkeypatch, problem, grid, 7)
+        config = SolverConfig(eval_max_sweeps=5)
+        look = solver._lookahead(grid, problem, config)
+        n_e = grid.shape[0]
+        expected = grid.all_nodes.reshape(n_e, grid.size // n_e, 3).swapaxes(0, 1).reshape(-1, 3)
+        seen, candidates = [], problem.control_candidates
+        problem.control_candidates = lambda states: seen.append(states.copy()) or candidates(states)
+        evaluation = solver.policy_evaluation(policy, problem, config, look)
+        built, seen[:] = np.concatenate(seen), []
+        solver.policy_improvement(evaluation.value, problem, config, look)
+        assert np.array_equal(built, expected)
+        assert np.array_equal(np.concatenate(seen), expected)
+
+
 class TestValueIterationSweeps:
     """Value iteration is the fold of :func:`solver.bellman_sweep` from a zero value."""
 
@@ -649,18 +668,20 @@ class TestPostDecisionSplit:
         solver.bellman_sweep(value, dataclasses.replace(problem, controlled_dims=0))
 
     def test_violation_on_a_single_node_is_found(self):
-        # slice 0 is clean, so only the all-node check can catch this
+        # slice 0 is clean, so only the all-node check can catch this; node 95 sits in y-major row 93
         base, grid = split_problem()
+        for bad in (grid.size - 1, 95):
+            at = grids.node_coordinates(grid, bad)
 
-        def dynamics(x, u, w):
-            out = base.dynamics(x, u, w)
-            out[(x[:, 0] == 1.0) & (x[:, 1] == 1.0) & (x[:, 2] == 2.0), 2] += u[0, 0] + 1.0
-            return out
+            def dynamics(x, u, w, at=at):
+                out = base.dynamics(x, u, w)
+                out[np.all(x == at, axis=1), 2] += u[0, 0] + 1.0
+                return out
 
-        problem, _ = split_problem(dynamics=dynamics)
-        value = grids.GridFunction(grid, np.zeros(grid.size))
-        with pytest.raises(ValueError, match=f"node {grid.size - 1} "):
-            solver.bellman_sweep(value, problem)
+            problem, _ = split_problem(dynamics=dynamics)
+            value = grids.GridFunction(grid, np.zeros(grid.size))
+            with pytest.raises(ValueError, match=f"node {bad} "):
+                solver.bellman_sweep(value, problem)
 
     @pytest.mark.parametrize("controlled_dims", [-1, 3])
     def test_controlled_dims_must_leave_an_exogenous_axis(self, controlled_dims):
@@ -763,7 +784,10 @@ class TestBlockParallelEvaluation:
             solver.policy_evaluation(policy, problem, SolverConfig(eval_tol=1e-300, threads=3))
         assert threading.active_count() == before
 
-    def test_non_finite_successor_names_the_node_while_the_operator_is_built(self, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("sweep", ["policy_evaluation", "policy_improvement", "bellman_sweep"])
+    def test_non_finite_successor_names_the_node_while_the_operator_is_built(self, monkeypatch, sweep, threads):
+        """The evaluation's operator build and the improvement's minimisation name the grid node, not the row."""
         base, grid = split_problem()
         bad = 2 * 5 * 7 + 3 * 7 + 4  # z = (2, 3), y = 4: node 95 sits in y-major row 4 * 20 + 13 = 93
 
@@ -775,11 +799,11 @@ class TestBlockParallelEvaluation:
 
         problem, _ = split_problem(dynamics=dynamics)
         shrink_chunks(monkeypatch, problem, grid, 11)
-        policy = (grids.GridFunction(grid, np.zeros(grid.size)),)
+        value = grids.GridFunction(grid, np.zeros(grid.size))
         coordinates = re.escape(str(grids.node_coordinates(grid, bad)))
-        for threads in (1, 2):
-            with pytest.raises(ValueError, match=f"^dynamics output is not finite at grid node {bad} {coordinates}"):
-                solver.policy_evaluation(policy, problem, SolverConfig(threads=threads))
+        with pytest.raises(ValueError, match=f"^dynamics output is not finite at grid node {bad} {coordinates}"):
+            getattr(solver, sweep)((value,) if sweep == "policy_evaluation" else value, problem,
+                                   SolverConfig(threads=threads))
 
 
 class TestBracket:
