@@ -56,13 +56,10 @@ def _storage_params(args) -> storage.StorageParams:
                                  dt=args.dt, beta=args.beta)
 
 
-def _load_model(path: str | None, dt: float) -> armodel.ARModel:
+def _load_model(path: str | None) -> armodel.ARModel:
     if path is None:
-        model = storage.bundled_speed_model()
-    else:
-        model, _ = armodel.load_ar_model(path)
-    if abs(model.dt - dt) > 1e-12 * max(model.dt, dt):
-        raise ValueError(f"model timestep {model.dt} != requested timestep {dt}")
+        return storage.bundled_speed_model()
+    model, _ = armodel.load_ar_model(path)
     return model
 
 
@@ -80,17 +77,16 @@ def _series_dt(t: np.ndarray) -> float:
 
 
 def cmd_generate(args) -> int:
-    params = _storage_params(args)
-    model = _load_model(args.model, args.dt)
+    model = _load_model(args.model)
     omega = armodel.simulate(model, args.n, args.seed, args.burn_in)
     t = np.arange(args.n) * model.dt
-    storage.save_series(args.out, t, omega, storage.pto_power(omega, params))
+    storage.save_series(args.out, t, omega)
     print(f"wrote {args.n} steps ({args.n * model.dt:.1f} s) to {args.out}")
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
-    t, omega, _ = storage.load_series(args.series)
+    t, omega = storage.load_series(args.series)
     dt = _series_dt(t)
     if dt <= 0.0:
         raise ValueError("need at least two samples to infer the timestep")
@@ -131,7 +127,7 @@ def _write_policy_slices(policy: grids.GridFunction, path: Path, n_levels: int) 
 
 def cmd_solve(args) -> int:
     params = _storage_params(args)
-    model = _load_model(args.model, args.dt)
+    model = _load_model(args.model)
     problem = storage.build_problem(model, params, n_noise=args.noise_nodes,
                                     n_controls=args.n_controls)
     grid = storage.default_state_grid(model, params, n_e=args.n_e,
@@ -169,32 +165,25 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _load_storage_policy(path: str, params: storage.StorageParams) -> grids.GridFunction:
-    policy = grids.load_grid_function(path)
-    if policy.grid.dim != 3:
-        raise ValueError(
-            f"policy grid has {policy.grid.dim} axes; the storage state (e_sto, omega, accel) needs 3"
-        )
+def _policy_fn(spec: str, params: storage.StorageParams):
+    if spec == "heuristic":
+        return storage.heuristic_policy_fn(params)
+    policy = grids.load_grid_function(spec)
+    law = storage.grid_policy_fn(policy)  # rejects a table without 3 axes
     e_axis = policy.grid.axes[0]
     if abs(e_axis.lo) > 1e-9 * params.e_rated or abs(e_axis.hi - params.e_rated) > 1e-9 * params.e_rated:
         raise ValueError(
             f"policy energy axis [{e_axis.lo}, {e_axis.hi}] does not match e_rated={params.e_rated}"
         )
-    return policy
-
-
-def _policy_fn(spec: str, params: storage.StorageParams):
-    if spec == "heuristic":
-        return storage.heuristic_policy_fn(params)
-    return storage.grid_policy_fn(_load_storage_policy(spec, params))
+    return law
 
 
 def _load_storage_series(series_path, params: storage.StorageParams):
     """Speed column of a series sampled at the storage timestep; runs derive production from it."""
-    t, omega, _ = storage.load_series(series_path)
+    t, omega = storage.load_series(series_path)
     dt = _series_dt(t)
-    if dt > 0.0 and abs(dt - params.dt) > 1e-9 * params.dt:
-        raise ValueError(f"series timestep {dt} != storage timestep {params.dt}")
+    if dt > 0.0:
+        storage.require_storage_timestep(dt, params, "series")
     return omega
 
 
@@ -262,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument("--burn-in", type=int, default=None,
                    help="warm-up steps to discard (default: 10 characteristic times)")
-    p.add_argument("--out", required=True, help="output CSV path")
-    _add_storage_flags(p)
+    p.add_argument("--out", required=True, help="output CSV path (columns t,omega)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("fit", help="fit an AR model to a speed series")

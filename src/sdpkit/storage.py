@@ -50,6 +50,8 @@ __all__ = [
     "feasible_interval",
     "default_state_grid",
     "heuristic_policy_on_grid",
+    "TIMESTEP_RTOL",
+    "require_storage_timestep",
     "build_problem",
     "grid_policy_fn",
     "heuristic_policy_fn",
@@ -64,6 +66,9 @@ __all__ = [
 
 # Span of the speed/accel grid axes, in stationary standard deviations.
 GRID_SIGMA_SPAN = 4.0
+
+# Relative tolerance within which a model's or a series' timestep is the storage timestep.
+TIMESTEP_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,12 @@ class StorageParams:
     @property
     def leveling_speed(self) -> float:
         return math.sqrt(self.p_max / self.beta)
+
+
+def require_storage_timestep(dt: float, params: StorageParams, source: str) -> None:
+    """Raise ValueError unless ``dt`` is the storage timestep to within TIMESTEP_RTOL."""
+    if not abs(dt - params.dt) <= TIMESTEP_RTOL * params.dt:
+        raise ValueError(f"{source} timestep {dt} != storage timestep {params.dt}")
 
 
 def bundled_speed_model() -> ARModel:
@@ -174,8 +185,7 @@ def build_problem(
     """
     if model.p != 2:
         raise ValueError(f"the storage problem needs an AR(2) speed model, got order {model.p}")
-    if model.dt != params.dt:
-        raise ValueError(f"model timestep {model.dt} != storage timestep {params.dt}")
+    require_storage_timestep(model.dt, params, "model")
     if n_controls < 2:
         raise ValueError(f"need at least 2 control levels, got {n_controls}")
     ss = to_state_space(model)
@@ -387,18 +397,13 @@ def write_csv(path, block, header: str) -> None:
         [header + "\n"], (row * len(part) % tuple(part.ravel().tolist()) for part in parts))))
 
 
-def save_series(path, t, omega, p_prod=None) -> None:
-    """Write a speed series as CSV with header ``t,omega[,p_prod]``."""
+def save_series(path, t, omega) -> None:
+    """Write a speed series as CSV with header ``t,omega``."""
     t = np.asarray(t, dtype=np.float64).reshape(-1)
     omega = np.asarray(omega, dtype=np.float64).reshape(-1)
-    cols = [t, omega]
-    header = "t,omega"
-    if p_prod is not None:
-        cols.append(np.asarray(p_prod, dtype=np.float64).reshape(-1))
-        header += ",p_prod"
-    if any(c.size != t.size for c in cols):
+    if omega.size != t.size:
         raise ValueError("series columns must have equal length")
-    write_csv(path, np.column_stack(cols), header)
+    write_csv(path, np.column_stack([t, omega]), "t,omega")
 
 
 def _read_csv(path, required: tuple[str, ...]):
@@ -417,10 +422,10 @@ def _read_csv(path, required: tuple[str, ...]):
     return {name: data[:, i] for i, name in enumerate(names)}
 
 
-def load_series(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Read a speed series CSV; returns (t, omega, p_prod-or-None)."""
+def load_series(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a speed series CSV; returns (t, omega) and ignores any other column."""
     cols = _read_csv(path, required=("t", "omega"))
-    return cols["t"], cols["omega"], cols.get("p_prod")
+    return cols["t"], cols["omega"]
 
 
 TRAJECTORY_COLUMNS = ("t", "omega", "accel", "p_prod", "p_grid", "p_sto", "e_sto")

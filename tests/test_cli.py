@@ -24,13 +24,27 @@ def speed_csv(tmp_path):
     return path
 
 
+def with_production_column(series: Path, out: Path) -> Path:
+    """The series as older versions wrote it: a third column of production at the default storage."""
+    t, omega = storage.load_series(series)
+    p_prod = storage.pto_power(omega, storage.StorageParams())
+    storage.write_csv(out, np.column_stack([t, omega, p_prod]), "t,omega,p_prod")
+    return out
+
+
 class TestGenerate:
-    def test_writes_production_column(self, speed_csv):
-        t, omega, p_prod = storage.load_series(speed_csv)
-        assert t.size == omega.size == p_prod.size == 400
+    def test_writes_time_and_speed_only(self, speed_csv):
+        assert speed_csv.read_text().splitlines()[0] == "t,omega"
+        t, omega = storage.load_series(speed_csv)
+        assert t.size == omega.size == 400
         assert np.allclose(np.diff(t), 0.1, rtol=0, atol=1e-12)
-        params = storage.StorageParams()
-        assert np.array_equal(p_prod, storage.pto_power(omega, params))
+
+    @pytest.mark.parametrize("flag", ["--e-rated", "--p-max", "--beta", "--dt"])
+    def test_takes_no_storage_flag(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as info:
+            run_cli("generate", "--n", "5", "--out", str(tmp_path / "s.csv"), flag, "2e6")
+        assert info.value.code == cli.EXIT_USAGE
+        assert not (tmp_path / "s.csv").exists()
 
     def test_deterministic_bytes(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -48,19 +62,13 @@ class TestGenerate:
 
     def test_custom_model_file(self, tmp_path):
         model_path = tmp_path / "ar1.json"
-        armodel.save_ar_model(armodel.ARModel((0.8,), 0.05, 0.1), model_path)
+        armodel.save_ar_model(armodel.ARModel((0.8,), 0.05, 0.2), model_path)
         out = tmp_path / "series.csv"
         assert run_cli("generate", "--model", str(model_path), "--n", "50",
                        "--out", str(out)) == 0
-        _, omega, _ = storage.load_series(out)
+        t, omega = storage.load_series(out)
         assert omega.size == 50
-
-    def test_model_timestep_must_match(self, tmp_path):
-        model_path = tmp_path / "wrong_dt.json"
-        armodel.save_ar_model(armodel.ARModel((0.8,), 0.05, 0.2), model_path)
-        code = run_cli("generate", "--model", str(model_path), "--n", "10",
-                       "--out", str(tmp_path / "x.csv"))
-        assert code == cli.EXIT_USAGE
+        assert np.array_equal(t, np.arange(50) * 0.2)  # the model's own timestep
 
     @pytest.mark.parametrize("doc", ["[]", '{"format": "armodel-v1"}'], ids=["list", "no-fields"])
     def test_malformed_model_file_is_a_usage_error(self, tmp_path, doc, capsys):
@@ -103,6 +111,10 @@ class TestFit:
     def test_default_order_two_on_bundled_data(self, speed_csv, tmp_path):
         out = tmp_path / "model.json"
         assert run_cli("fit", "--series", str(speed_csv), "--out", str(out)) == 0
+        legacy_out = tmp_path / "legacy_model.json"
+        legacy = with_production_column(speed_csv, tmp_path / "legacy.csv")
+        assert run_cli("fit", "--series", str(legacy), "--out", str(legacy_out)) == 0
+        assert legacy_out.read_bytes() == out.read_bytes()
         model, fit = armodel.load_ar_model(out)
         assert model.p == 2
         assert armodel.is_stationary(model.phi)
@@ -115,7 +127,7 @@ class TestFit:
         out = tmp_path / "model.json"
         assert run_cli("fit", "--series", str(series), "--out", str(out)) == 0
         model, fit = armodel.load_ar_model(out)
-        _, omega, _ = storage.load_series(series)
+        _, omega = storage.load_series(series)
         # the sample autocorrelations would give a negative innovation variance
         sample = armodel.sample_acf(omega, fit["lag_count"], 0.1).values
         assert 1.0 - np.dot(model.phi, sample[1:3]) < 0.0
@@ -153,6 +165,28 @@ def tiny_solution(tmp_path_factory):
 
 
 class TestSolve:
+    def test_model_timestep_must_match(self, tmp_path, capsys):
+        model_path = tmp_path / "wrong_dt.json"
+        armodel.save_ar_model(armodel.ARModel((1.5, -0.7), 0.05, 0.2), model_path)
+        code = run_cli("solve", "--model", str(model_path), *TINY_GRID, "--out-dir", str(tmp_path / "solution"))
+        assert code == cli.EXIT_USAGE
+        assert "model timestep 0.2 != storage timestep 0.1" in capsys.readouterr().err
+        assert not (tmp_path / "solution").exists()
+
+    def test_model_fitted_to_an_offset_time_column_solves(self, tmp_path):
+        """Rounding in t = 1000 + 0.1 k gives the fitted model a timestep a few ulps off 0.1."""
+        omega = armodel.simulate(storage.bundled_speed_model(), 3000, seed=4)
+        series = tmp_path / "offset.csv"
+        storage.save_series(series, 1000.0 + 0.1 * np.arange(omega.size), omega)
+        model_path = tmp_path / "model.json"
+        assert run_cli("fit", "--series", str(series), "--out", str(model_path)) == 0
+        model, _ = armodel.load_ar_model(model_path)
+        assert model.dt != 0.1 and model.dt == pytest.approx(0.1, rel=storage.TIMESTEP_RTOL)
+        assert run_cli("solve", "--model", str(model_path), *TINY_GRID, "--max-sweeps", "50",
+                       "--max-improvements", "1", "--out-dir", str(tmp_path / "solution")) == cli.EXIT_OK
+        assert run_cli("simulate", "--policy", "heuristic", "--series", str(series),
+                       "--out", str(tmp_path / "t.csv")) == cli.EXIT_OK
+
     def test_malformed_model_file_is_a_usage_error(self, tmp_path, capsys):
         model_path = tmp_path / "bad.json"
         model_path.write_text(json.dumps({"format": armodel.ARMODEL_FORMAT, "p": 2, "phi": "12",
@@ -247,10 +281,14 @@ class TestSimulate:
 
     def test_solved_policy_runs(self, tiny_solution, speed_csv, tmp_path):
         traj_path = tmp_path / "traj.csv"
-        code = run_cli("simulate", "--policy",
-                       str(tiny_solution / "solution_policy_u0.gridfn"),
-                       "--series", str(speed_csv), "--out", str(traj_path))
-        assert code == 0
+        legacy_path = tmp_path / "legacy_traj.csv"
+        legacy = with_production_column(speed_csv, tmp_path / "legacy.csv")
+        for series, out in ((speed_csv, traj_path), (legacy, legacy_path)):
+            code = run_cli("simulate", "--policy",
+                           str(tiny_solution / "solution_policy_u0.gridfn"),
+                           "--series", str(series), "--out", str(out))
+            assert code == 0
+        assert legacy_path.read_bytes() == traj_path.read_bytes()
         traj = storage.load_trajectory(traj_path)
         energy = traj.energy_path()
         assert np.all(energy >= 0.0) and np.all(energy <= 10e6)
@@ -261,13 +299,17 @@ class TestSimulate:
                        "--e0", "1e6", "--out", str(traj_path)) == 0
         assert storage.load_trajectory(traj_path).e_sto[0] == 1e6
 
-    def test_wrong_policy_shape_is_a_usage_error(self, speed_csv, tmp_path):
-        g = grids.build_grid([(0.0, 1.0, 3)])
-        bad = tmp_path / "bad.gridfn"
-        grids.save_grid_function(grids.GridFunction(g, np.zeros(3)), bad)
-        code = run_cli("simulate", "--policy", str(bad), "--series", str(speed_csv),
-                       "--out", str(tmp_path / "t.csv"))
-        assert code == cli.EXIT_USAGE
+    def test_wrong_policy_shape_is_a_usage_error(self, speed_csv, tmp_path, capsys):
+        # the 2-axis table's first axis is the storage's energy axis, so only the axis count is wrong
+        for axes in ([(0.0, 1.0, 3)], [(0.0, 10e6, 3), (-1.0, 1.0, 4)]):
+            g = grids.build_grid(axes)
+            bad = tmp_path / "bad.gridfn"
+            grids.save_grid_function(grids.GridFunction(g, np.zeros(g.size)), bad)
+            code = run_cli("simulate", "--policy", str(bad), "--series", str(speed_csv),
+                           "--out", str(tmp_path / "t.csv"))
+            assert code == cli.EXIT_USAGE
+            assert f"storage policies are 3-dimensional, got {len(axes)} axes" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("meta", [
         "[]",
@@ -286,12 +328,23 @@ class TestSimulate:
         assert code == cli.EXIT_USAGE
         assert "invalid input" in capsys.readouterr().err
 
-    def test_mismatched_energy_axis_is_a_usage_error(self, tiny_solution, speed_csv, tmp_path):
+    def test_mismatched_energy_axis_is_a_usage_error(self, tiny_solution, speed_csv, tmp_path, capsys):
         code = run_cli("simulate", "--policy",
                        str(tiny_solution / "solution_policy_u0.gridfn"),
                        "--series", str(speed_csv), "--e-rated", "2e6",
                        "--out", str(tmp_path / "t.csv"))
         assert code == cli.EXIT_USAGE
+        assert "policy energy axis [0.0, 10000000.0] does not match e_rated=2000000.0" in capsys.readouterr().err
+        # a policy solved for a smaller store, run at the default capacity
+        small = tmp_path / "small"
+        assert run_cli("solve", "--out-dir", str(small), *TINY_GRID, "--max-sweeps", "20",
+                       "--max-improvements", "1", "--e-rated", "5e6") == cli.EXIT_OK
+        capsys.readouterr()
+        code = run_cli("simulate", "--policy", str(small / "solution_policy_u0.gridfn"),
+                       "--series", str(speed_csv), "--out", str(tmp_path / "t.csv"))
+        assert code == cli.EXIT_USAGE
+        assert "policy energy axis [0.0, 5000000.0] does not match e_rated=10000000.0" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_mismatched_series_timestep_is_a_usage_error(self, tmp_path):
         series = tmp_path / "slow.csv"
@@ -376,21 +429,17 @@ class TestCompare:
         doc = json.loads(out.read_text())
         assert "reduction_vs_heuristic_pct" in doc["series"][0]
 
-    def test_std_no_storage_uses_the_production_of_the_closed_loop(self, tmp_path):
-        """A series generated with another --beta keeps its p_prod column, which compare ignores."""
-        series = tmp_path / "beta2e6.csv"
-        assert run_cli("generate", "--n", "400", "--seed", "3", "--beta", "2e6", "--out", str(series)) == 0
-        _, omega, stored = storage.load_series(series)
+    def test_std_no_storage_uses_the_production_of_the_closed_loop(self, speed_csv, tmp_path):
+        """The no-storage std is the production at compare's own --beta, the one both runs smooth."""
+        _, omega = storage.load_series(speed_csv)
         docs = {}
         for beta in ("4.4e6", "2e6"):
             out = tmp_path / f"cmp{beta}.json"
-            assert run_cli("compare", "--policy", "heuristic", "--series", str(series), "--beta", beta,
+            assert run_cli("compare", "--policy", "heuristic", "--series", str(speed_csv), "--beta", beta,
                            "--out", str(out)) == 0
             docs[beta] = json.loads(out.read_text())["series"][0]
             production = storage.pto_power(omega, storage.StorageParams(beta=float(beta)))
             assert docs[beta]["std_no_storage"] == float(np.std(production))
-        # at the series' own beta the stored column round-trips, so the figure matches it bit for bit
-        assert docs["2e6"]["std_no_storage"] == float(np.std(stored))
         assert docs["4.4e6"]["std_no_storage"] > docs["4.4e6"]["std_heuristic"]
         assert docs["4.4e6"]["std_no_storage"] != docs["2e6"]["std_no_storage"]
 
@@ -511,11 +560,12 @@ class TestParserBasics:
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize("command, flag", [
-        ("generate", "--e-rated"), ("generate", "--p-max"), ("generate", "--beta"), ("generate", "--dt"),
+        ("simulate", "--e-rated"), ("simulate", "--p-max"), ("simulate", "--beta"), ("simulate", "--dt"),
         ("fit", "--lag-seconds"), ("solve", "--eval-tol"),
     ])
     def test_non_finite_float_flag_exits_2(self, speed_csv, tmp_path, command, flag, value):
-        required = {"generate": ("--n", "5", "--out", str(tmp_path / "s.csv")),
+        required = {"simulate": ("--policy", "heuristic", "--series", str(speed_csv),
+                                 "--out", str(tmp_path / "t.csv")),
                     "fit": ("--series", str(speed_csv), "--out", str(tmp_path / "m.json")),
                     "solve": (*TINY_GRID, "--out-dir", str(tmp_path / "solution"))}[command]
         with pytest.raises(SystemExit) as info:

@@ -120,6 +120,15 @@ class TestBuildProblem:
         with pytest.raises(ValueError):
             storage.build_problem(storage.bundled_speed_model(), PARAMS, n_controls=1)
 
+    @pytest.mark.parametrize("rel, accepted", [(5e-10, True), (-5e-10, True), (2e-9, False), (-2e-9, False)])
+    def test_model_timestep_tolerance(self, rel, accepted):
+        model = armodel.ARModel((1.9799, -0.9879), 0.00347, PARAMS.dt * (1.0 + rel))
+        if accepted:
+            storage.build_problem(model, PARAMS)
+        else:
+            with pytest.raises(ValueError, match="model timestep .* != storage timestep 0.1"):
+                storage.build_problem(model, PARAMS)
+
     def test_empty_store_at_standstill_has_one_candidate(self):
         problem = storage.build_problem(storage.bundled_speed_model(), PARAMS)
         cand = problem.control_candidates(np.array([[0.0, 0.0, 0.0]]))
@@ -331,19 +340,20 @@ class TestCsvRoundTrips:
     def test_series_roundtrip_bit_exact(self, tmp_path):
         omega = speed_fixture(100, 13)
         t = np.arange(100) * PARAMS.dt
-        p = storage.pto_power(omega, PARAMS)
         path = tmp_path / "series.csv"
-        storage.save_series(path, t, omega, p_prod=p)
-        t2, om2, p2 = storage.load_series(path)
-        assert np.array_equal(t2, t)
-        assert np.array_equal(om2, omega)
-        assert np.array_equal(p2, p)
+        storage.save_series(path, t, omega)
+        legacy = tmp_path / "legacy.csv"  # as older versions wrote it, with a production column
+        storage.write_csv(legacy, np.column_stack([t, omega, storage.pto_power(omega, PARAMS)]), "t,omega,p_prod")
+        for saved in (path, legacy):
+            t2, om2 = storage.load_series(saved)
+            assert np.array_equal(t2, t)
+            assert np.array_equal(om2, omega)
 
     def test_series_without_production_column(self, tmp_path):
         path = tmp_path / "series.csv"
         storage.save_series(path, [0.0, 0.1], [0.2, 0.3])
-        t, omega, p = storage.load_series(path)
-        assert p is None
+        assert path.read_text() == "t,omega\n0,0.20000000000000001\n0.10000000000000001,0.29999999999999999\n"
+        _, omega = storage.load_series(path)
         assert omega.tolist() == [0.2, 0.3]
 
     def test_series_rejects_mismatched_lengths(self, tmp_path):
