@@ -68,7 +68,7 @@ def _series_dt(t: np.ndarray) -> float:
     if t.size < 2:
         return 0.0
     steps = np.diff(t)
-    dt = float(steps[0])
+    dt = float((t[-1] - t[0]) / (t.size - 1))  # the mean step: an offset time column rounds each step
     if not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
         raise ValueError("series time column is not uniformly spaced")
     if not dt > 0.0:
@@ -152,7 +152,8 @@ def cmd_solve(args) -> int:
           f"(policy {'converged' if report.converged else 'truncated at the improvement cap'})")
     print(f"evaluation sweeps: {report.sweeps_per_evaluation}")
     print(f"evaluation {1e3 * sum(report.evaluation_seconds) / sum(report.sweeps_per_evaluation):.3g} ms "
-          f"per sweep, improvement {sum(report.improvement_seconds):.3g} s in all, "
+          f"per sweep over {report.plane_nodes_swept} of {args.n_omega * args.n_accel} speed-plane nodes, "
+          f"improvement {sum(report.improvement_seconds):.3g} s in all, "
           f"lookahead build {report.lookahead_seconds:.3g} s")
     capped = report.evaluation_converged.count(False)
     if capped:

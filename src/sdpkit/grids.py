@@ -51,7 +51,8 @@ class Axis:
     """One uniformly spaced axis: ``n`` nodes spanning ``[lo, hi]``.
 
     A single-node axis (``n == 1``) is degenerate: its only node sits at
-    ``lo`` and interpolation ignores that coordinate.
+    ``lo`` and interpolation ignores that coordinate.  An axis with
+    ``lo == -hi`` is mirror-exact: node n - 1 - i is -(node i), to the bit.
     """
 
     lo: float
@@ -85,6 +86,8 @@ class Axis:
     def nodes(self) -> np.ndarray:
         if self.n == 1:
             out = np.array([self.lo])
+        elif self.lo == -self.hi:  # hi * k / (n - 1) for k = 1 - n, 3 - n, ..., n - 1: node -k is exactly -(node k)
+            out = self.hi * (np.arange(1 - self.n, self.n, 2) / (self.n - 1))
         else:
             out = np.linspace(self.lo, self.hi, self.n)
         out.flags.writeable = False

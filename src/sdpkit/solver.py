@@ -42,12 +42,27 @@ in or goes out.  The lookahead takes one of two shapes:
   controlled sub-grid, stands for all noise nodes.  The lookahead's
   build checks the declared split on every node (see :class:`ControlProblem`).
 
+Mirror quotient (post-decision, detected, never declared): the mirror
+(z, y, w) -> (z, -y, -w) maps plane node y to n_y - 1 - y.  The build
+requires mirror-exact plane axes and noise, P_x commuting with the
+mirror to ``MIRROR_TOL``, and, in the split check, the first and last
+candidate, controlled successor and stage cost of every row equal to
+its mirror row's, to the bit.  A symmetric table then stays symmetric,
+so sweeps visit only the rows of plane nodes y < ceil(n_y / 2), through
+the lumped P(r, r') = P_x(r, r') + P_x(r, n_y - 1 - r') (an odd plane's
+centre counted once): exact lumping (Kemeny & Snell, *Finite Markov
+Chains*, 6.3), an MDP homomorphism (Ravindran & Barto, 2003).  Output
+GridFunctions copy each representative to its mirror.  An input table
+that is not symmetric to the bit, or a problem that fails the check,
+sweeps all n_y plane nodes with P = P_x, through the same code.
+
 Determinism: identical inputs and configuration give bit-identical
 results regardless of the `threads` setting.  Improvement sweeps run
 chunks of a thread-independent size, each node's reduction in a fixed
-order.  Policy evaluation gives each of ``min(threads, n_y)`` threads
-one block of plane nodes, a contiguous span of rows, and sweeps it with
-the arithmetic of the whole sweep (see :func:`_relative_iteration`).
+order.  Policy evaluation gives each of ``min(threads, swept plane
+nodes)`` threads one block of them, a contiguous span of rows, and
+sweeps it with the arithmetic of the whole sweep (see
+:func:`_relative_iteration`).
 When several nodes fail one check, its error names the first in row
 order.  Problem callbacks must be pure and thread-safe; node
 computations may run concurrently.
@@ -95,6 +110,9 @@ WEIGHT_SUM_TOL = 1e-12
 
 # Improvement chunks hold about this many (node, candidate, noise node) points, small enough to stay in cache.
 CHUNK_POINTS = 65_536
+
+# Transition probabilities of mirrored plane nodes may differ by this much on the mirror quotient.
+MIRROR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -145,10 +163,10 @@ def discretize_noise(std: float, n_nodes: int) -> DiscreteNoise:
         raise ValueError(f"need at least one node, got {n_nodes}")
     if std == 0.0 or n_nodes == 1:
         return DiscreteNoise(np.zeros(n_nodes), np.full(n_nodes, 1.0 / n_nodes))
-    # Imported here, so that simulate and compare, which never solve, start without SciPy.
-    from scipy.special import ndtri
+    from statistics import NormalDist  # imported here, so that commands which never solve start faster
 
-    edges = ndtri(np.arange(n_nodes + 1) / n_nodes)  # edges[0], edges[-1] infinite
+    inner = [NormalDist().inv_cdf(k / n_nodes) for k in range(1, n_nodes)]
+    edges = np.array([-math.inf, *inner, math.inf])
     pdf = np.exp(-0.5 * np.square(edges)) / _SQRT_2PI  # exp(-inf) -> 0 at the tails
     nodes = std * n_nodes * (pdf[:-1] - pdf[1:])
     half = n_nodes // 2
@@ -257,6 +275,8 @@ class SolveReport:
     that tolerance.  Per improvement sweep,
     ``bracket_history`` holds (min(Tv - v), max(Tv - v)), which brackets
     the optimal average cost J* of the gridded problem.
+    ``plane_nodes_swept`` counts the plane nodes every sweep visits:
+    ceil(n_y / 2) on the mirror quotient, else all n_y (1 when generic).
     ``lookahead_seconds`` is the wall time of the solve's one lookahead
     build.  Per improvement step, ``evaluation_seconds`` and
     ``improvement_seconds`` hold the wall times of both halves (value
@@ -277,6 +297,7 @@ class SolveReport:
     avg_cost_history: list[float]
     policy_change_history: list[float]
     residual_history: list[float]
+    plane_nodes_swept: int
     lookahead_seconds: float
     evaluation_seconds: list[float]
     improvement_seconds: list[float]
@@ -322,22 +343,26 @@ class _Lookahead:
 
     Every sweep runs over the same rows, y-major: row y * inner.size + z
     holds plane node y at controlled node z, which is grid node
-    ``order[row]`` at ``nodes[row]``.  Successor stencils live on
+    ``order[row]`` at ``nodes[row]``.  Sweeps visit the first ``rows``
+    rows, those of the ``reps`` representative plane nodes: all ``n_y``
+    of them (1 when generic, so rows are grid nodes), or the first
+    ceil(n_y / 2) on the mirror quotient.  Successor stencils live on
     ``inner`` (the whole grid, or the controlled sub-grid) and index the
-    table G = ``expect(h)``, whose rows are in that order too.  ``n_y``
-    is the exogenous plane size (1 when generic, so rows are grid
-    nodes).  ``operator`` is the plane operator P_x (the 1x1 identity
-    when generic).  ``noise`` holds the noise nodes whose successors are
-    visited: all of them, or, post-decision, the first with weight 1,
-    since P_x already took the expectation.  ``chunks`` holds the row
-    spans every sweep runs, about ``CHUNK_POINTS`` (node, candidate,
-    visited noise node) points each, and ``width`` the candidates' width d.
+    table G = ``expect(h)``, whose rows are the swept rows.  ``operator``
+    is the plane operator on the representatives: P_x, lumped on the
+    quotient (the 1x1 identity when generic).  ``noise`` holds the noise
+    nodes whose successors are visited: all of them, or, post-decision,
+    the first with weight 1, since the operator already took the
+    expectation.  ``chunks`` holds the row spans every sweep runs, about
+    ``CHUNK_POINTS`` (node, candidate, visited noise node) points each,
+    and ``width`` the candidates' width d.
     """
 
     grid: RectGrid
     problem: ControlProblem
     inner: RectGrid
     n_y: int
+    reps: int
     operator: sp.csr_matrix
     noise: DiscreteNoise
     chunks: list[tuple[int, int]]
@@ -345,9 +370,13 @@ class _Lookahead:
     order: np.ndarray
     nodes: np.ndarray
 
+    @property
+    def rows(self) -> int:
+        return self.reps * self.inner.size
+
     def expect(self, h: np.ndarray) -> np.ndarray:
-        """G = P_x H for the value table H (y, z), flat in row order."""
-        return (self.operator @ h.reshape(self.n_y, -1)).reshape(-1)
+        """G = P H for the value table H (representative y, z), flat in row order."""
+        return (self.operator @ h.reshape(self.reps, -1)).reshape(-1)
 
     def successors(self, x, u, first_row: int, k: int):
         """Expected stage cost (m,) and, per noise node, its stencil: (indices into G, weights).
@@ -366,15 +395,20 @@ class _Lookahead:
         return cost, stencils
 
     def grid_function(self, rows: np.ndarray) -> GridFunction:
-        """The GridFunction holding ``rows[r]`` at grid node ``order[r]``."""
+        """The GridFunction holding ``rows[r]`` at grid node ``order[r]``, and at its mirror's on the quotient."""
+        y = np.arange(self.n_y)
         values = np.empty(self.grid.size)
-        values[self.order] = rows
+        values[self.order] = rows.reshape(self.reps, -1)[np.where(y < self.reps, y, self.n_y - 1 - y)].reshape(-1)
         return GridFunction(self.grid, values)
 
 
-def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig) -> _Lookahead:
-    """The lookahead of ``problem`` on ``grid``: post-decision if declared, after checking the split."""
-    import scipy.sparse as sp  # imported here: see discretize_noise
+def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig, tables=()) -> _Lookahead:
+    """The lookahead of ``problem`` on ``grid``: post-decision if declared, after checking the split.
+
+    It is taken on the mirror quotient when the plane axes, the noise, P_x, the checked candidates
+    and their successors and costs, and every grid-order table in ``tables`` are mirror-symmetric.
+    """
+    import scipy.sparse as sp  # imported here, so that commands which never solve start without SciPy
     c = problem.controlled_dims
     if not 0 <= c < grid.dim:
         raise ValueError(f"controlled_dims must lie in [0, grid dimension {grid.dim}), got {c}")
@@ -388,8 +422,10 @@ def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig) ->
     step = max(1, CHUNK_POINTS // (k * visited.n))
     chunks = [(a, min(a + step, grid.size)) for a in range(0, grid.size, step)]
     if c == 0:
-        return _Lookahead(grid, problem, grid, 1, sp.identity(1, format="csr"), noise, chunks, width, order, nodes)
+        return _Lookahead(grid, problem, grid, 1, 1, sp.identity(1, format="csr"), noise, chunks, width, order, nodes)
     plane = RectGrid(grid.axes[c:])
+    mirror = (all(_mirror_symmetric(ax.nodes, -1.0) for ax in plane.axes) and _mirror_symmetric(noise.nodes, -1.0)
+              and _mirror_symmetric(noise.weights) and all(_mirror_symmetric(t.reshape(-1, n_y).T) for t in tables))
     slice0 = np.ascontiguousarray(nodes[:: inner.size])  # controlled node 0: grid nodes 0 .. n_y - 1
     u0 = np.ascontiguousarray(problem.candidate_array(slice0)[:, 0])
     ncorner = 1 << plane.dim
@@ -402,8 +438,14 @@ def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig) ->
         flat, wts = interpolation_stencil(plane, xn[:, c:])
         indices[:, l * ncorner : (l + 1) * ncorner] = flat
         data[:, l * ncorner : (l + 1) * ncorner] = wprob * wts
+    indptr = np.arange(n_y + 1, dtype=np.int64) * indices.shape[1]
+    if mirror:  # P_x commutes with the mirror R: y -> n_y - 1 - y
+        p_x, r_p_x_r = (sp.csr_matrix((d.reshape(-1), i.reshape(-1), indptr), shape=(n_y, n_y))
+                        for d, i in ((data, indices), (data[::-1], n_y - 1 - indices[::-1])))
+        mirror = abs(p_x - r_p_x_r).max() <= MIRROR_TOL
     ends = ((noise.nodes[0], exogenous[0]), (noise.nodes[-1], exogenous[-1]))
     declared = f"controlled_dims={c} declares otherwise"
+    seen = np.empty((grid.size, 2, width + c + 1)) if mirror else None  # per row and checked candidate
 
     def check(a: int, b: int) -> None:
         xc, at = nodes[a:b], order[a:b]
@@ -419,22 +461,31 @@ def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig) ->
                 _require(xn[:, c:] == ref[y], grid, at,
                          "dynamics: the exogenous components depend on the control "
                          f"or the controlled state ({declared})")
+            if seen is not None:
+                seen[a:b, j] = np.column_stack([u, x0[:, :c], c0])
 
     _run_chunks(chunks, check, config.threads)
-    indptr = np.arange(n_y + 1, dtype=np.int64) * indices.shape[1]
-    operator = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(n_y, n_y))
+    reps = (n_y + 1) // 2 if mirror and _mirror_symmetric(seen.reshape(n_y, -1)) else n_y
+    lumped = np.where(indices < reps, indices, n_y - 1 - indices)[:reps]  # a column adds into its representative's
+    operator = sp.csr_matrix((data[:reps].reshape(-1), lumped.reshape(-1), indptr[: reps + 1]), shape=(reps, reps))
     operator.sum_duplicates()  # noise nodes often share stencil corners: about half the entries
-    return _Lookahead(grid, problem, inner, n_y, operator, visited, chunks, width, order, nodes)
+    chunks = [(a, min(b, reps * inner.size)) for a, b in chunks if a < reps * inner.size]
+    return _Lookahead(grid, problem, inner, n_y, reps, operator, visited, chunks, width, order, nodes)
+
+
+def _mirror_symmetric(table: np.ndarray, sign: float = 1.0) -> bool:
+    """Whether row i of ``table`` equals ``sign`` times its row n - 1 - i, to the bit."""
+    return np.array_equal(table, sign * table[::-1])
 
 
 def _min_sweep(look: _Lookahead, values: np.ndarray, threads: int):
-    """One minimising sweep of the value table v (N,) over all rows, both in row order.
+    """One minimising sweep of the value table v over the swept rows, both in row order.
 
-    Returns the un-anchored swept values Tv (N,), the greedy policy (one GridFunction
+    Returns the un-anchored swept values Tv, the greedy policy (one GridFunction
     per control component) and the bracket (min(Tv - v), max(Tv - v)).
     """
-    raw = np.empty(look.grid.size)
-    controls = np.empty((look.width, look.grid.size))
+    raw = np.empty(look.rows)
+    controls = np.empty((look.width, look.rows))
     g = look.expect(values)
 
     def worker(a: int, b: int) -> None:
@@ -515,8 +566,8 @@ def bellman_sweep(
     first candidate in order.
     """
     config = config or SolverConfig()
-    look = _lookahead(value.grid, problem, config)
-    raw, policy, _ = _min_sweep(look, value.values[look.order], config.threads)
+    look = _lookahead(value.grid, problem, config, (value.values,))
+    raw, policy, _ = _min_sweep(look, value.values[look.order[: look.rows]], config.threads)
     avg = float(raw[0])
     return look.grid_function(raw - avg), policy, avg
 
@@ -527,9 +578,9 @@ def _fixed_policy_operator(look: _Lookahead, policy, threads: int):
     A node's control is the candidate nearest the stored policy; its row holds the noise-weighted
     stencils of its successors (it sums to 1), so a block of plane nodes reads only its rows of G.
     """
-    import scipy.sparse as sp  # imported here: see discretize_noise
-    n = look.grid.size
-    stored = np.stack([p.values for p in policy], axis=1)[look.order]  # (n, d)
+    import scipy.sparse as sp  # imported here: see _lookahead
+    n = look.rows
+    stored = np.stack([p.values for p in policy], axis=1)[look.order[:n]]  # (n, d)
     indices = np.empty((n, look.noise.n, 1 << look.inner.dim), dtype=np.int64)
     data = np.empty(indices.shape)
     cost = np.empty(n)
@@ -547,14 +598,14 @@ def _fixed_policy_operator(look: _Lookahead, policy, threads: int):
 
 
 def _evaluation_block(look: _Lookahead, cost: np.ndarray, matrix: sp.csr_matrix, y0: int, y1: int):
-    """(rows, step) sweeping plane nodes y0..y1 of the iterate: a contiguous span of rows."""
+    """(rows, step) sweeping representative plane nodes y0..y1 of the iterate: a contiguous span of rows."""
     rows = slice(y0 * look.inner.size, y1 * look.inner.size)
-    whole = y1 - y0 == look.n_y  # a single block sweeps the operators as built, without copying them
+    whole = y1 - y0 == look.reps  # a single block sweeps the operators as built, without copying them
     m, p = (matrix, look.operator) if whole else (matrix[rows, rows], look.operator[y0:y1])
     c = cost[rows]
 
     def step(v: np.ndarray) -> np.ndarray:
-        raw = m @ (p @ v.reshape(look.n_y, -1)).reshape(-1)
+        raw = m @ (p @ v.reshape(look.reps, -1)).reshape(-1)
         raw += c
         return raw
 
@@ -568,7 +619,7 @@ def _policy_lookahead(policy: tuple[GridFunction, ...], problem: ControlProblem,
         raise ValueError("policy needs at least one control component")
     if any(p.grid != policy[0].grid for p in policy[1:]):
         raise ValueError("policy components must share one grid")
-    look = look or _lookahead(policy[0].grid, problem, config)
+    look = look or _lookahead(policy[0].grid, problem, config, [p.values for p in policy])
     if len(policy) != look.width:
         raise ValueError(f"{len(policy)} policy components != candidate width {look.width}")
     return look
@@ -591,8 +642,8 @@ def policy_evaluation(
     config = config or SolverConfig()
     look = _policy_lookahead(policy, problem, config, look)
     cost, matrix = _fixed_policy_operator(look, policy, config.threads)
-    count = min(config.threads, look.n_y)
-    blocks = [_evaluation_block(look, cost, matrix, look.n_y * t // count, look.n_y * (t + 1) // count)
+    count = min(config.threads, look.reps)
+    blocks = [_evaluation_block(look, cost, matrix, look.reps * t // count, look.reps * (t + 1) // count)
               for t in range(count)]
     v, anchors, residuals, converged = _relative_iteration(blocks, config)
     return EvaluationResult(anchors[-1], look.grid_function(v), len(residuals), residuals, converged,
@@ -611,8 +662,8 @@ def policy_improvement(
     which contains the optimal average cost J*.  ``look``: as in :func:`policy_evaluation`.
     """
     config = config or SolverConfig()
-    look = look or _lookahead(value.grid, problem, config)
-    _, policy, bracket = _min_sweep(look, value.values[look.order], config.threads)
+    look = look or _lookahead(value.grid, problem, config, (value.values,))
+    _, policy, bracket = _min_sweep(look, value.values[look.order[: look.rows]], config.threads)
     return policy, bracket
 
 
@@ -678,6 +729,7 @@ def policy_iteration(
         evaluation_converged=eval_converged,
         evaluation_span_ratio=eval_span_ratio,
         bracket_history=brackets,
+        plane_nodes_swept=look.reps,
         lookahead_seconds=clock[0] - start,
         evaluation_seconds=np.diff(clock)[0::2].tolist(),
         improvement_seconds=np.diff(clock)[1::2].tolist(),
@@ -706,7 +758,7 @@ def value_iteration(
         raw, policy, bracket = _min_sweep(look, v, config.threads)
         return raw
 
-    blocks = [(slice(0, grid.size), step)]  # one block: the sweep is already chunk-threaded
+    blocks = [(slice(0, look.rows), step)]  # one block: the sweep is already chunk-threaded
     v, anchors, residuals, converged = _relative_iteration(blocks, config)
     return SolveReport(
         avg_cost=anchors[-1],
@@ -721,6 +773,7 @@ def value_iteration(
         evaluation_converged=[converged],
         evaluation_span_ratio=[_span_ratio(residuals, anchors, config)],
         bracket_history=[bracket],
+        plane_nodes_swept=look.reps,
         lookahead_seconds=built - start,
         evaluation_seconds=[time.perf_counter() - built],
         improvement_seconds=[0.0],

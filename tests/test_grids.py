@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -65,11 +66,20 @@ class TestBuildGrid:
         assert g.shape == (100, 100)
         assert g.size == 10_000
         for ax in g.axes:
-            step = (ax.hi - ax.lo) / (ax.n - 1)
-            expected = ax.lo + np.arange(ax.n) * step
+            # exact rationals: lo + i * step in floating point cancels near zero on the symmetric axis
+            expected = [float(Fraction(ax.lo) + i * (Fraction(ax.hi) - Fraction(ax.lo)) / (ax.n - 1))
+                        for i in range(ax.n)]
             assert np.allclose(ax.nodes, expected, rtol=1e-15, atol=0.0)
             assert ax.nodes[0] == ax.lo
             assert ax.nodes[-1] == ax.hi
+        assert np.array_equal(g.axes[1].nodes, -g.axes[1].nodes[::-1])
+
+    @pytest.mark.parametrize("n", [2, 5, 6, 30, 60, 61])
+    def test_symmetric_axis_is_mirror_exact(self, n):
+        for hi in (1.0, 0.1, 0.0123456789, 3.7e5):
+            nodes = grids.Axis(-hi, hi, n).nodes
+            assert np.array_equal(nodes, -nodes[::-1]) and np.all(np.diff(nodes) > 0.0)
+            assert nodes[0] == -hi and nodes[-1] == hi and (n % 2 == 0 or nodes[n // 2] == 0.0)
 
     def test_degenerate_axis(self):
         g = grids.build_grid([(0.0, 1.0, 1)])

@@ -463,22 +463,44 @@ class TestOneLookaheadPerSolve:
 
 
 class TestRowOrder:
-    """Every sweep visits the nodes in one row order: plane node, then controlled node."""
+    """Every sweep visits the swept rows in one order: plane node, then controlled node.
+
+    On the mirror quotient the swept rows are those of the first ceil(n_y / 2) plane nodes, and every
+    output table holds each of them at its mirror node too; a table that is not mirror-symmetric
+    sweeps all n_y plane nodes.
+    """
 
     def test_both_phases_visit_each_energy_column_whole_in_plane_order(self, monkeypatch):
-        problem, grid, policy = storage_split_case(5, 6, 6)
+        self.check(monkeypatch, (5, 6, 6), symmetric=True)
+
+    @pytest.mark.parametrize("shape, symmetric", [((4, 5, 5), True), ((5, 6, 6), False)])
+    def test_odd_plane_and_asymmetric_policy(self, monkeypatch, shape, symmetric):
+        self.check(monkeypatch, shape, symmetric)
+
+    @staticmethod
+    def check(monkeypatch, shape, symmetric):
+        problem, grid, policy = storage_split_case(*shape)
+        if not symmetric:
+            policy = (grids.GridFunction(grid, policy[0].values * (1.0 + 1e-9 * np.arange(grid.size))),)
         shrink_chunks(monkeypatch, problem, grid, 7)
         config = SolverConfig(eval_max_sweeps=5)
-        look = solver._lookahead(grid, problem, config)
+        look = solver._lookahead(grid, problem, config, [p.values for p in policy])
         n_e = grid.shape[0]
-        expected = grid.all_nodes.reshape(n_e, grid.size // n_e, 3).swapaxes(0, 1).reshape(-1, 3)
+        n_y = grid.size // n_e
+        swept = (n_y + 1) // 2 if symmetric else n_y
+        assert look.reps == swept and look.rows == swept * n_e
+        expected = grid.all_nodes.reshape(n_e, n_y, 3).swapaxes(0, 1)[:swept].reshape(-1, 3)
         seen, candidates = [], problem.control_candidates
         problem.control_candidates = lambda states: seen.append(states.copy()) or candidates(states)
         evaluation = solver.policy_evaluation(policy, problem, config, look)
         built, seen[:] = np.concatenate(seen), []
-        solver.policy_improvement(evaluation.value, problem, config, look)
+        improved, _ = solver.policy_improvement(evaluation.value, problem, config, look)
         assert np.array_equal(built, expected)
         assert np.array_equal(np.concatenate(seen), expected)
+        value = evaluation.value.values.reshape(n_e, n_y)
+        assert np.array_equal(value, value[:, ::-1]) == symmetric
+        control = improved[0].values.reshape(n_e, n_y)
+        assert np.array_equal(control, control[:, ::-1]) or not symmetric
 
 
 class TestValueIterationSweeps:
@@ -691,9 +713,99 @@ class TestPostDecisionSplit:
             solver.bellman_sweep(grids.GridFunction(grid, np.zeros(grid.size)), problem)
 
 
+def record_lookaheads(monkeypatch):
+    """Wrap ``solver._lookahead`` so that each lookahead it builds is appended to the returned list."""
+    built, original = [], solver._lookahead
+    monkeypatch.setattr(solver, "_lookahead", lambda *args: built.append(original(*args)) or built[-1])
+    return built
+
+
+QUOTIENT_SHAPES = {"storage-4x6x6": (4, 6, 6), "storage-4x5x5": (4, 5, 5)}  # even plane, odd plane
+
+
+class TestMirrorQuotient:
+    """The storage problem solved on the mirror quotient of its speed plane, against the generic path.
+
+    The generic path (``controlled_dims=0``) sweeps every grid node with every noise node and takes no quotient.
+    """
+
+    CONFIG = SolverConfig(eval_tol=1e-11, eval_max_sweeps=3000, max_improvements=10)
+
+    @pytest.fixture(scope="class", params=list(QUOTIENT_SHAPES))
+    def case(self, request):
+        problem, grid, policy = storage_split_case(*QUOTIENT_SHAPES[request.param])
+        return problem, dataclasses.replace(problem, controlled_dims=0), grid, policy
+
+    def test_policy_evaluation_matches_the_generic_path(self, case, monkeypatch):
+        problem, generic, grid, policy = case
+        looks = record_lookaheads(monkeypatch)
+        fast = solver.policy_evaluation(policy, problem, self.CONFIG)
+        slow = solver.policy_evaluation(policy, generic, self.CONFIG)
+        n_y = grid.size // grid.shape[0]
+        assert [look.reps for look in looks] == [(n_y + 1) // 2, 1]
+        assert fast.converged and slow.converged
+        assert fast.avg_cost == pytest.approx(slow.avg_cost, rel=1e-12, abs=0.0)
+        assert_close_rel(fast.value.values, slow.value.values)
+
+    def test_bellman_sweep_matches_the_generic_path(self, case, monkeypatch):
+        problem, generic, grid, policy = case
+        value = solver.policy_evaluation(policy, problem, self.CONFIG).value
+        looks = record_lookaheads(monkeypatch)
+        fast_value, fast_policy, fast_avg = solver.bellman_sweep(value, problem, self.CONFIG)
+        slow_value, slow_policy, slow_avg = solver.bellman_sweep(value, generic, self.CONFIG)
+        assert looks[0].reps == (grid.size // grid.shape[0] + 1) // 2
+        assert np.array_equal(fast_policy[0].values, slow_policy[0].values)
+        assert fast_avg == pytest.approx(slow_avg, rel=1e-12, abs=0.0)
+        assert_close_rel(fast_value.values + fast_avg, slow_value.values + slow_avg)
+
+    def test_policy_iteration_matches_the_generic_path(self, case):
+        problem, generic, grid, policy = case
+        fast = solver.policy_iteration(problem, policy, self.CONFIG)
+        slow = solver.policy_iteration(generic, policy, self.CONFIG)
+        assert fast.converged and slow.converged
+        assert (fast.plane_nodes_swept, slow.plane_nodes_swept) == ((grid.size // grid.shape[0] + 1) // 2, 1)
+        assert fast.improvement_steps == slow.improvement_steps
+        assert np.array_equal(fast.policy[0].values, slow.policy[0].values)
+        assert fast.avg_cost == pytest.approx(slow.avg_cost, rel=1e-12, abs=0.0)
+        assert_close_rel(fast.value.values, slow.value.values)
+
+    def test_an_asymmetric_value_sweeps_the_whole_plane(self, case, monkeypatch):
+        problem, generic, grid, policy = case
+        value = solver.policy_evaluation(policy, problem, self.CONFIG).value
+        value = grids.GridFunction(grid, value.values + 1e-3 * np.ptp(value.values) * np.arange(grid.size) / grid.size)
+        looks = record_lookaheads(monkeypatch)
+        fast_value, fast_policy, fast_avg = solver.bellman_sweep(value, problem, self.CONFIG)
+        slow_value, slow_policy, slow_avg = solver.bellman_sweep(value, generic, self.CONFIG)
+        assert looks[0].reps == grid.size // grid.shape[0]
+        assert np.array_equal(fast_policy[0].values, slow_policy[0].values)
+        assert fast_avg == pytest.approx(slow_avg, rel=1e-12, abs=0.0)
+        assert_close_rel(fast_value.values + fast_avg, slow_value.values + slow_avg)
+
+    @pytest.mark.parametrize("broken", ["accel axis", "odd cost", "noise"])
+    def test_a_broken_mirror_falls_back_to_the_whole_plane(self, broken):
+        params, model = storage.StorageParams(), storage.bundled_speed_model()
+        problem, grid, policy = storage_split_case(4, 6, 6)
+        if broken == "accel axis":  # lo != -hi
+            lo, hi, n = grid.axes[2].lo, grid.axes[2].hi, grid.axes[2].n
+            grid = grids.RectGrid(grid.axes[:2] + (grids.Axis(lo, 1.01 * hi, n),))
+            policy = storage.heuristic_policy_on_grid(grid, params)
+        elif broken == "odd cost":
+            problem.stage_cost = lambda x, u, w, cost=problem.stage_cost: cost(x, u, w) + 1e10 * x[:, 1]
+        else:
+            problem.noise = DiscreteNoise(problem.noise.nodes + 1e-4, problem.noise.weights)
+        n_y = grid.size // grid.shape[0]
+        assert solver._lookahead(grid, problem, self.CONFIG).reps == n_y
+        fast = solver.policy_iteration(problem, policy, self.CONFIG)
+        slow = solver.policy_iteration(dataclasses.replace(problem, controlled_dims=0), policy, self.CONFIG)
+        assert fast.plane_nodes_swept == n_y and fast.converged and slow.converged
+        assert np.array_equal(fast.policy[0].values, slow.policy[0].values)
+        assert fast.avg_cost == pytest.approx(slow.avg_cost, rel=1e-12, abs=0.0)
+        assert_close_rel(fast.value.values, slow.value.values)
+
+
 BLOCK_CASES = {
-    "synthetic-c2": synthetic_split_case,  # 7 plane nodes
-    "storage-4x5x7": lambda: storage_split_case(4, 5, 7),  # 35 plane nodes
+    "synthetic-c2": synthetic_split_case,  # 7 plane nodes, no mirror: all 7 swept
+    "storage-4x5x7": lambda: storage_split_case(4, 5, 7),  # 35 plane nodes, 18 swept on the quotient
 }
 
 
@@ -703,10 +815,10 @@ class TestBlockParallelEvaluation:
     @pytest.mark.parametrize("case", list(BLOCK_CASES))
     def test_thread_count_does_not_change_a_bit(self, case):
         problem, grid, policy = BLOCK_CASES[case]()
-        n_y = grid.size // math.prod(grid.shape[: problem.controlled_dims])
-        assert n_y % 3 != 0
+        swept = solver._lookahead(grid, problem, SolverConfig(), [p.values for p in policy]).reps
+        assert swept % 3 != 0 or swept % 4 != 0  # a split into uneven blocks
         runs = []
-        for threads in (1, 2, 3, n_y + 1):
+        for threads in (1, 2, 3, 4, swept + 1):
             config = SolverConfig(eval_tol=1e-10, eval_max_sweeps=300, threads=threads)
             result = solver.policy_evaluation(policy, problem, config)
             assert result.value.values[0] == 0.0  # node 0 anchors, in block 0
