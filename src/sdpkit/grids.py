@@ -227,8 +227,9 @@ def _locate(grid: RectGrid, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def axis_locator(ax: Axis):
     """Scalar twin of :func:`_locate` for one axis with ``n >= 2``.
 
-    Returns ``locate(q) -> (i, f)``: for finite ``q``, the same cell and fraction
-    as the batch version, by bisection, at a small fraction of a batch call's cost.
+    Returns ``locate(q) -> (i, f)``: for finite ``q``, the same cell and fraction as the batch
+    version, by bisection on plain floats.  The end nodes are ``lo`` and ``hi`` to the bit, so
+    a clamped ``q`` lies in its cell and ``f`` needs no clip to stay in [0, 1].
     """
     if ax.n < 2:
         raise ValueError("a locator needs an axis with at least 2 nodes")
@@ -236,10 +237,9 @@ def axis_locator(ax: Axis):
     lo, hi, last = ax.lo, ax.hi, ax.n - 2
 
     def locate(q: float) -> tuple[int, float]:
-        q = min(max(q, lo), hi)
-        i = min(bisect_right(nodes, q) - 1, last)
-        f = (q - nodes[i]) / (nodes[i + 1] - nodes[i])
-        return i, min(max(f, 0.0), 1.0)
+        q = lo if lo > q else hi if hi < q else q  # min(max(q, lo), hi): a tie keeps q
+        i = bisect_right(nodes, q, 1, last + 1) - 1  # nodes[0] <= q, and the last cell takes q == hi
+        return i, (q - nodes[i]) / (nodes[i + 1] - nodes[i])
 
     return locate
 

@@ -278,9 +278,9 @@ class SolveReport:
     ``plane_nodes_swept`` counts the plane nodes every sweep visits:
     ceil(n_y / 2) on the mirror quotient, else all n_y (1 when generic).
     ``lookahead_seconds`` is the wall time of the solve's one lookahead
-    build.  Per improvement step, ``evaluation_seconds`` and
-    ``improvement_seconds`` hold the wall times of both halves (value
-    iteration: every sweep after the build, and 0).  Every
+    build, SciPy's import excluded.  Per improvement step,
+    ``evaluation_seconds`` and ``improvement_seconds`` hold the wall times
+    of both halves (value iteration: every sweep after the build, and 0).  Every
     field but ``value`` and ``policy`` goes into the JSON report, in
     declaration order.  Relative iteration anchors ``value`` at node 0.
     """
@@ -464,7 +464,10 @@ def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig, ta
             if seen is not None:
                 seen[a:b, j] = np.column_stack([u, x0[:, :c], c0])
 
-    _run_chunks(chunks, check, config.threads)
+    # the check evaluates 2 candidates at 2 noise ends per row, so it runs longer spans than a sweep:
+    # each span's (rows, K) candidate array holds 4 * CHUNK_POINTS values
+    span = max(1, 4 * CHUNK_POINTS // k)
+    _run_chunks([(a, min(a + span, grid.size)) for a in range(0, grid.size, span)], check, config.threads)
     reps = (n_y + 1) // 2 if mirror and _mirror_symmetric(seen.reshape(n_y, -1)) else n_y
     lumped = np.where(indices < reps, indices, n_y - 1 - indices)[:reps]  # a column adds into its representative's
     operator = sp.csr_matrix((data[:reps].reshape(-1), lumped.reshape(-1), indptr[: reps + 1]), shape=(reps, reps))
@@ -694,6 +697,7 @@ def policy_iteration(
     eval_converged: list[bool] = []
     eval_span_ratio: list[float] = []
     brackets: list[tuple[float, float]] = []
+    import scipy.sparse  # noqa: F401  loaded before the clock starts: see SolveReport.lookahead_seconds
     start = time.perf_counter()
     look = _policy_lookahead(current, problem, config)
     clock = [time.perf_counter()]  # before and after each evaluation and improvement
@@ -748,6 +752,7 @@ def value_iteration(
     evaluation), then returns the final greedy policy.
     """
     config = config or SolverConfig()
+    import scipy.sparse  # noqa: F401  loaded before the clock starts: see SolveReport.lookahead_seconds
     start = time.perf_counter()
     look = _lookahead(grid, problem, config)
     built = time.perf_counter()

@@ -278,15 +278,18 @@ def grid_policy_fn(policy: GridFunction) -> Policy:
         layers = np.empty((omega.size, e_axis.n))
         for j in range(e_axis.n):
             layers[:, j] = stencil_blend(weights, table[j][flat])
+        values = memoryview(layers)  # indexed per step: plain floats, no copy
         if e_axis.n == 1:
-            return lambda k, e_sto: layers.item(k, 0)
+            return lambda k, e_sto: values[k, 0]
         locate = axis_locator(e_axis)
 
         def step(k: int, e_sto: float) -> float:
             i, f = locate(e_sto)
-            a = layers.item(k, i)
-            b = layers.item(k, i + 1)
-            return min(max((1.0 - f) * a + f * b, min(a, b)), max(a, b))
+            a, b = values[k, i], values[k, i + 1]
+            u = (1.0 - f) * a + f * b
+            if b < a:  # clip to [min(a, b), max(a, b)]
+                a, b = b, a
+            return a if a > u else b if b < u else u
 
         return step
 
@@ -294,10 +297,11 @@ def grid_policy_fn(policy: GridFunction) -> Policy:
 
 
 def heuristic_policy_fn(params: StorageParams) -> Policy:
-    """Closed-loop control law of the proportional rule."""
+    """Closed-loop control law of the proportional rule: :func:`heuristic_policy` on one float."""
+    gain = params.p_max / params.e_rated
 
     def prepare(omega: np.ndarray, accel: np.ndarray) -> StepLaw:
-        return lambda k, e_sto: float(heuristic_policy(e_sto, params))
+        return lambda k, e_sto: gain * e_sto
 
     return prepare
 
@@ -312,8 +316,9 @@ def simulate_trajectory(
 
     The policy sees the speed and acceleration series once, before the
     loop, and returns its per-step law; the loop then asks it for an
-    injection at each step's stored energy.  The requested injection is
-    projected onto the feasibility interval each step; the stored energy
+    injection, a float, at each step's stored energy.  The requested injection
+    is projected onto the feasibility interval each step (+-inf included, a
+    nan raises ValueError naming the step); the stored energy
     is then advanced with the exact update e' = e + p_sto * dt and nudged,
     if rounding ever pushes it past a bound, by stepping p_sto toward zero
     one ulp at a time.  The stored record therefore satisfies the power
@@ -335,39 +340,38 @@ def simulate_trajectory(
     p_prod = pto_power(omega, params)
     law = policy(omega, accel)
 
-    p_grid = np.empty(n)
-    p_sto = np.empty(n)
-    e_path = np.empty(n + 1)
+    e_rated = params.e_rated
+    e_sto, p_sto = np.empty(n), np.empty(n)
+    e_at, sto_at = memoryview(e_sto), memoryview(p_sto)  # plain-float writes, no per-step NumPy scalar
     e = float(e0)
-    for k in range(n):
-        e_path[k] = e
-        p = float(p_prod[k])
-        requested = float(law(k, e))
-        lo = p - (params.e_rated - e) / dt
+    for k, p in enumerate(memoryview(p_prod)):
+        e_at[k] = e
+        u = law(k, e)
+        lo = p - (e_rated - e) / dt
         hi = p + e / dt
-        u = min(max(requested, lo), hi)
+        u = lo if lo > u else hi if hi < u else u  # min(max(u, lo), hi): a tie keeps u, +-inf clamps
         sto = p - u
         e_next = e + sto * dt
-        if not 0.0 <= e_next <= params.e_rated:
-            target = min(max(e_next, 0.0), params.e_rated)
+        if not 0.0 <= e_next <= e_rated:
+            if e_next != e_next:
+                raise ValueError(f"the policy requested {u!r} at step {k}")
+            target = min(max(e_next, 0.0), e_rated)
             sto = (target - e) / dt
             e_next = e + sto * dt
-            while not 0.0 <= e_next <= params.e_rated:
+            while not 0.0 <= e_next <= e_rated:
                 sto = math.nextafter(sto, 0.0)
                 e_next = e + sto * dt
-        p_sto[k] = sto
-        p_grid[k] = p - sto
+        sto_at[k] = sto
         e = e_next
-    e_path[n] = e
 
     return TrajectoryRecord(
         t=np.arange(n) * dt,
         omega=omega,
         accel=accel,
         p_prod=p_prod,
-        p_grid=p_grid,
+        p_grid=p_prod - p_sto,
         p_sto=p_sto,
-        e_sto=e_path[:n].copy(),
+        e_sto=e_sto,
         e_final=e,
         dt=dt,
     )

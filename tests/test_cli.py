@@ -530,6 +530,33 @@ assert not loaded, f"loaded without solving or fitting: {loaded}"
 """
 
 
+# Runs in a fresh interpreter: the first solve of a process starts its lookahead clock
+# with scipy.sparse already loaded, so lookahead_seconds holds no import time.
+LOOKAHEAD_CLOCK_SCRIPT = """
+import sys, time
+from sdpkit import solver, storage
+
+model, params = storage.bundled_speed_model(), storage.StorageParams()
+grid = storage.default_state_grid(model, params, 3, 4, 4)
+problem = storage.build_problem(model, params, n_noise=3, n_controls=4)
+config = solver.SolverConfig(eval_max_sweeps=5, max_improvements=1)
+scipy_loaded = []
+clock = time.perf_counter
+
+def perf_counter():
+    scipy_loaded.append("scipy.sparse" in sys.modules)
+    return clock()
+
+time.perf_counter = perf_counter
+assert "scipy.sparse" not in sys.modules
+if sys.argv[1] == "policy_iteration":
+    solver.policy_iteration(problem, storage.heuristic_policy_on_grid(grid, params), config)
+else:
+    solver.value_iteration(problem, grid, config)
+assert scipy_loaded and all(scipy_loaded), scipy_loaded
+"""
+
+
 def run_fresh(script: str, *argv) -> subprocess.CompletedProcess:
     src = Path(__file__).resolve().parents[1] / "src"
     return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
@@ -544,6 +571,11 @@ class TestStartUpImports:
     def test_simulate_and_compare_load_no_scipy_module(self, tiny_solution, speed_csv, tmp_path):
         proc = run_fresh(NO_SCIPY_SCRIPT, str(tmp_path), str(speed_csv),
                          str(tiny_solution / "solution_policy_u0.gridfn"))
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("solve", ["policy_iteration", "value_iteration"])
+    def test_the_lookahead_clock_starts_after_scipy_is_loaded(self, solve):
+        proc = run_fresh(LOOKAHEAD_CLOCK_SCRIPT, solve)
         assert proc.returncode == 0, proc.stderr
 
 

@@ -1,5 +1,8 @@
-"""The closed-loop simulator against a one-point-per-step oracle.
+"""The closed-loop simulator against per-step references.
 
+``reference_trajectory`` and ``reference_grid_policy`` are the loop and the
+grid step law as they were on NumPy scalars, with ``min``/``max`` clamps: the
+float path must reproduce their every bit, signed zeros included.
 ``oracle_trajectory`` is the simulator as it was before the batch (omega,
 accel) pass: one general 3-D ``grids.interpolate`` call per step, then the
 same feasibility clamp and ulp correction.  The fast path must agree with
@@ -8,6 +11,7 @@ range, and leave the heuristic's trajectories bit-for-bit unchanged.
 """
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -20,8 +24,8 @@ MODEL = storage.bundled_speed_model()
 SEEDS = (1, 2, 3)
 
 
-def oracle_trajectory(rule, speed, params, e0):
-    """Per-step loop; ``rule(e_sto, omega, accel)`` is the requested injection."""
+def reference_trajectory(policy, speed, params, e0):
+    """Per-step loop over NumPy records; ``policy`` is a closed-loop policy."""
     omega = np.ascontiguousarray(speed, dtype=np.float64).reshape(-1)
     n = omega.size
     dt = params.dt
@@ -29,6 +33,7 @@ def oracle_trajectory(rule, speed, params, e0):
     accel[0] = 0.0
     np.divide(np.diff(omega), dt, out=accel[1:])
     p_prod = storage.pto_power(omega, params)
+    law = policy(omega, accel)
     p_grid = np.empty(n)
     p_sto = np.empty(n)
     e_path = np.empty(n + 1)
@@ -36,7 +41,7 @@ def oracle_trajectory(rule, speed, params, e0):
     for k in range(n):
         e_path[k] = e
         p = float(p_prod[k])
-        requested = float(rule(e, float(omega[k]), float(accel[k])))
+        requested = float(law(k, e))
         lo = p - (params.e_rated - e) / dt
         hi = p + e / dt
         u = min(max(requested, lo), hi)
@@ -57,6 +62,45 @@ def oracle_trajectory(rule, speed, params, e0):
         t=np.arange(n) * dt, omega=omega, accel=accel, p_prod=p_prod, p_grid=p_grid,
         p_sto=p_sto, e_sto=e_path[:n].copy(), e_final=e, dt=dt,
     )
+
+
+def oracle_trajectory(rule, speed, params, e0):
+    """The reference loop; ``rule(e_sto, omega, accel)`` is the requested injection."""
+    return reference_trajectory(
+        lambda omega, accel: lambda k, e: rule(e, float(omega[k]), float(accel[k])), speed, params, e0)
+
+
+def reference_grid_policy(policy):
+    """The grid step law with ``min``/``max`` clamps and ``ndarray.item`` reads."""
+    e_axis = policy.grid.axes[0]
+    plane = grids.RectGrid(policy.grid.axes[1:])
+    table = policy.values.reshape(e_axis.n, plane.size)
+    nodes = e_axis.nodes.tolist()
+    last = e_axis.n - 2
+
+    def locate(q):
+        q = min(max(q, e_axis.lo), e_axis.hi)
+        i = min(bisect_right(nodes, q) - 1, last)
+        f = (q - nodes[i]) / (nodes[i + 1] - nodes[i])
+        return i, min(max(f, 0.0), 1.0)
+
+    def prepare(omega, accel):
+        flat, weights = grids.interpolation_stencil(plane, np.column_stack([omega, accel]))
+        layers = np.empty((omega.size, e_axis.n))
+        for j in range(e_axis.n):
+            layers[:, j] = grids.stencil_blend(weights, table[j][flat])
+        if e_axis.n == 1:
+            return lambda k, e_sto: layers.item(k, 0)
+
+        def step(k, e_sto):
+            i, f = locate(e_sto)
+            a = layers.item(k, i)
+            b = layers.item(k, i + 1)
+            return min(max((1.0 - f) * a + f * b, min(a, b)), max(a, b))
+
+        return step
+
+    return prepare
 
 
 def interpolating_rule(policy):
@@ -105,6 +149,25 @@ GRIDS = {
 def speed_series(seed, n=600, scale=2.5):
     """An AR(2) speed series, scaled so it also leaves the +/-4 sigma hull."""
     return scale * armodel.simulate(MODEL, n=n, seed=seed)
+
+
+def tied_policy(shape, seed, narrow=1.0):
+    """``random_policy`` with every odd energy layer a copy of the one below, and a
+    third of the entries +0.0 or -0.0: equal bracketing values, ties and signed zeros."""
+    policy = random_policy(shape, seed, narrow)
+    table = policy.as_array().copy()
+    table[1::2] = table[0:table.shape[0] - 1:2]
+    rng = np.random.default_rng(seed)
+    zero = rng.random(table.shape) < 1 / 3
+    table[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+    return grids.GridFunction(policy.grid, table)
+
+
+def assert_same_bits(traj, ref):
+    for name in storage.TRAJECTORY_COLUMNS:
+        assert getattr(traj, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert math.copysign(1.0, traj.e_final) == math.copysign(1.0, ref.e_final)
+    assert traj.e_final == ref.e_final
 
 
 class RecordingPolicy:
@@ -231,9 +294,7 @@ def test_heuristic_trajectories_are_unchanged_to_the_bit(seed, e0):
     speed = speed_series(seed, n=2000, scale=1.0)
     traj = storage.simulate_trajectory(storage.heuristic_policy_fn(PARAMS), speed, PARAMS, e0)
     ref = oracle_trajectory(heuristic_rule, speed, PARAMS, e0)
-    for name in storage.TRAJECTORY_COLUMNS:
-        assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
-    assert traj.e_final == ref.e_final
+    assert_same_bits(traj, ref)
 
 
 def test_heuristic_length_one_series():
@@ -242,3 +303,16 @@ def test_heuristic_length_one_series():
     ref = oracle_trajectory(heuristic_rule, speed, PARAMS, 4e6)
     assert np.array_equal(traj.p_grid, ref.p_grid)
     assert traj.e_final == ref.e_final
+
+
+@pytest.mark.parametrize("e0", [0.0, 0.5 * PARAMS.e_rated, PARAMS.e_rated])
+@pytest.mark.parametrize("make", [random_policy, tied_policy])
+@pytest.mark.parametrize("name", GRIDS)
+def test_grid_trajectories_keep_the_reference_bits(name, make, e0):
+    shape, narrow = GRIDS[name]
+    policy = make(shape, seed=9, narrow=narrow)
+    speed = speed_series(9)
+    speed[200:260] = 0.0  # no production: a store at a bound meets requests on its feasibility ends
+    traj = storage.simulate_trajectory(storage.grid_policy_fn(policy), speed, PARAMS, e0)
+    ref = reference_trajectory(reference_grid_policy(policy), speed, PARAMS, e0)
+    assert_same_bits(traj, ref)

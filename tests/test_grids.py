@@ -226,7 +226,7 @@ class TestInterpolate:
             grids.interpolate(gf, [np.nan, 0.5])
 
     @pytest.mark.parametrize("spec", [
-        (0.0, 1.0, 2), (0.0, 10e6, 15), (-0.37, 0.91, 60), (1e-3, 1e-3 + 7e-9, 9),
+        (0.0, 1.0, 2), (0.0, 10e6, 15), (-0.37, 0.91, 60), (1e-3, 1e-3 + 7e-9, 9), (-0.37, 0.37, 31),
     ])
     def test_axis_locator_matches_the_batch_locate(self, spec):
         rng = np.random.default_rng(17)

@@ -705,6 +705,24 @@ class TestPostDecisionSplit:
             with pytest.raises(ValueError, match=f"node {bad} "):
                 solver.bellman_sweep(value, problem)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_the_split_check_names_the_first_violation_in_row_order(self, monkeypatch, threads):
+        # the check runs 8-row spans here; node 134 (y-major row 39) fails in span 4 and node 12
+        # (row 101) in span 12, so the first node in row order is not the first in grid order
+        base, grid = split_problem()
+        monkeypatch.setattr(solver, "CHUNK_POINTS", 2 * base.candidate_array(grid.all_nodes[:1]).shape[1])
+        bad = np.array([grids.node_coordinates(grid, node) for node in (12, 134)])
+
+        def dynamics(x, u, w):
+            out = base.dynamics(x, u, w)
+            out[(x[:, None, :] == bad).all(axis=2).any(axis=1), 2] += 1.0
+            return out
+
+        problem, _ = split_problem(dynamics=dynamics)
+        value = grids.GridFunction(grid, np.zeros(grid.size))
+        with pytest.raises(ValueError, match="^dynamics: the exogenous components .* at grid node 134 "):
+            solver.bellman_sweep(value, problem, SolverConfig(threads=threads))
+
     @pytest.mark.parametrize("controlled_dims", [-1, 3])
     def test_controlled_dims_must_leave_an_exogenous_axis(self, controlled_dims):
         # a negative count fails at construction, one that covers the grid at the first solver call

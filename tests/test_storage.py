@@ -1,6 +1,7 @@
 """Storage-smoothing tests: closed forms, exact invariants, CSV round trips."""
 
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -294,6 +295,24 @@ class TestSimulateTrajectory:
             storage.simulate_trajectory(constant_policy(0.0), np.zeros(3), PARAMS, -1.0)
         with pytest.raises(ValueError):
             storage.simulate_trajectory(constant_policy(0.0), np.zeros(3), PARAMS, 2e7)
+
+    @pytest.mark.parametrize("bad_step", [0, 2])
+    def test_a_nan_request_is_an_error_naming_its_step(self, bad_step):
+        law = lambda omega, accel: lambda k, e_sto: math.nan if k == bad_step else 0.0  # noqa: E731
+        errors = []
+
+        def run():
+            try:
+                storage.simulate_trajectory(law, np.zeros(3), PARAMS, 5e6)
+            except ValueError as exc:
+                errors.append(str(exc))
+
+        # a nan that reached the ulp correction would spin there for good
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert errors == [f"the policy requested nan at step {bad_step}"]
 
     def test_grid_policy_fn_requires_three_axes(self):
         g = grids.build_grid([(0, 1, 2)])
