@@ -338,7 +338,6 @@ class StateSpaceAR2:
 
     transition: np.ndarray
     noise_gain: np.ndarray
-    state_labels: tuple[str, str] = ("value", "backward-difference")
 
     def step(self, value: float, diff: float, eps: float) -> tuple[float, float]:
         t = self.transition

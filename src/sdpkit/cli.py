@@ -22,8 +22,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# Default number of fixed-energy levels in the policy-slice CSV.
-DEFAULT_SLICES = 7
+DEFAULT_SLICES = 7  # fixed-energy levels in the policy-slice CSV
 
 
 def _positive_int(text: str) -> int:
@@ -78,7 +77,7 @@ def _series_dt(t: np.ndarray) -> float:
 
 def cmd_generate(args) -> int:
     model = _load_model(args.model)
-    omega = armodel.simulate(model, args.n, args.seed, args.burn_in)
+    omega = armodel.simulate(model, args.n, args.seed)
     t = np.arange(args.n) * model.dt
     storage.save_series(args.out, t, omega)
     print(f"wrote {args.n} steps ({args.n * model.dt:.1f} s) to {args.out}")
@@ -90,35 +89,31 @@ def cmd_fit(args) -> int:
     dt = _series_dt(t)
     if dt <= 0.0:
         raise ValueError("need at least two samples to infer the timestep")
-    if args.method == "cls":
-        model = armodel.fit_cls(omega, args.p, dt)
-        provenance = {"method": "cls", "lag_count": None, "criterion": None}
-    else:
-        lag_count = max(args.p, int(round(args.lag_seconds / dt)))
-        acf = armodel.sample_acf(omega, lag_count, dt)
-        phi, criterion = armodel.fit_multilag(acf, args.p, lag_count)
-        gamma0 = float(np.var(omega))
-        # the fitted model's own rho(1..p): 1 - phi . rho is then positive for
-        # every stationary phi, which the sample rho does not guarantee
-        model_acf = armodel.theoretical_acf(phi, args.p, dt)
-        sigma = armodel.innovation_std_from_acf(phi, gamma0, model_acf)
-        model = armodel.ARModel(phi, sigma, dt)
-        provenance = {"method": "multilag", "lag_count": lag_count, "criterion": criterion}
+    lag_count = max(args.p, int(round(args.lag_seconds / dt)))
+    acf = armodel.sample_acf(omega, lag_count, dt)
+    phi, criterion = armodel.fit_multilag(acf, args.p, lag_count)
+    gamma0 = float(np.var(omega))
+    # the fitted model's own rho(1..p): 1 - phi . rho is then positive for
+    # every stationary phi, which the sample rho does not guarantee
+    model_acf = armodel.theoretical_acf(phi, args.p, dt)
+    sigma = armodel.innovation_std_from_acf(phi, gamma0, model_acf)
+    model = armodel.ARModel(phi, sigma, dt)
+    provenance = {"method": "multilag", "lag_count": lag_count, "criterion": criterion}
     armodel.save_ar_model(model, args.out, provenance)
     coeffs = ", ".join(f"{c:.6g}" for c in model.phi)
-    print(f"fitted AR({model.p}) [{args.method}]: phi=({coeffs}), sigma_eps={model.sigma_eps:.6g}")
+    print(f"fitted AR({model.p}) [multilag]: phi=({coeffs}), sigma_eps={model.sigma_eps:.6g}")
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def _write_policy_slices(policy: grids.GridFunction, path: Path, n_levels: int) -> None:
+def _write_policy_slices(policy: grids.GridFunction, path: Path) -> None:
     """CSV slices of the policy over (omega, accel) at fixed energy levels.
 
     Intended for external plotting; one block of rows per energy level.
     """
     grid = policy.grid
     e_axis, om_axis, ac_axis = grid.axes
-    levels = np.linspace(e_axis.lo, e_axis.hi, n_levels)
+    levels = np.linspace(e_axis.lo, e_axis.hi, DEFAULT_SLICES)
     e, om, ac = np.meshgrid(levels, om_axis.nodes, ac_axis.nodes, indexing="ij")
     pts = np.column_stack([e.ravel(), om.ravel(), ac.ravel()])
     rows = np.column_stack([pts, grids.interpolate(policy, pts)])
@@ -144,7 +139,7 @@ def cmd_solve(args) -> int:
     out_dir = Path(args.out_dir)
     paths = solver.save_report(report, out_dir)
     slices_path = out_dir / "policy_slices.csv"
-    _write_policy_slices(report.policy[0], slices_path, args.slices)
+    _write_policy_slices(report.policy[0], slices_path)
 
     print(f"average cost J = {report.avg_cost:.6e} W^2 "
           f"(injected-power rms {report.avg_cost ** 0.5:.1f} W)")
@@ -250,16 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model JSON (default: bundled AR(2) speed model)")
     p.add_argument("--n", type=_positive_int, default=10000, help="number of steps (default 10000)")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument("--burn-in", type=int, default=None,
-                   help="warm-up steps to discard (default: 10 characteristic times)")
     p.add_argument("--out", required=True, help="output CSV path (columns t,omega)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("fit", help="fit an AR model to a speed series")
     p.add_argument("--series", required=True, help="input CSV with t,omega columns")
     p.add_argument("--p", type=_positive_int, default=2, help="model order (default 2)")
-    p.add_argument("--method", choices=("multilag", "cls"), default="multilag",
-                   help="fitting method (default multilag)")
     p.add_argument("--lag-seconds", type=_positive_float, default=15.0,
                    help="autocorrelation span matched by multilag, in seconds (default 15)")
     p.add_argument("--out", required=True, help="output model JSON path")
@@ -283,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="policy improvement cap (default 10)")
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="sweep parallelism (results are identical for any value)")
-    p.add_argument("--slices", type=_positive_int, default=DEFAULT_SLICES,
-                   help="fixed-energy levels in the policy-slice CSV (default 7)")
     _add_storage_flags(p)
     p.set_defaults(func=cmd_solve)
 

@@ -131,8 +131,8 @@ class DiscreteNoise:
             raise ValueError(f"{nodes.size} nodes but {weights.size} weights")
         if not np.isfinite(nodes).all():
             raise ValueError("noise nodes must be finite")
-        if np.any(weights < 0.0):
-            raise ValueError("noise weights must be nonnegative")
+        if not np.all(weights >= 0.0):  # NaN fails this comparison too
+            raise ValueError("noise weights must be nonnegative and not NaN")
         if abs(math.fsum(weights.tolist()) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"noise weights must sum to 1, got {math.fsum(weights.tolist())}")
         nodes.flags.writeable = False
@@ -246,10 +246,10 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.eval_tol < math.inf:  # NaN would never stop an iteration, inf stops every one at once
             raise ValueError("eval_tol must be finite and > 0")
-        if self.eval_max_sweeps < 1 or self.max_improvements < 1:
-            raise ValueError("sweep and improvement caps must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        for name in ("eval_max_sweeps", "max_improvements", "threads"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass

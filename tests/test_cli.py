@@ -97,17 +97,6 @@ class TestFit:
         assert fit["lag_count"] == 20
         assert fit["criterion"] >= 0.0
 
-    def test_cls_method(self, tmp_path):
-        series = tmp_path / "series.csv"
-        omega = armodel.simulate(armodel.ARModel((0.8,), 0.1, 0.1), n=30_000, seed=6)
-        storage.save_series(series, np.arange(omega.size) * 0.1, omega)
-        out = tmp_path / "model.json"
-        assert run_cli("fit", "--series", str(series), "--p", "1",
-                       "--method", "cls", "--out", str(out)) == 0
-        model, fit = armodel.load_ar_model(out)
-        assert model.phi[0] == pytest.approx(0.8, abs=0.02)
-        assert fit["method"] == "cls"
-
     def test_default_order_two_on_bundled_data(self, speed_csv, tmp_path):
         out = tmp_path / "model.json"
         assert run_cli("fit", "--series", str(speed_csv), "--out", str(out)) == 0
@@ -455,7 +444,7 @@ class TestCompare:
 
 
 class TestJsonWrites:
-    """A crash at the final rename leaves each JSON and CSV artifact as it was."""
+    """A crash at the final rename leaves each JSON and CSV artifact as it was, and no stray file."""
 
     @pytest.mark.parametrize("command", ["fit", "simulate", "compare", "generate", "simulate-csv", "solve"])
     def test_failed_write_keeps_the_previous_file(self, speed_csv, tmp_path, monkeypatch, command):
@@ -464,7 +453,7 @@ class TestJsonWrites:
         out = out_dir / ("policy_slices.csv" if command == "solve" else "doc")
         series = str(speed_csv)
         argv = {  # two runs whose documents at `out` differ
-            "fit": lambda v: ("fit", "--series", series, "--method", "cls", "--p", v, "--out", str(out)),
+            "fit": lambda v: ("fit", "--series", series, "--lag-seconds", v, "--out", str(out)),
             "simulate": lambda v: ("simulate", "--policy", "heuristic", "--series", series, "--e0", f"{v}e6",
                                    "--out", str(tmp_path / "t.csv"), "--metrics-out", str(out)),
             "compare": lambda v: ("compare", "--policy", "heuristic", "--series", *[series] * int(v),
@@ -473,14 +462,10 @@ class TestJsonWrites:
             "simulate-csv": lambda v: ("simulate", "--policy", "heuristic", "--series", series,
                                        "--e0", f"{v}e6", "--out", str(out)),
             "solve": lambda v: ("solve", "--out-dir", str(out_dir), *TINY_GRID, "--max-sweeps", "50",
-                                "--max-improvements", "1", "--slices", v),
+                                "--max-improvements", "1", "--n-e", f"{3 + int(v)}"),
         }[command]
-        def files():  # the solve report is rewritten before the slices, with its own wall times
-            found = {p.name: p.read_bytes() for p in out_dir.iterdir()}
-            if "solution_report.json" in found:
-                doc = json.loads(found["solution_report.json"])
-                found["solution_report.json"] = {k: v for k, v in doc.items() if not k.endswith("_seconds")}
-            return found
+        def files():  # solve rewrites its solution files before the slices; only `out` must survive
+            return sorted(p.name for p in out_dir.iterdir()), out.read_bytes()
 
         assert run_cli(*argv("1")) == cli.EXIT_OK
         before = files()
@@ -603,6 +588,18 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as info:
             run_cli(command, *required, flag, value)
         assert info.value.code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("fit", "--method", "cls"), ("generate", "--burn-in", "0"), ("solve", "--slices", "3"),
+    ])
+    def test_removed_option_exits_2(self, speed_csv, tmp_path, command, flag, value):
+        required = {"fit": ("--series", str(speed_csv), "--out", str(tmp_path / "m.json")),
+                    "generate": ("--n", "5", "--out", str(tmp_path / "s.csv")),
+                    "solve": (*TINY_GRID, "--out-dir", str(tmp_path / "solution"))}[command]
+        with pytest.raises(SystemExit) as info:
+            run_cli(command, *required, flag, value)
+        assert info.value.code == cli.EXIT_USAGE
+        assert [p.name for p in tmp_path.iterdir()] == ["speed.csv"]  # nothing written
 
     def test_policy_tolerance_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as info:

@@ -90,6 +90,8 @@ class TestDiscretizeNoise:
             DiscreteNoise(np.array([0.0, 1.0]), np.array([1.2, -0.2]))
         with pytest.raises(ValueError):
             DiscreteNoise(np.array([0.0]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="not NaN"):  # NaN passes both a < 0 and a sum-to-1 test
+            DiscreteNoise(np.array([0.0, 1.0]), np.array([math.nan, 1.0]))
 
 
 def fixed_candidates(cands):
@@ -543,10 +545,19 @@ class TestConfigValidation:
         {"threads": -5},
         {"eval_tol": math.nan},
         {"eval_tol": math.inf},
+        {"eval_max_sweeps": 2.5},
+        {"max_improvements": 2.0},
+        {"threads": 1.5},
+        {"max_improvements": True},
+        {"threads": True},
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["eval_max_sweeps", "max_improvements", "threads"])
+    def test_numpy_integer_count_is_accepted(self, name):
+        assert getattr(SolverConfig(**{name: np.int64(3)}), name) == 3
 
 
 def split_problem(**overrides):
