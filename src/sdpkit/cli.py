@@ -143,8 +143,11 @@ def cmd_solve(args) -> int:
 
     print(f"average cost J = {report.avg_cost:.6e} W^2 "
           f"(injected-power rms {report.avg_cost ** 0.5:.1f} W)")
+    lo, hi = report.bracket_history[-1]
+    relative = (hi - lo) / abs(report.avg_cost) if report.avg_cost else math.inf
+    print(f"optimal average cost in [{lo:.10e}, {hi:.10e}] W^2, width {relative:.3g} of |J|")
     print(f"improvement steps: {report.improvement_steps} "
-          f"(policy {'converged' if report.converged else 'truncated at the improvement cap'})")
+          f"({'certified' if report.converged else 'truncated at the improvement cap'})")
     print(f"evaluation sweeps: {report.sweeps_per_evaluation}")
     print(f"evaluation {1e3 * sum(report.evaluation_seconds) / sum(report.sweeps_per_evaluation):.3g} ms "
           f"per sweep over {report.plane_nodes_swept} of {args.n_omega * args.n_accel} speed-plane nodes, "
@@ -153,7 +156,7 @@ def cmd_solve(args) -> int:
     capped = report.evaluation_converged.count(False)
     if capped:
         print(f"note: {capped} of {len(report.evaluation_converged)} evaluations stopped at the "
-              f"{args.max_sweeps}-sweep cap before converging (final span/tolerance "
+              f"{args.max_sweeps}-sweep cap before meeting their stop (final span/stop "
               f"{', '.join(f'{r:.3g}' for r in report.evaluation_span_ratio)})")
     for name, p in paths.items():
         print(f"wrote {name}: {p}")
@@ -266,10 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="innovation discretization nodes (default 5)")
     p.add_argument("--n-controls", type=_positive_int, default=50,
                    help="control candidates per node (default 50)")
-    p.add_argument("--max-sweeps", type=_positive_int, default=1000,
-                   help="sweep cap per policy evaluation (default 1000)")
+    p.add_argument("--max-sweeps", type=_positive_int, default=5000,
+                   help="safety cap on the sweeps of each policy evaluation, reported when hit (default 5000)")
     p.add_argument("--eval-tol", type=_positive_float, default=1e-9,
-                   help="relative span tolerance per evaluation (default 1e-9)")
+                   help="relative tolerance of each evaluation and of the certified bracket (default 1e-9)")
     p.add_argument("--max-improvements", type=_positive_int, default=10,
                    help="policy improvement cap (default 10)")
     p.add_argument("--threads", type=_positive_int, default=1,

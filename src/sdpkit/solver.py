@@ -114,6 +114,9 @@ CHUNK_POINTS = 65_536
 # Transition probabilities of mirrored plane nodes may differ by this much on the mirror quotient.
 MIRROR_TOL = 1e-12
 
+# Policy iteration stops an evaluation at this fraction of its first sweep's span, unless it certifies.
+STOP_FRACTION = 0.01
+
 
 @dataclass(frozen=True)
 class DiscreteNoise:
@@ -232,14 +235,15 @@ class SolverConfig:
 
     ``eval_tol`` is relative: an iteration stops once the span of the
     sweep increment drops below ``eval_tol * (|J| + 1)`` for the current
-    average-cost estimate J.  ``eval_max_sweeps`` caps each evaluation,
-    ``max_improvements`` caps policy iteration, and ``threads`` sets the
+    average-cost estimate J, and policy iteration once its bracket on J*
+    is that narrow.  ``eval_max_sweeps`` is a safety cap on each
+    evaluation, ``max_improvements`` caps policy iteration, and ``threads`` sets the
     sweep parallelism, which never changes a result bit.  Relative
     iteration anchors the value at node 0.
     """
 
     eval_tol: float = 1e-9
-    eval_max_sweeps: int = 1000
+    eval_max_sweeps: int = 5000
     max_improvements: int = 10
     threads: int = 1
 
@@ -261,20 +265,22 @@ class EvaluationResult:
     sweeps: int
     residuals: list[float]
     converged: bool
-    span_ratio: float  # final span over the stopping tolerance; <= 1 when converged
+    span_ratio: float  # final span over the stop it used; <= 1 when converged
 
 
 @dataclass
 class SolveReport:
     """Outcome of a full policy-iteration or value-iteration run.
 
-    ``converged`` says that the last improvement changed no node's
-    control (value iteration: the span test).  Per evaluation,
-    ``evaluation_converged`` says whether it met its tolerance before the
-    sweep cap and ``evaluation_span_ratio`` gives its final span over
-    that tolerance.  Per improvement sweep,
+    ``converged`` says that the last bracket is at most
+    ``eval_tol * (|avg_cost| + 1)`` wide, and nothing else (value
+    iteration: the span test).  Per evaluation, ``evaluation_converged``
+    says whether it met its own stop before the sweep cap and
+    ``evaluation_span_ratio`` gives its final span over that stop (see
+    :func:`policy_iteration`).  Per improvement sweep,
     ``bracket_history`` holds (min(Tv - v), max(Tv - v)), which brackets
-    the optimal average cost J* of the gridded problem.
+    the optimal average cost J* of the gridded problem and the average
+    cost of the policy greedy for v.
     ``plane_nodes_swept`` counts the plane nodes every sweep visits:
     ceil(n_y / 2) on the mirror quotient, else all n_y (1 when generic).
     ``lookahead_seconds`` is the wall time of the solve's one lookahead
@@ -510,21 +516,22 @@ def _min_sweep(look: _Lookahead, values: np.ndarray, threads: int):
     return raw, tuple(look.grid_function(u) for u in controls), (float(gain.min()), float(gain.max()))
 
 
-def _span_ratio(residuals: list[float], anchors: list[float], config: SolverConfig) -> float:
-    return residuals[-1] / (config.eval_tol * (abs(anchors[-1]) + 1.0))
+def _stop(residuals: list[float], anchors: list[float], config: SolverConfig, fraction: float) -> float:
+    """The span an iteration stops at: the tolerance, or ``fraction`` times its first span if that is looser."""
+    return max(fraction * residuals[0], config.eval_tol * (abs(anchors[-1]) + 1.0))
 
 
-def _relative_iteration(blocks: list, config: SolverConfig):
-    """Iterate v <- raw - raw[0], raw = step(v), from v = 0; returns (v, anchors, residuals, converged).
+def _relative_iteration(blocks: list, config: SolverConfig, start: np.ndarray | None = None, fraction: float = 0.0):
+    """Iterate v <- raw - raw[0], raw = step(v), from ``start`` (default 0); returns (v, anchors, residuals, converged).
 
     ``blocks`` holds ``(rows, step)`` pairs whose slices partition v in order (so block 0 holds the
     anchor); ``step(v)`` sweeps slice ``rows``.
     Several blocks run on one thread each, alive for this call only, and wait twice per sweep: once
     their raw values and increment extrema are written, and once their share of v is.  The span is
     exact: the max of the block maxima minus the min of the minima.  Stops once it drops to
-    ``eval_tol * (|anchor| + 1)`` or after ``eval_max_sweeps`` sweeps.
+    :func:`_stop`, or after ``eval_max_sweeps`` sweeps.
     """
-    v = np.zeros(blocks[-1][0].stop)
+    v = np.zeros(blocks[-1][0].stop) if start is None else np.array(start, dtype=np.float64)
     raws, outcomes, extrema = [None] * len(blocks), [None] * len(blocks), np.empty((len(blocks), 2))
     barrier = threading.Barrier(len(blocks))
 
@@ -541,7 +548,7 @@ def _relative_iteration(blocks: list, config: SolverConfig):
                 anchors.append(float(raws[0][0]))
                 residuals.append(float(extrema[:, 1].max() - extrema[:, 0].min()))
                 np.subtract(raw, anchors[-1], out=v[rows])
-                converged = residuals[-1] <= config.eval_tol * (abs(anchors[-1]) + 1.0)
+                converged = residuals[-1] <= _stop(residuals, anchors, config, fraction)
                 if converged:
                     break
                 barrier.wait()
@@ -616,13 +623,14 @@ def _evaluation_block(look: _Lookahead, cost: np.ndarray, matrix: sp.csr_matrix,
 
 
 def _policy_lookahead(policy: tuple[GridFunction, ...], problem: ControlProblem, config: SolverConfig,
-                      look: _Lookahead | None = None) -> _Lookahead:
-    """``look``, or the lookahead of ``problem`` on the one grid of ``policy``, after checking the policy."""
+                      look: _Lookahead | None = None, start: GridFunction | None = None) -> _Lookahead:
+    """``look``, or the lookahead of ``problem`` on the one grid of ``policy``, after checking the policy and ``start``."""
     if len(policy) < 1:
         raise ValueError("policy needs at least one control component")
-    if any(p.grid != policy[0].grid for p in policy[1:]):
-        raise ValueError("policy components must share one grid")
-    look = look or _lookahead(policy[0].grid, problem, config, [p.values for p in policy])
+    tables = (*policy, *(() if start is None else (start,)))
+    if any(t.grid != policy[0].grid for t in tables[1:]):
+        raise ValueError("policy components and the start value must share one grid")
+    look = look or _lookahead(policy[0].grid, problem, config, [t.values for t in tables])
     if len(policy) != look.width:
         raise ValueError(f"{len(policy)} policy components != candidate width {look.width}")
     return look
@@ -633,24 +641,28 @@ def policy_evaluation(
     problem: ControlProblem,
     config: SolverConfig | None = None,
     look: _Lookahead | None = None,
+    start: GridFunction | None = None,
+    fraction: float = 0.0,
 ) -> EvaluationResult:
     """Average cost and differential value of a fixed policy.
 
     Iterates the fixed-policy sweep (no minimisation; the control at
     each node is the stored policy value projected to the nearest
-    admissible candidate) with relative-value anchoring until the span
-    of the increment drops below the tolerance or the sweep cap is hit.
-    ``look``, the lookahead of ``problem`` on the policy's grid, is built when omitted.
+    admissible candidate) with relative-value anchoring, from ``start`` (zero when omitted),
+    until the span of the increment drops to the tolerance, or to ``fraction`` times the first
+    sweep's span if that is looser, or the sweep cap is hit.  ``look``, the lookahead of ``problem``
+    on the policy's grid, is built when omitted; a given one reads ``start`` at its swept rows only.
     """
     config = config or SolverConfig()
-    look = _policy_lookahead(policy, problem, config, look)
+    look = _policy_lookahead(policy, problem, config, look, start)
     cost, matrix = _fixed_policy_operator(look, policy, config.threads)
     count = min(config.threads, look.reps)
     blocks = [_evaluation_block(look, cost, matrix, look.reps * t // count, look.reps * (t + 1) // count)
               for t in range(count)]
-    v, anchors, residuals, converged = _relative_iteration(blocks, config)
+    v, anchors, residuals, converged = _relative_iteration(
+        blocks, config, None if start is None else start.values[look.order[: look.rows]], fraction)
     return EvaluationResult(anchors[-1], look.grid_function(v), len(residuals), residuals, converged,
-                            _span_ratio(residuals, anchors, config))
+                            residuals[-1] / _stop(residuals, anchors, config, fraction))
 
 
 def policy_improvement(
@@ -670,41 +682,34 @@ def policy_improvement(
     return policy, bracket
 
 
-def _max_policy_change(new: tuple[GridFunction, ...], old: tuple[GridFunction, ...]) -> float:
-    return max(float(np.max(np.abs(n.values - o.values))) for n, o in zip(new, old))
-
-
 def policy_iteration(
     problem: ControlProblem,
     initial_policy: tuple[GridFunction, ...],
     config: SolverConfig | None = None,
 ) -> SolveReport:
-    """Alternate policy evaluation and greedy improvement (Howard's policy iteration).
+    """Modified policy iteration, stopped by its bracket on J* (Puterman & Shin, 1978).
 
-    Stops, converged, once an improvement changes no node's control, or
-    after ``max_improvements`` improvement steps.  Every improved control
-    is one of the problem's candidate values, so an unchanged control is
-    bit-equal and the test needs no tolerance.  The reported average cost
-    belongs to the last policy that was evaluated; when the run converged
-    this is also the returned policy.  One lookahead serves every step.
+    Each evaluation starts from the last one's value, unless that one hit the sweep cap (a periodic
+    chain oscillates from any non-constant start), and stops at ``STOP_FRACTION`` times its first
+    sweep's span, from that value the last bracket's width, or at the tolerance if that is looser.
+    After an improvement that changed no control, it runs to the tolerance.  Stops, converged, once a
+    bracket is at most ``eval_tol * (|J| + 1)`` wide, or after ``max_improvements`` steps.  The bracket
+    holds J* and the average cost of the returned policy, greedy for the returned value; J and the
+    value are the last evaluation's.  One lookahead serves every step.
     """
     config = config or SolverConfig()
     current = tuple(initial_policy)
-    residual_history: list[float] = []
-    avg_history: list[float] = []
-    change_history: list[float] = []
-    sweeps_per_eval: list[int] = []
-    eval_converged: list[bool] = []
-    eval_span_ratio: list[float] = []
-    brackets: list[tuple[float, float]] = []
+    residual_history, avg_history, change_history, sweeps_per_eval, eval_converged, eval_span_ratio, brackets = (
+        [], [], [], [], [], [], [])
     import scipy.sparse  # noqa: F401  loaded before the clock starts: see SolveReport.lookahead_seconds
     start = time.perf_counter()
     look = _policy_lookahead(current, problem, config)
     clock = [time.perf_counter()]  # before and after each evaluation and improvement
-    converged = False
     evaluation = None
+    fraction = STOP_FRACTION
     for _ in range(config.max_improvements):
-        evaluation = policy_evaluation(current, problem, config, look)
+        seed = evaluation.value if evaluation is not None and evaluation.converged else None
+        evaluation = policy_evaluation(current, problem, config, look, seed, fraction)
         clock.append(time.perf_counter())
         eval_converged.append(evaluation.converged)
         eval_span_ratio.append(evaluation.span_ratio)
@@ -714,12 +719,13 @@ def policy_iteration(
         improved, bracket = policy_improvement(evaluation.value, problem, config, look)
         clock.append(time.perf_counter())
         brackets.append(bracket)
-        change = _max_policy_change(improved, current)
+        change = max(float(np.max(np.abs(n.values - o.values))) for n, o in zip(improved, current))
         change_history.append(change)
         current = improved
-        if change == 0.0:
-            converged = True
+        converged = bracket[1] - bracket[0] <= config.eval_tol * (abs(evaluation.avg_cost) + 1.0)
+        if converged:
             break
+        fraction = 0.0 if change == 0.0 else STOP_FRACTION
     return SolveReport(
         avg_cost=evaluation.avg_cost,
         value=evaluation.value,
@@ -776,7 +782,7 @@ def value_iteration(
         policy_change_history=[],
         converged=converged,
         evaluation_converged=[converged],
-        evaluation_span_ratio=[_span_ratio(residuals, anchors, config)],
+        evaluation_span_ratio=[residuals[-1] / _stop(residuals, anchors, config, 0.0)],
         bracket_history=[bracket],
         plane_nodes_swept=look.reps,
         lookahead_seconds=built - start,

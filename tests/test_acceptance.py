@@ -131,14 +131,17 @@ def test_criterion_3_iteration_counts_on_the_coarse_storage_grid():
         problem, storage.heuristic_policy_on_grid(grid, params), config
     )
     elapsed = time.perf_counter() - started
+    lo, hi = report.bracket_history[-1]
     record_criterion(
-        3, "coarse-grid storage solve converges within 10 improvements x 1500 sweeps",
+        3, "coarse-grid storage solve is certified within 10 improvements x 1500 sweeps",
         report.converged
+        and all(report.evaluation_converged)
+        and hi - lo <= config.eval_tol * (abs(report.avg_cost) + 1.0)
         and report.improvement_steps <= 10
         and max(report.sweeps_per_evaluation) <= 1500
         and elapsed < 300.0,
         f"{report.improvement_steps} improvements, sweeps {report.sweeps_per_evaluation}, "
-        f"J={report.avg_cost:.4e}, {elapsed:.0f}s",
+        f"J={report.avg_cost:.4e}, bracket width {(hi - lo) / abs(report.avg_cost):.2e} of J, {elapsed:.0f}s",
     )
 
 

@@ -226,6 +226,17 @@ class TestSolve:
         assert len(notes) == 1
         assert notes[0].startswith(f"note: {doc['improvement_steps']} of {doc['improvement_steps']} evaluations")
 
+    def test_certified_solve_prints_its_bracket(self, tmp_path, capsys):
+        out_dir = tmp_path / "certified"
+        assert run_cli("solve", "--out-dir", str(out_dir), *TINY_GRID) == 0
+        doc = json.loads((out_dir / "solution_report.json").read_text())
+        assert doc["converged"] and all(doc["evaluation_converged"])
+        lo, hi = doc["bracket_history"][-1]
+        out = capsys.readouterr().out.splitlines()
+        assert f"optimal average cost in [{lo:.10e}, {hi:.10e}] W^2, width {(hi - lo) / doc['avg_cost']:.3g} of |J|" in out
+        assert f"improvement steps: {doc['improvement_steps']} (certified)" in out
+        assert not any("sweep cap" in line for line in out)
+
     def test_report_times_each_improvement_step(self, tmp_path, capsys):
         out_dir = tmp_path / "timed"
         assert run_cli("solve", "--out-dir", str(out_dir), *TINY_GRID, "--max-sweeps", "20",
@@ -250,7 +261,8 @@ class TestSolve:
         assert len(doc["bracket_history"]) == steps
         for lo, hi in doc["bracket_history"]:
             assert lo <= hi
-        assert doc["converged"] == (doc["policy_change_history"][-1] == 0.0)
+        lo, hi = doc["bracket_history"][-1]
+        assert doc["converged"] == (hi - lo <= 1e-9 * (abs(doc["avg_cost"]) + 1.0))  # the default --eval-tol
 
 
 class TestSimulate:

@@ -267,6 +267,23 @@ class TestTwoStateCycle:
         assert report.improvement_steps <= 4
         assert report.policy_change_history[-1] == 0.0
 
+    @pytest.mark.parametrize("sweeps", [49, 50, 51])
+    def test_a_warm_started_cycle_is_never_certified_at_a_wrong_cost(self, sweeps):
+        # evaluated from the value of "go to 0", the cycle oscillates with period 2 and is cut off at
+        # the cap, reading J = 0 or 2 by the parity of the cap; neither may be reported as converged
+        problem, grid = make_tabular_problem(self.COSTS)
+        stay = (grids.GridFunction(grid, np.array([0.0, 1.0])),)
+        for cap in range(1, 9):
+            report = solver.policy_iteration(problem, stay, SolverConfig(eval_max_sweeps=sweeps, max_improvements=cap))
+            if cap >= 3:  # the third evaluation is the cycle's, warm-started, and cut off at a wrong cost
+                assert report.evaluation_converged[2] is False and report.avg_cost_history[2] in (0.0, 2.0)
+            assert all(lo <= 1.0 <= hi for lo, hi in report.bracket_history)
+            lo, hi = report.bracket_history[-1]
+            assert report.converged == (hi - lo <= 1e-9 * (abs(report.avg_cost) + 1.0))
+            if report.converged:
+                assert report.avg_cost == 1.0
+                assert report.policy[0].values.tolist() == [1.0, 0.0]
+
 
 class TestAgainstLinearSolve:
     def test_policy_evaluation_matches_direct_solve(self):
@@ -285,6 +302,28 @@ class TestAgainstLinearSolve:
             assert result.converged
             assert result.avg_cost == pytest.approx(expected_j, abs=1e-9)
             assert np.max(np.abs(result.value.values - expected_v)) < 1e-8
+
+    def test_warm_start_and_fraction_stop(self):
+        mdp = random_mdp(np.random.default_rng(102), 12, 3)
+        problem, grid = as_control_problem(mdp)
+        policy = policy_as_grid_functions(np.ones(12, dtype=int), grid)
+        expected_j, expected_v = evaluate_policy_linear(mdp, np.ones(12, dtype=int))
+        config = SolverConfig(eval_tol=1e-13, eval_max_sweeps=5000)
+        # from the dense solve's value the first sweep's increment is J everywhere
+        warm = solver.policy_evaluation(policy, problem, config, start=grids.GridFunction(grid, expected_v))
+        assert warm.converged and warm.sweeps == 1
+        assert warm.avg_cost == pytest.approx(expected_j, abs=1e-12)
+        assert np.max(np.abs(warm.value.values - expected_v)) < 1e-12
+        # a fraction stops at the first sweep whose span is at most that share of the first one's
+        cold = solver.policy_evaluation(policy, problem, config)
+        loose = solver.policy_evaluation(policy, problem, config, fraction=0.01)
+        first = cold.residuals[0]
+        assert loose.residuals == cold.residuals[: loose.sweeps] and loose.converged
+        assert loose.residuals[-1] <= 0.01 * first < loose.residuals[-2]
+        assert loose.span_ratio == loose.residuals[-1] / (0.01 * first)
+        elsewhere = grids.GridFunction(grids.build_grid([(0.0, 1.0, 2)]), np.zeros(2))
+        with pytest.raises(ValueError, match="share one grid"):
+            solver.policy_evaluation(policy, problem, config, start=elsewhere)
 
 
 @pytest.fixture(scope="module")
@@ -322,25 +361,41 @@ class TestAgainstEnumeration:
             assert report.converged
             assert report.avg_cost == pytest.approx(best_j, abs=1e-8)
 
-    def test_improvement_never_worsens_the_average_cost(self, small_mdps):
-        for mdp, _ in small_mdps:
+    def test_improvement_never_worsens_the_average_cost(self, small_mdps, monkeypatch):
+        """Up to the span its evaluation stopped at: the exact costs come from the dense solve.
+
+        Greedy for v, the improved policy costs at most max(Tv - v), the bracket's top.  After
+        sweeps of policy p that ended with an increment d of span s, the top is at most
+        max(P_p d) <= min(d) + s <= J(p) + s.
+        """
+        improvements = record_calls(monkeypatch, "policy_improvement")
+        for mdp, (best_j, _) in small_mdps:
+            improvements.clear()
             problem, grid = as_control_problem(mdp)
             initial = policy_as_grid_functions(np.zeros(mdp.n_states, dtype=int), grid)
             report = solver.policy_iteration(problem, initial, self._solve_config())
-            history = report.avg_cost_history
-            for earlier, later in zip(history, history[1:]):
-                assert later <= earlier + 1e-10
+            policies = [initial] + [policy for _, (policy, _) in improvements]
+            costs = [evaluate_policy_linear(mdp, p[0].values.astype(int))[0] for p in policies]
+            spans = [report.residual_history[end - 1] for end in np.cumsum(report.sweeps_per_evaluation)]
+            assert len(costs) == len(spans) + 1 == report.improvement_steps + 1
+            for earlier, later, span, (lo, hi) in zip(costs, costs[1:], spans, report.bracket_history):
+                assert lo - 1e-12 <= later <= hi + 1e-12
+                assert hi <= earlier + span + 1e-12
+            assert costs[-1] == pytest.approx(best_j, abs=1e-9)
 
-    def test_converged_exactly_when_the_last_improvement_changed_no_control(self, small_mdps):
-        for mdp, _ in small_mdps:
+    def test_converged_exactly_when_the_last_bracket_is_tight(self, small_mdps):
+        config = self._solve_config()
+        for mdp, (best_j, _) in small_mdps:
             problem, grid = as_control_problem(mdp)
             initial = policy_as_grid_functions(np.zeros(mdp.n_states, dtype=int), grid)
             for cap in (1, 2, 60):
-                config = dataclasses.replace(self._solve_config(), max_improvements=cap)
-                report = solver.policy_iteration(problem, initial, config)
-                history = report.policy_change_history
-                assert report.converged == (history[-1] == 0.0)
-                assert all(change > 0.0 for change in history[:-1])
+                report = solver.policy_iteration(problem, initial, dataclasses.replace(config, max_improvements=cap))
+                widths = [hi - lo for lo, hi in report.bracket_history]
+                tol = config.eval_tol * (abs(report.avg_cost) + 1.0)
+                assert report.converged == (widths[-1] <= tol)
+                # no earlier bracket was within its evaluation's tolerance, or the run would have stopped there
+                assert all(w > config.eval_tol * (abs(j) + 1.0) for w, j in zip(widths, report.avg_cost_history[:-1]))
+                assert all(lo - 1e-12 <= best_j <= hi + 1e-12 for lo, hi in report.bracket_history)
             assert report.converged
 
     def test_greedy_sweep_of_the_fixed_point_returns_the_same_policy(self, small_mdps):
@@ -395,6 +450,19 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def record_calls(monkeypatch, name):
+    """Wrap ``solver.<name>`` so that each call appends (positional arguments, result) to the returned list."""
+    calls, original = [], getattr(solver, name)
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(solver, name, recorded)
+    return calls
+
+
 def random_mdp_case():
     problem, grid = as_control_problem(random_mdp(np.random.default_rng(404), 30, 4))
     return problem, grid, policy_as_grid_functions(np.zeros(30, dtype=int), grid)
@@ -430,19 +498,22 @@ class TestOneLookaheadPerSolve:
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_policy_iteration_matches_standalone_steps(self, case):
+        """Modified policy iteration, spelled out with standalone calls that each build their own lookahead."""
         problem, grid, policy = self.CASES[case]()
         report = solver.policy_iteration(problem, policy, self.CONFIG)
-        current, evaluation, steps, converged = policy, None, [], False
+        current, evaluation, steps, converged, fraction = policy, None, [], False, solver.STOP_FRACTION
         for _ in range(self.CONFIG.max_improvements):
-            evaluation = solver.policy_evaluation(current, problem, self.CONFIG)
+            start = evaluation.value if evaluation is not None and evaluation.converged else None
+            evaluation = solver.policy_evaluation(current, problem, self.CONFIG, start=start, fraction=fraction)
             improved, bracket = solver.policy_improvement(evaluation.value, problem, self.CONFIG)
             change = max(float(np.max(np.abs(n.values - o.values))) for n, o in zip(improved, current))
             steps.append((evaluation.sweeps, evaluation.converged, evaluation.span_ratio, evaluation.avg_cost,
                           evaluation.residuals, bracket, change))
             current = improved
-            if change == 0.0:
+            if bracket[1] - bracket[0] <= self.CONFIG.eval_tol * (abs(evaluation.avg_cost) + 1.0):
                 converged = True
                 break
+            fraction = 0.0 if change == 0.0 else solver.STOP_FRACTION
         assert report.improvement_steps == len(steps) >= 2 and report.converged == converged
         assert report.avg_cost == evaluation.avg_cost
         assert report.value.values.tobytes() == evaluation.value.values.tobytes()
@@ -456,12 +527,28 @@ class TestOneLookaheadPerSolve:
         assert report.policy_change_history == [s[6] for s in steps]
 
     def test_each_step_calls_the_module_functions_with_config_third(self, monkeypatch):
-        problem, grid, policy = storage_split_case(5, 6, 6)
-        evaluations = count_calls(monkeypatch, "policy_evaluation")
-        improvements = count_calls(monkeypatch, "policy_improvement")
-        report = solver.policy_iteration(problem, policy, self.CONFIG)
-        assert len(evaluations) == len(improvements) == report.improvement_steps >= 3
-        assert all(args[1] is problem and args[2] is self.CONFIG for args in evaluations + improvements)
+        evaluations = record_calls(monkeypatch, "policy_evaluation")
+        improvements = record_calls(monkeypatch, "policy_improvement")
+        seeded = []
+        for case in self.CASES.values():  # CONFIG's cap of 60 sweeps cuts off the storage case's evaluations only
+            problem, grid, policy = case()
+            evaluations.clear()
+            improvements.clear()
+            report = solver.policy_iteration(problem, policy, self.CONFIG)
+            assert len(evaluations) == len(improvements) == report.improvement_steps >= 3
+            assert all(args[1] is problem and args[2] is self.CONFIG for args, _ in evaluations + improvements)
+            look = evaluations[0][0][3]
+            assert all(args[3] is look for args, _ in evaluations + improvements)
+            # each improvement sweeps the value its evaluation returned, and each evaluation starts from the
+            # last one's value unless that was cut off at the cap; it runs to the tolerance after an
+            # improvement that changed no control, else to STOP_FRACTION of its first sweep's span
+            assert all(imp[0][0] is ev[1].value for ev, imp in zip(evaluations, improvements))
+            assert evaluations[0][0][4:] == (None, solver.STOP_FRACTION)
+            for (_, before), (args, _), change in zip(evaluations, evaluations[1:], report.policy_change_history):
+                assert args[4] is (before.value if before.converged else None)
+                assert args[5] == (0.0 if change == 0.0 else solver.STOP_FRACTION)
+                seeded.append(args[4] is not None)
+        assert True in seeded and False in seeded
 
 
 class TestRowOrder:
