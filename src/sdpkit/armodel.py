@@ -167,8 +167,8 @@ def pacf_from_phi(phi) -> np.ndarray:
 def theoretical_acf(phi, max_lag: int, dt: float) -> AcfSeries:
     """Exact autocorrelation of a stationary AR(p) model.
 
-    Solves the order-p linear system for rho(1..p) and extends with the
-    recursion rho(k) = sum_j phi_j rho(k - j), run as an all-pole filter.
+    Solves the order-p linear system for rho(1..p) and extends with the recursion
+    rho(k) = sum_j phi_j rho(k - j), run by :func:`_all_pole` from lfiltic's state.
     """
     coeffs = np.asarray(phi, dtype=np.float64).reshape(-1)
     p = coeffs.size
@@ -180,28 +180,37 @@ def theoretical_acf(phi, max_lag: int, dt: float) -> AcfSeries:
         raise ValueError(f"AR coefficients {tuple(coeffs)} are not stationary")
 
     # rho(k) = sum_j phi_j rho(|k - j|) for k = 1..p, with rho(0) = 1
-    a = np.eye(p)
-    rhs = np.zeros(p)
+    a, rhs = np.eye(p), 0.0 + coeffs  # the j = k terms, each added to 0.0
     for k in range(1, p + 1):
         for j in range(1, p + 1):
-            lag = abs(k - j)
-            if lag == 0:
-                rhs[k - 1] += coeffs[j - 1]
-            else:
-                a[k - 1, lag - 1] -= coeffs[j - 1]
+            if j != k:
+                a[k - 1, abs(k - j) - 1] -= coeffs[j - 1]
     rho_head = np.linalg.solve(a, rhs)
+    state = [0.0 - float(np.sum(-coeffs[m:] * rho_head[::-1][: p - m])) for m in range(p)]
+    tail = _all_pole(coeffs.tolist(), [0.0] * (max_lag - p), state)
+    return AcfSeries(np.concatenate([[1.0], rho_head, tail])[: max_lag + 1], dt)
 
-    vals = np.empty(max_lag + 1)
-    vals[0] = 1.0
-    upto = min(p, max_lag)
-    vals[1 : upto + 1] = rho_head[:upto]
-    if max_lag > p:
-        # Imported here: scipy.signal pulls in scipy.stats, most of a process's start-up time.
-        from scipy.signal import lfilter, lfiltic
-        denom = np.concatenate([[1.0], -coeffs])
-        state = lfiltic([1.0], denom, rho_head[::-1])
-        vals[p + 1 :] = lfilter([1.0], denom, np.zeros(max_lag - p), zi=state)[0]
-    return AcfSeries(vals, dt)
+
+def _all_pole(phi, drive, state) -> list[float]:
+    """y_t = x_t + phi_1 y_{t-1} + ... + phi_p y_{t-p} over floats x in ``drive``, from ``state``.
+
+    ``scipy.signal.lfilter([1], [1, -phi])``'s transposed direct form II, in its order: y = z_0 + x,
+    then z_j = z_{j+1} + y phi_{j+1}.  Without its x * 0 terms a zero delay may change sign, no output.
+    """
+    out = []
+    append = out.append
+    if len(phi) == 2:  # the speed model's order, unrolled
+        (f1, f2), (z0, z1) = phi, state
+        for x in drive:
+            append(y := z0 + x)
+            z0, z1 = z1 + y * f1, y * f2
+        return out
+    z, taps = [*state, 0.0], range(len(phi))
+    for x in drive:
+        append(y := z[0] + x)
+        for j in taps:
+            z[j] = z[j + 1] + y * phi[j]
+    return out
 
 
 def fit_cls(series, p: int, dt: float) -> ARModel:
@@ -323,9 +332,7 @@ def simulate(model: ARModel, n: int, seed: int, burn_in: int | None = None) -> n
         raise ValueError(f"burn-in must be >= 0, got {burn_in}")
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, model.sigma_eps, size=n + burn_in)
-    from scipy.signal import lfilter  # imported here: see theoretical_acf
-    x = lfilter([1.0], np.concatenate([[1.0], -np.asarray(model.phi)]), eps)
-    return x[burn_in:]
+    return np.array(_all_pole(model.phi, eps.tolist(), [0.0] * model.p)[burn_in:])
 
 
 @dataclass(frozen=True)

@@ -690,7 +690,8 @@ def policy_iteration(
     """Modified policy iteration, stopped by its bracket on J* (Puterman & Shin, 1978).
 
     Each evaluation starts from the last one's value, unless that one hit the sweep cap (a periodic
-    chain oscillates from any non-constant start), and stops at ``STOP_FRACTION`` times its first
+    chain oscillates from any non-constant start); one that hits the cap from there is run again
+    from zero in the same step, and both runs count.  It stops at ``STOP_FRACTION`` times its first
     sweep's span, from that value the last bracket's width, or at the tolerance if that is looser.
     After an improvement that changed no control, it runs to the tolerance.  Stops, converged, once a
     bracket is at most ``eval_tol * (|J| + 1)`` wide, or after ``max_improvements`` steps.  The bracket
@@ -709,12 +710,15 @@ def policy_iteration(
     fraction = STOP_FRACTION
     for _ in range(config.max_improvements):
         seed = evaluation.value if evaluation is not None and evaluation.converged else None
-        evaluation = policy_evaluation(current, problem, config, look, seed, fraction)
+        attempts = [policy_evaluation(current, problem, config, look, seed, fraction)]
+        if seed is not None and not attempts[0].converged:  # a periodic chain: retry from zero, once
+            attempts.append(policy_evaluation(current, problem, config, look, None, fraction))
+        evaluation = attempts[-1]
         clock.append(time.perf_counter())
         eval_converged.append(evaluation.converged)
         eval_span_ratio.append(evaluation.span_ratio)
-        sweeps_per_eval.append(evaluation.sweeps)
-        residual_history.extend(evaluation.residuals)
+        sweeps_per_eval.append(sum(a.sweeps for a in attempts))
+        residual_history.extend(r for a in attempts for r in a.residuals)
         avg_history.append(evaluation.avg_cost)
         improved, bracket = policy_improvement(evaluation.value, problem, config, look)
         clock.append(time.perf_counter())

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_lyapunov, solve_toeplitz
 from scipy.optimize import minimize
@@ -237,15 +237,25 @@ class TestTheoreticalAcf:
 
     @pytest.mark.parametrize("phi", [(0.8,), (0.9, -0.2), (1.9799, -0.9879), (0.4, 0.1, -0.3)])
     def test_filter_runs_only_for_lags_beyond_the_order(self, phi):
+        self.check_filter_runs_only_for_lags_beyond_the_order(phi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5))
+    @example([0.0, 0.0, 0.0])  # every coefficient zero: the tail is all zeros
+    def test_filter_runs_only_for_lags_beyond_the_order_drawn(self, u):
+        self.check_filter_runs_only_for_lags_beyond_the_order(tuple(armodel.phi_from_pacf(np.tanh(u))))
+
+    @staticmethod
+    def check_filter_runs_only_for_lags_beyond_the_order(phi):
         # lags up to p come from the p x p solve alone; beyond p the all-pole
-        # filter extends them exactly as it did when it ran for every max_lag
+        # kernel extends them as scipy's lfiltic and lfilter do, to the bit
         p = len(phi)
         for max_lag in range(1, p + 1):
             got = armodel.theoretical_acf(phi, max_lag, dt=1.0).values
             assert np.array_equal(got, pxp_acf_head(phi)[: max_lag + 1])
-        for max_lag in range(p + 1, p + 6):
+        for max_lag in (*range(p + 1, p + 6), 150):
             got = armodel.theoretical_acf(phi, max_lag, dt=1.0).values
-            assert np.array_equal(got, filter_acf(phi, max_lag))
+            assert got.tobytes() == filter_acf(phi, max_lag).tobytes()
 
 
 class TestPacfMaps:
@@ -483,6 +493,21 @@ class TestSimulate:
             manual[t] = 0.7 * prev + eps[t]
             prev = manual[t]
         assert np.allclose(x, manual, rtol=1e-14, atol=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(u=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5),
+           sigma=st.one_of(st.just(0.0), st.floats(0.0, 1e3)), n=st.integers(1, 100_000),
+           default_burn_in=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(u=[0.0, 0.0], sigma=1.0, n=10, default_burn_in=True, seed=0)  # white noise: no burn-in
+    @example(u=[2.5, -2.0, 1.0], sigma=2.0, n=100_000, default_burn_in=False, seed=5)
+    def test_matches_scipy_lfilter_to_the_bit(self, u, sigma, n, default_burn_in, seed):
+        phi = armodel.phi_from_pacf(np.tanh(u))
+        burn_in = armodel._default_burn_in(phi) if default_burn_in else 0
+        assume(n + burn_in <= 100_000)
+        got = armodel.simulate(ARModel(tuple(phi), sigma, 0.1), n, seed, None if default_burn_in else 0)
+        eps = np.random.default_rng(seed).normal(0.0, sigma, size=n + burn_in)
+        want = lfilter([1.0], np.concatenate([[1.0], -phi]), eps)[burn_in:]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_rejects_non_stationary_default_burn_in(self):
         with pytest.raises(ValueError):

@@ -60,6 +60,21 @@ class TestGenerate:
         run_cli("generate", "--n", "100", "--seed", "2", "--out", str(b))
         assert a.read_bytes() != b.read_bytes()
 
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    def test_bytes_equal_those_of_the_lfilter_path(self, tmp_path, monkeypatch, seed):
+        # the series as scipy.signal.lfilter filtered them, at the default length and burn-in
+        from scipy.signal import lfilter
+
+        def lfilter_simulate(model, n, seed):
+            burn_in = armodel._default_burn_in(model.phi)
+            eps = np.random.default_rng(seed).normal(0.0, model.sigma_eps, size=n + burn_in)
+            return lfilter([1.0], np.concatenate([[1.0], -np.asarray(model.phi)]), eps)[burn_in:]
+
+        assert run_cli("generate", "--seed", seed, "--out", str(tmp_path / "kernel.csv")) == 0
+        monkeypatch.setattr(armodel, "simulate", lfilter_simulate)
+        assert run_cli("generate", "--seed", seed, "--out", str(tmp_path / "lfilter.csv")) == 0
+        assert (tmp_path / "kernel.csv").read_bytes() == (tmp_path / "lfilter.csv").read_bytes()
+
     def test_custom_model_file(self, tmp_path):
         model_path = tmp_path / "ar1.json"
         armodel.save_ar_model(armodel.ARModel((0.8,), 0.05, 0.2), model_path)
@@ -493,25 +508,33 @@ class TestJsonWrites:
         assert files() == before
 
 
-# Runs in a fresh interpreter: importing the CLI loads no SciPy module; solve
-# loads scipy.sparse but not scipy.special; solve, simulate and compare must not
-# load the SciPy modules that only fitting and generating use; generate then must.
+# Runs in a fresh interpreter: importing the CLI and generating load no SciPy module;
+# solve loads scipy.sparse but not scipy.special; solve, simulate and compare load none
+# of the SciPy modules that fitting uses; fit loads those two and neither scipy.signal
+# nor scipy.stats.
 START_UP_SCRIPT = """
 import sys
 from sdpkit import cli
 
 work, series, *grid = sys.argv[1:]
-assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
-fit_only = ("scipy.signal", "scipy.optimize", "scipy.linalg", "scipy.stats")
+def scipy_modules():
+    return [name for name in sys.modules if name.split(".")[0] == "scipy"]
+assert not scipy_modules()
+assert cli.main(["generate", "--n", "20", "--out", f"{work}/g.csv"]) == 0
+assert not scipy_modules(), f"loaded by generate: {scipy_modules()}"
+fit_only = ("scipy.optimize", "scipy.linalg")
+unused = ("scipy.signal", "scipy.stats")
 policy = f"{work}/solution_policy_u0.gridfn"
 assert cli.main(["solve", "--out-dir", work, *grid]) == 0
 assert "scipy.sparse" in sys.modules and "scipy.special" not in sys.modules
 assert cli.main(["simulate", "--policy", policy, "--series", series, "--out", f"{work}/t.csv"]) == 0
 assert cli.main(["compare", "--policy", policy, "--series", series]) == 0
-loaded = [name for name in fit_only if name in sys.modules]
+loaded = [name for name in fit_only + unused if name in sys.modules]
 assert not loaded, f"loaded without fitting: {loaded}"
-assert cli.main(["generate", "--n", "20", "--out", f"{work}/g.csv"]) == 0
-assert "scipy.signal" in sys.modules
+assert cli.main(["fit", "--series", series, "--out", f"{work}/m.json"]) == 0
+assert all(name in sys.modules for name in fit_only), scipy_modules()
+loaded = [name for name in unused if name in sys.modules]
+assert not loaded, f"loaded by fit: {loaded}"
 """
 
 # Runs in a fresh interpreter: simulate and compare on a saved policy load no SciPy module at all.

@@ -267,16 +267,19 @@ class TestTwoStateCycle:
         assert report.improvement_steps <= 4
         assert report.policy_change_history[-1] == 0.0
 
-    @pytest.mark.parametrize("sweeps", [49, 50, 51])
+    @pytest.mark.parametrize("sweeps", [1, 2, 3, 4, 5, 6, 7, 8, 49, 50, 51])
     def test_a_warm_started_cycle_is_never_certified_at_a_wrong_cost(self, sweeps):
         # evaluated from the value of "go to 0", the cycle oscillates with period 2 and is cut off at
-        # the cap, reading J = 0 or 2 by the parity of the cap; neither may be reported as converged
+        # the cap, reading J = 0 or 2 by the parity of the cap; run again from zero, it reads J = 1
         problem, grid = make_tabular_problem(self.COSTS)
         stay = (grids.GridFunction(grid, np.array([0.0, 1.0])),)
         for cap in range(1, 9):
             report = solver.policy_iteration(problem, stay, SolverConfig(eval_max_sweeps=sweeps, max_improvements=cap))
-            if cap >= 3:  # the third evaluation is the cycle's, warm-started, and cut off at a wrong cost
-                assert report.evaluation_converged[2] is False and report.avg_cost_history[2] in (0.0, 2.0)
+            if cap >= 3:  # the third evaluation is the cycle's: cut off, then one sweep from zero certifies
+                assert report.converged and report.improvement_steps == 3 and report.avg_cost_history[2] == 1.0
+                warm = report.evaluation_converged[1]  # else the cycle starts from zero at once
+                assert report.sweeps_per_evaluation[2] == (sweeps + 1 if warm else 1)
+            assert len(report.residual_history) == sum(report.sweeps_per_evaluation)
             assert all(lo <= 1.0 <= hi for lo, hi in report.bracket_history)
             lo, hi = report.bracket_history[-1]
             assert report.converged == (hi - lo <= 1e-9 * (abs(report.avg_cost) + 1.0))
