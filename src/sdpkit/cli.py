@@ -276,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-improvements", type=_positive_int, default=10,
                    help="policy improvement cap (default 10)")
     p.add_argument("--threads", type=_positive_int, default=1,
-                   help="sweep parallelism (results are identical for any value)")
+                   help="threads of the improvement sweep and the operator build; evaluation sweeps run on one "
+                        "(results are identical for any value)")
     _add_storage_flags(p)
     p.set_defaults(func=cmd_solve)
 

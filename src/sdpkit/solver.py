@@ -57,22 +57,19 @@ that is not symmetric to the bit, or a problem that fails the check,
 sweeps all n_y plane nodes with P = P_x, through the same code.
 
 Determinism: identical inputs and configuration give bit-identical
-results regardless of the `threads` setting.  Improvement sweeps run
-chunks of a thread-independent size, each node's reduction in a fixed
-order.  Policy evaluation gives each of ``min(threads, swept plane
-nodes)`` threads one block of them, a contiguous span of rows, and
-sweeps it with the arithmetic of the whole sweep (see
-:func:`_relative_iteration`).
-When several nodes fail one check, its error names the first in row
-order.  Problem callbacks must be pure and thread-safe; node
-computations may run concurrently.
+results regardless of the `threads` setting.  Evaluation sweeps run on
+the calling thread (see :func:`_relative_iteration`).  Only the chunked
+phases use threads: the split check, the evaluation operator build and
+the improvement sweep run chunks of a thread-independent size, each
+node's reduction in a fixed order.  When several nodes fail one check,
+its error names the first in row order.  Problem callbacks must be pure
+and thread-safe; node computations may run concurrently.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -238,8 +235,9 @@ class SolverConfig:
     average-cost estimate J, and policy iteration once its bracket on J*
     is that narrow.  ``eval_max_sweeps`` is a safety cap on each
     evaluation, ``max_improvements`` caps policy iteration, and ``threads`` sets the
-    sweep parallelism, which never changes a result bit.  Relative
-    iteration anchors the value at node 0.
+    parallelism of the chunked phases (the split check, the evaluation operator build and the
+    improvement sweep), which never changes a result bit.  Evaluation sweeps run on one thread.
+    Relative iteration anchors the value at node 0.
     """
 
     eval_tol: float = 1e-9
@@ -521,46 +519,26 @@ def _stop(residuals: list[float], anchors: list[float], config: SolverConfig, fr
     return max(fraction * residuals[0], config.eval_tol * (abs(anchors[-1]) + 1.0))
 
 
-def _relative_iteration(blocks: list, config: SolverConfig, start: np.ndarray | None = None, fraction: float = 0.0):
-    """Iterate v <- raw - raw[0], raw = step(v), from ``start`` (default 0); returns (v, anchors, residuals, converged).
+def _relative_iteration(step, n: int, config: SolverConfig, start: np.ndarray | None = None, fraction: float = 0.0):
+    """Iterate v <- raw - raw[0], raw = step(v), on the calling thread; returns (v, anchors, residuals, converged).
 
-    ``blocks`` holds ``(rows, step)`` pairs whose slices partition v in order (so block 0 holds the
-    anchor); ``step(v)`` sweeps slice ``rows``.
-    Several blocks run on one thread each, alive for this call only, and wait twice per sweep: once
-    their raw values and increment extrema are written, and once their share of v is.  The span is
-    exact: the max of the block maxima minus the min of the minima.  Stops once it drops to
-    :func:`_stop`, or after ``eval_max_sweeps`` sweeps.
+    Starts from ``start`` (default: n zeros); ``step`` may thread its own work.  Stops once the span
+    of raw - v drops to :func:`_stop`, or after ``eval_max_sweeps`` sweeps.
     """
-    v = np.zeros(blocks[-1][0].stop) if start is None else np.array(start, dtype=np.float64)
-    raws, outcomes, extrema = [None] * len(blocks), [None] * len(blocks), np.empty((len(blocks), 2))
-    barrier = threading.Barrier(len(blocks))
-
-    def run(t: int, block: tuple) -> None:
-        (rows, step), anchors, residuals = block, [], []  # the same in every block
-        increment = np.empty(rows.stop - rows.start)
-        converged = False
-        try:
-            for _ in range(config.eval_max_sweeps):
-                raws[t] = raw = step(v)
-                np.subtract(raw, v[rows], out=increment)
-                extrema[t] = increment.min(), increment.max()
-                barrier.wait()
-                anchors.append(float(raws[0][0]))
-                residuals.append(float(extrema[:, 1].max() - extrema[:, 0].min()))
-                np.subtract(raw, anchors[-1], out=v[rows])
-                converged = residuals[-1] <= _stop(residuals, anchors, config, fraction)
-                if converged:
-                    break
-                barrier.wait()
-            outcomes[t] = anchors, residuals, converged
-        except threading.BrokenBarrierError:
-            pass  # another block failed, and _run_chunks raises its error
-        except BaseException:
-            barrier.abort()  # release the other blocks
-            raise
-
-    _run_chunks(list(enumerate(blocks)), run, len(blocks))
-    return (v, *outcomes[0])
+    v = np.zeros(n) if start is None else np.array(start, dtype=np.float64)
+    increment = np.empty(n)
+    anchors, residuals = [], []
+    converged = False
+    for _ in range(config.eval_max_sweeps):
+        raw = step(v)
+        np.subtract(raw, v, out=increment)
+        anchors.append(float(raw[0]))
+        residuals.append(float(increment.max() - increment.min()))
+        np.subtract(raw, anchors[-1], out=v)
+        converged = residuals[-1] <= _stop(residuals, anchors, config, fraction)
+        if converged:
+            break
+    return v, anchors, residuals, converged
 
 
 def bellman_sweep(
@@ -586,7 +564,7 @@ def _fixed_policy_operator(look: _Lookahead, policy, threads: int):
     """Stage costs (n,) and matrix M of the sweep h -> cost + M G, both in the row order of G.
 
     A node's control is the candidate nearest the stored policy; its row holds the noise-weighted
-    stencils of its successors (it sums to 1), so a block of plane nodes reads only its rows of G.
+    stencils of its successors (it sums to 1).
     """
     import scipy.sparse as sp  # imported here: see _lookahead
     n = look.rows
@@ -605,21 +583,6 @@ def _fixed_policy_operator(look: _Lookahead, policy, threads: int):
     _run_chunks(look.chunks, worker, threads)
     indptr = np.arange(n + 1, dtype=np.int64) * indices[0].size
     return cost, sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))
-
-
-def _evaluation_block(look: _Lookahead, cost: np.ndarray, matrix: sp.csr_matrix, y0: int, y1: int):
-    """(rows, step) sweeping representative plane nodes y0..y1 of the iterate: a contiguous span of rows."""
-    rows = slice(y0 * look.inner.size, y1 * look.inner.size)
-    whole = y1 - y0 == look.reps  # a single block sweeps the operators as built, without copying them
-    m, p = (matrix, look.operator) if whole else (matrix[rows, rows], look.operator[y0:y1])
-    c = cost[rows]
-
-    def step(v: np.ndarray) -> np.ndarray:
-        raw = m @ (p @ v.reshape(look.reps, -1)).reshape(-1)
-        raw += c
-        return raw
-
-    return rows, step
 
 
 def _policy_lookahead(policy: tuple[GridFunction, ...], problem: ControlProblem, config: SolverConfig,
@@ -656,11 +619,14 @@ def policy_evaluation(
     config = config or SolverConfig()
     look = _policy_lookahead(policy, problem, config, look, start)
     cost, matrix = _fixed_policy_operator(look, policy, config.threads)
-    count = min(config.threads, look.reps)
-    blocks = [_evaluation_block(look, cost, matrix, look.reps * t // count, look.reps * (t + 1) // count)
-              for t in range(count)]
+
+    def step(v: np.ndarray) -> np.ndarray:
+        raw = matrix @ look.expect(v)
+        raw += cost
+        return raw
+
     v, anchors, residuals, converged = _relative_iteration(
-        blocks, config, None if start is None else start.values[look.order[: look.rows]], fraction)
+        step, look.rows, config, None if start is None else start.values[look.order[: look.rows]], fraction)
     return EvaluationResult(anchors[-1], look.grid_function(v), len(residuals), residuals, converged,
                             residuals[-1] / _stop(residuals, anchors, config, fraction))
 
@@ -773,8 +739,7 @@ def value_iteration(
         raw, policy, bracket = _min_sweep(look, v, config.threads)
         return raw
 
-    blocks = [(slice(0, look.rows), step)]  # one block: the sweep is already chunk-threaded
-    v, anchors, residuals, converged = _relative_iteration(blocks, config)
+    v, anchors, residuals, converged = _relative_iteration(step, look.rows, config)
     return SolveReport(
         avg_cost=anchors[-1],
         value=look.grid_function(v),

@@ -929,24 +929,24 @@ BLOCK_CASES = {
 
 
 class TestBlockParallelEvaluation:
-    """Policy evaluation sweeps y-major blocks of plane nodes, one thread per block."""
+    """Evaluation sweeps run on the calling thread; ``threads`` splits only the chunked phases."""
 
     @pytest.mark.parametrize("case", list(BLOCK_CASES))
     def test_thread_count_does_not_change_a_bit(self, case):
         problem, grid, policy = BLOCK_CASES[case]()
         swept = solver._lookahead(grid, problem, SolverConfig(), [p.values for p in policy]).reps
-        assert swept % 3 != 0 or swept % 4 != 0  # a split into uneven blocks
+        assert swept % 3 != 0 or swept % 4 != 0  # thread counts that divide the swept plane nodes unevenly
         runs = []
         for threads in (1, 2, 3, 4, swept + 1):
             config = SolverConfig(eval_tol=1e-10, eval_max_sweeps=300, threads=threads)
             result = solver.policy_evaluation(policy, problem, config)
-            assert result.value.values[0] == 0.0  # node 0 anchors, in block 0
+            assert result.value.values[0] == 0.0  # node 0 anchors
             runs.append((result.avg_cost, result.value.values.tobytes(), result.residuals, result.sweeps,
                          result.converged, result.span_ratio))
         assert all(run == runs[0] for run in runs[1:])
 
     def test_many_blocks_under_a_short_switch_interval(self):
-        # more blocks than cores, switching threads every microsecond: a lost update changes a bit
+        # more threads than cores, switching every microsecond: a lost update changes a bit
         problem, grid, policy = storage_split_case(4, 5, 7)
         config = SolverConfig(eval_tol=1e-10, eval_max_sweeps=200)
         expected = solver.policy_evaluation(policy, problem, config)
@@ -991,29 +991,37 @@ class TestBlockParallelEvaluation:
         for report in (solver.policy_iteration(problem, policy, config), solver.value_iteration(problem, grid, config)):
             assert report.lookahead_seconds >= 0.2 > report.evaluation_seconds[0]
 
-    @pytest.mark.parametrize("failing", ["one block", "every block"])
-    def test_divergence_in_a_block_reaches_the_caller(self, failing, monkeypatch):
-        """A block whose sweep raises releases the other blocks, and its error reaches the caller."""
+    def test_divergence_in_a_sweep_reaches_the_caller(self, monkeypatch):
+        """A sweep that raises ends the evaluation, its error reaches the caller, and no thread is left."""
         problem, grid, policy = storage_split_case(4, 5, 7)
-        first = threading.Lock()
-        build = solver._evaluation_block
+        expect = solver._Lookahead.expect
+        sweeps = itertools.count(1)
 
-        def failing_block(*args):
-            rows, step = build(*args)
-            sweeps = itertools.count(1)
+        def fail_at_sweep_5(look, h):
+            if next(sweeps) == 5:
+                raise RuntimeError("sweep 5 failed")
+            return expect(look, h)
 
-            def fail_at_sweep_5(v):
-                if next(sweeps) == 5 and (failing == "every block" or first.acquire(blocking=False)):
-                    raise RuntimeError("block failed at sweep 5")
-                return step(v)
-
-            return rows, fail_at_sweep_5
-
-        monkeypatch.setattr(solver, "_evaluation_block", failing_block)
+        monkeypatch.setattr(solver._Lookahead, "expect", fail_at_sweep_5)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="block failed at sweep 5"):
+        with pytest.raises(RuntimeError, match="sweep 5 failed"):
             solver.policy_evaluation(policy, problem, SolverConfig(eval_tol=1e-300, threads=3))
         assert threading.active_count() == before
+
+    def test_every_evaluation_sweep_runs_on_the_calling_thread(self, monkeypatch):
+        problem, grid, policy = storage_split_case(4, 5, 7)
+        expect = solver._Lookahead.expect
+        callers = []
+
+        def recording_expect(look, h):
+            callers.append(threading.get_ident())
+            return expect(look, h)
+
+        monkeypatch.setattr(solver._Lookahead, "expect", recording_expect)
+        result = solver.policy_evaluation(policy, problem, SolverConfig(eval_tol=1e-10, eval_max_sweeps=50, threads=3))
+        assert result.sweeps > 1
+        assert len(callers) == result.sweeps
+        assert set(callers) == {threading.get_ident()}
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("sweep", ["policy_evaluation", "policy_improvement", "bellman_sweep"])
