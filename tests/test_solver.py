@@ -991,14 +991,20 @@ class TestBlockParallelEvaluation:
         for report in (solver.policy_iteration(problem, policy, config), solver.value_iteration(problem, grid, config)):
             assert report.lookahead_seconds >= 0.2 > report.evaluation_seconds[0]
 
-    def test_divergence_in_a_sweep_reaches_the_caller(self, monkeypatch):
-        """A sweep that raises ends the evaluation, its error reaches the caller, and no thread is left."""
+    @pytest.mark.parametrize("failing", ["one block", "every block"])
+    def test_divergence_in_a_block_reaches_the_caller(self, failing, monkeypatch):
+        """A sweep that raises ends the evaluation, its error reaches the caller, and no thread is left.
+
+        Every sweep covers the swept rows as one block on the calling thread;
+        the sweep fails once ("one block"), or at every call from sweep 5 on.
+        """
         problem, grid, policy = storage_split_case(4, 5, 7)
         expect = solver._Lookahead.expect
         sweeps = itertools.count(1)
 
         def fail_at_sweep_5(look, h):
-            if next(sweeps) == 5:
+            sweep = next(sweeps)
+            if sweep == 5 or (failing == "every block" and sweep > 5):
                 raise RuntimeError("sweep 5 failed")
             return expect(look, h)
 
