@@ -44,7 +44,7 @@ ARMODEL_FORMAT = "armodel-v1"
 BURN_IN_FACTOR = 10.0
 
 # fit_multilag starts a Yule-Walker kappa beyond +-1 at +-START_PACF, where the fit
-# still responds, and clips u = atanh(kappa) to +-MAX_PACF_U (|kappa| <= 1 - 1.7e-6).
+# still responds, and searches u = atanh(kappa) within +-MAX_PACF_U (|kappa| <= 1 - 1.7e-6).
 START_PACF = 0.99
 MAX_PACF_U = 7.0
 
@@ -243,9 +243,10 @@ def fit_multilag(acf_data: AcfSeries, p: int, lag_count: int) -> tuple[tuple[flo
     """Fit AR coefficients by matching autocorrelations over many lags.
 
     Minimises sum_k (rho_model(k) - rho_data(k))^2 for k = 1..lag_count by
-    Levenberg-Marquardt, with no cap beyond scipy's defaults, over u = atanh(kappa),
-    kappa the partial autocorrelations (Barndorff-Nielsen & Schou 1973), so every
-    proposal is stationary.  Never ends worse than its start, the Yule-Walker point.
+    Levenberg-Marquardt over u = atanh(kappa), kappa the partial autocorrelations
+    (Barndorff-Nielsen & Schou 1973), so every proposal is stationary.  Starts at the
+    Yule-Walker point and accepts only steps that lower the criterion, so it never
+    ends worse than that start.
     """
     if p < 1:
         raise ValueError(f"model order must be >= 1, got {p}")
@@ -256,32 +257,76 @@ def fit_multilag(acf_data: AcfSeries, p: int, lag_count: int) -> tuple[tuple[flo
     if acf_data.max_lag < p:
         raise ValueError(f"need at least {p} lags to fit order {p}")
 
-    # Imported here, so that solve, simulate and compare, which never fit, start without them.
-    from scipy.linalg import solve_toeplitz
-    from scipy.optimize import OptimizeResult, least_squares
-    rho = acf_data.values
-    try:
-        kappa = pacf_from_phi(solve_toeplitz(rho[:p], rho[1 : p + 1]))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"cannot fit order {p} over {lag_count} lags: "
-                         f"singular order-{p} Toeplitz block") from exc
-    start = np.arctanh(np.where(np.abs(kappa) < 1.0, kappa, np.sign(kappa) * START_PACF))
-    target = rho[1 : lag_count + 1]
+    rho, kappa, phi, err = acf_data.values, np.empty(p), np.empty(0), 1.0
+    for k in range(p):  # Durbin's recursion; err is the order-k prediction error
+        if err == 0.0:
+            raise ValueError(f"cannot fit order {p} over {lag_count} lags: "
+                             f"singular order-{p} Toeplitz block")
+        kappa[k] = c = (rho[k + 1] - phi @ rho[k:0:-1]) / err
+        phi, err = np.append(phi - c * phi[::-1], c), err * (1.0 - c * c)
+    kappa = np.where(np.abs(kappa) < 1.0, kappa, np.sign(kappa) * START_PACF)
+    u, target, evals = np.clip(np.arctanh(kappa), -MAX_PACF_U, MAX_PACF_U), rho[1 : lag_count + 1], 0
 
-    def coefficients(u):
-        return phi_from_pacf(np.tanh(np.clip(u, -MAX_PACF_U, MAX_PACF_U)))
+    def residual(u):  # None outside |u| <= MAX_PACF_U, or where phi fails theoretical_acf's stationarity check
+        nonlocal evals
+        evals += 1
+        if np.max(np.abs(u)) > MAX_PACF_U:
+            return None
+        try:
+            return theoretical_acf(phi_from_pacf(np.tanh(u)), lag_count, acf_data.dt).values[1:] - target
+        except (ValueError, np.linalg.LinAlgError):
+            return None
 
-    def residual(u):
-        return theoretical_acf(coefficients(u), lag_count, acf_data.dt).values[1:] - target
-
-    start_fun = residual(start)
-    try:
-        result = least_squares(residual, start, method="lm")
-    except (ValueError, np.linalg.LinAlgError):  # several kappa at the clip: phi hits the boundary
-        result = OptimizeResult(x=start, fun=start_fun)
-    if start_fun @ start_fun < result.fun @ result.fun:
-        result.x, result.fun = start, start_fun
-    return tuple(float(c) for c in coefficients(result.x)), float(result.fun @ result.fun)
+    # MINPACK's trust-region Levenberg-Marquardt (lmder), the region scaled by the running maxima of the column
+    # norms, with least_squares' lm defaults (gtol = 1e-8, no step after 100 p (p + 1) evaluations) but for
+    # ftol = xtol = 1e-10: where both crawl along a narrow valley, it then ends at or below least_squares.
+    r, jac, scale, delta, accepted, done = residual(u), np.empty((lag_count, p)), np.zeros(p), 0.0, False, False
+    if r is None:
+        raise ValueError(f"cannot fit order {p} over {lag_count} lags: non-stationary start")
+    while not done and evals < 100 * p * (p + 1) and r @ r > 0.0:
+        for j in range(p):  # forward differences of relative step sqrt(eps); a failed probe steps backward
+            for sign in (1.0, -1.0):
+                probe = u.copy()
+                probe[j] += sign * math.copysign(2.0**-26 * max(1.0, abs(u[j])), u[j])
+                new = residual(probe)
+                if new is not None:
+                    break
+            jac[:, j] = 0.0 if new is None else (new - r) / (probe[j] - u[j])
+        norms = np.linalg.norm(jac, axis=0)
+        if np.all(np.abs(jac.T @ r) <= 1e-8 * norms * math.sqrt(r @ r)):
+            break
+        scale = np.maximum(scale, norms)
+        scale[scale == 0.0] = 1.0
+        delta = delta or 100.0 * (np.linalg.norm(scale * u) or 1.0)
+        left, s, vt = np.linalg.svd(jac / scale, full_matrices=False)
+        sg = s * (left.T @ r)
+        while evals < 100 * p * (p + 1):
+            par = 0.0  # lmpar: Newton steps on 1/||y|| to the damping whose step is within 10% of delta
+            for i in range(10):
+                w = np.divide(1.0, s * s + par, out=np.zeros(s.size), where=s > 0.0)
+                q = np.linalg.norm(y := -sg * w)
+                if q <= 1.1 * delta and (par == 0.0 or q >= 0.9 * delta) or i == 9:
+                    break
+                par += (q - delta) * q * q / (delta * (y * y) @ w)
+            step = vt.T @ y / scale
+            delta = delta if accepted else min(delta, q)
+            new = residual(u + step)
+            cost, trial = r @ r, math.inf if new is None else new @ new
+            actred = 1.0 - trial / cost if 0.01 * trial < cost else -1.0
+            linear, damping = np.sum((jac @ step) ** 2) / cost, par * q * q / cost
+            prered = linear + 2.0 * damping
+            ratio = actred / prered if prered > 0.0 else 0.0
+            if ratio <= 0.25:  # shrink the region, at most tenfold
+                shrink = 0.5 if actred >= 0.0 else 0.5 * (linear + damping) / (linear + damping - 0.5 * actred)
+                delta = (shrink if 0.01 * trial < cost and shrink > 0.1 else 0.1) * min(delta, 10.0 * q)
+            elif par == 0.0 or ratio >= 0.75:
+                delta = 2.0 * q
+            if ratio >= 1e-4:
+                u, r, accepted = u + step, new, True
+            done = abs(actred) <= 1e-10 and prered <= 1e-10 and ratio <= 2.0 or delta <= 1e-10 * np.linalg.norm(scale * u)
+            if done or ratio >= 1e-4:
+                break
+    return tuple(float(c) for c in phi_from_pacf(np.tanh(u))), float(r @ r)
 
 
 def innovation_std_from_acf(phi, gamma0: float, acf_data: AcfSeries) -> float:

@@ -526,14 +526,13 @@ def _relative_iteration(step, n: int, config: SolverConfig, start: np.ndarray | 
     of raw - v drops to :func:`_stop`, or after ``eval_max_sweeps`` sweeps.
     """
     v = np.zeros(n) if start is None else np.array(start, dtype=np.float64)
-    increment = np.empty(n)
     anchors, residuals = [], []
     converged = False
     for _ in range(config.eval_max_sweeps):
         raw = step(v)
-        np.subtract(raw, v, out=increment)
+        np.subtract(raw, v, out=v)  # the increment, in v's own buffer
         anchors.append(float(raw[0]))
-        residuals.append(float(increment.max() - increment.min()))
+        residuals.append(float(v.max() - v.min()))
         np.subtract(raw, anchors[-1], out=v)
         converged = residuals[-1] <= _stop(residuals, anchors, config, fraction)
         if converged:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_lyapunov, solve_toeplitz
-from scipy.optimize import minimize
+from scipy.optimize import least_squares, minimize
 from scipy.signal import lfilter, lfiltic
 
 from sdpkit import armodel, storage
@@ -112,6 +112,27 @@ def nelder_mead_fit(acf, p, lag_count):
     result = minimize(mismatch, start, method="Nelder-Mead",
                       options={"maxfev": 10000, "xatol": 1e-10, "fatol": 1e-16})
     return result.x, float(result.fun)
+
+
+def least_squares_criterion(acf, p, lag_count):
+    """The criterion scipy's least_squares(method="lm") reaches from fit_multilag's start, as fits ran before.
+
+    The start is the Yule-Walker point by scipy's Toeplitz solve; a search that leaves the
+    stationarity region, or ends above its start, scores its start.
+    """
+    kappa = armodel.pacf_from_phi(solve_toeplitz(acf.values[:p], acf.values[1 : p + 1]))
+    start = np.arctanh(np.where(np.abs(kappa) < 1, kappa, np.sign(kappa) * armodel.START_PACF))
+
+    def residual(u):
+        phi = armodel.phi_from_pacf(np.tanh(np.clip(u, -armodel.MAX_PACF_U, armodel.MAX_PACF_U)))
+        return armodel.theoretical_acf(phi, lag_count, acf.dt).values[1:] - acf.values[1 : lag_count + 1]
+
+    start_fun = residual(start)
+    try:
+        fun = least_squares(residual, start, method="lm").fun
+    except (ValueError, np.linalg.LinAlgError):
+        fun = start_fun
+    return float(min(start_fun @ start_fun, fun @ fun))
 
 
 def noisy_acf():
@@ -390,6 +411,18 @@ class TestFitMultilag:
         clipped_start = armodel.phi_from_pacf((0.9, -armodel.START_PACF))
         assert crit < acf_criterion(clipped_start, acf, 5)
 
+    def test_a_search_that_meets_the_stationarity_boundary_goes_on(self):
+        # least_squares raised at a point whose phi rounded onto the stationarity boundary, and the
+        # fit returned its clipped start; a Jacobian probe there now steps backward, and a trial step
+        # there is rejected
+        acf = AcfSeries(np.array([1.0, -0.9, -0.8, -0.3, 0.7, 0.0, 0.9, -0.6, -0.6]), dt=1.0)
+        fitted, crit = armodel.fit_multilag(acf, p=5, lag_count=8)
+        kappa = armodel.pacf_from_phi(solve_toeplitz(acf.values[:5], acf.values[1:6]))
+        start = armodel.phi_from_pacf(np.where(np.abs(kappa) < 1, kappa, np.sign(kappa) * armodel.START_PACF))
+        assert armodel.is_stationary(fitted)
+        assert crit == acf_criterion(fitted, acf, 8)
+        assert crit < acf_criterion(start, acf, 8)
+
     @pytest.mark.parametrize("values, p", [
         ([1.0, 0.3, -0.8, 0.4, 0.3], 4),
         ([1.0, 0.8, -0.9, 0.4, 0.7, -0.5], 4),
@@ -427,6 +460,22 @@ class TestFitMultilagOracle:
         assert crit <= grid_min
         yule_walker = solve_toeplitz(acf.values[:2], acf.values[1:3])
         assert crit <= acf_criterion(yule_walker, acf, 150)
+
+    @settings(max_examples=100, deadline=None)
+    @given(u=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=4), n=st.integers(5000, 20000),
+           lag_count=st.integers(4, 100), seed=st.integers(0, 2**32 - 1))
+    def test_no_worse_than_least_squares_from_the_same_start(self, u, n, lag_count, seed):
+        # Stationary AR(p), p = 1..4, with partial autocorrelations tanh(u), |tanh(u)| <= 0.905, and the
+        # sample ACF of a series half to twice as long as the acceptance series (a fixed burn-in: the
+        # default one grows without bound near a unit root).  On shorter series, or nearer the unit
+        # circle, order 3-4 criteria can have several basins or narrow valleys that both searches crawl
+        # to the evaluation cap; there the two, parted by rounding, may end either side of each other.
+        model = ARModel(tuple(armodel.phi_from_pacf(np.tanh(u))), 1.0, 1.0)
+        acf = armodel.sample_acf(armodel.simulate(model, n, seed, burn_in=1000), lag_count, 1.0)
+        fitted, crit = armodel.fit_multilag(acf, len(u), lag_count)
+        assert armodel.is_stationary(fitted)
+        assert crit == acf_criterion(fitted, acf, lag_count)
+        assert crit <= least_squares_criterion(acf, len(u), lag_count) * (1.0 + 1e-8) + 1e-24
 
     def test_few_residual_evaluations(self, bundled_model_acfs, monkeypatch):
         calls = []

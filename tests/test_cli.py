@@ -508,10 +508,9 @@ class TestJsonWrites:
         assert files() == before
 
 
-# Runs in a fresh interpreter: importing the CLI and generating load no SciPy module;
-# solve loads scipy.sparse but not scipy.special; solve, simulate and compare load none
-# of the SciPy modules that fitting uses; fit loads those two and neither scipy.signal
-# nor scipy.stats.
+# Runs in a fresh interpreter: importing the CLI, generating and fitting load no SciPy module;
+# solve loads scipy.sparse but not scipy.special, and solve, simulate and compare load
+# neither scipy.optimize, scipy.linalg, scipy.signal nor scipy.stats.
 START_UP_SCRIPT = """
 import sys
 from sdpkit import cli
@@ -522,19 +521,16 @@ def scipy_modules():
 assert not scipy_modules()
 assert cli.main(["generate", "--n", "20", "--out", f"{work}/g.csv"]) == 0
 assert not scipy_modules(), f"loaded by generate: {scipy_modules()}"
-fit_only = ("scipy.optimize", "scipy.linalg")
-unused = ("scipy.signal", "scipy.stats")
+assert cli.main(["fit", "--series", series, "--out", f"{work}/m.json"]) == 0
+assert not scipy_modules(), f"loaded by fit: {scipy_modules()}"
 policy = f"{work}/solution_policy_u0.gridfn"
 assert cli.main(["solve", "--out-dir", work, *grid]) == 0
 assert "scipy.sparse" in sys.modules and "scipy.special" not in sys.modules
 assert cli.main(["simulate", "--policy", policy, "--series", series, "--out", f"{work}/t.csv"]) == 0
 assert cli.main(["compare", "--policy", policy, "--series", series]) == 0
-loaded = [name for name in fit_only + unused if name in sys.modules]
-assert not loaded, f"loaded without fitting: {loaded}"
-assert cli.main(["fit", "--series", series, "--out", f"{work}/m.json"]) == 0
-assert all(name in sys.modules for name in fit_only), scipy_modules()
+unused = ("scipy.optimize", "scipy.linalg", "scipy.signal", "scipy.stats")
 loaded = [name for name in unused if name in sys.modules]
-assert not loaded, f"loaded by fit: {loaded}"
+assert not loaded, f"loaded by solve, simulate or compare: {loaded}"
 """
 
 # Runs in a fresh interpreter: simulate and compare on a saved policy load no SciPy module at all.
