@@ -40,8 +40,9 @@ __all__ = [
 
 ARMODEL_FORMAT = "armodel-v1"
 
-# Burn-in for simulation defaults to this many slowest characteristic times.
+# The default burn-in is this many slowest characteristic times, at most MAX_DEFAULT_BURN_IN steps (drawn at once).
 BURN_IN_FACTOR = 10.0
+MAX_DEFAULT_BURN_IN = 2_000_000
 
 # fit_multilag starts a Yule-Walker kappa beyond +-1 at +-START_PACF, where the fit
 # still responds, and searches u = atanh(kappa) within +-MAX_PACF_U (|kappa| <= 1 - 1.7e-6).
@@ -366,13 +367,17 @@ def simulate(model: ARModel, n: int, seed: int, burn_in: int | None = None) -> n
     """Simulate ``n`` samples of the model with Gaussian innovations.
 
     Starts from zero initial lags and discards ``burn_in`` warm-up steps
-    (default: ten times the slowest characteristic time).  The output is
-    a deterministic function of (model, n, seed, burn_in).
+    (default: ten times the slowest characteristic time; ValueError above
+    ``MAX_DEFAULT_BURN_IN`` steps).  The output is a deterministic function
+    of (model, n, seed, burn_in).
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     if burn_in is None:
         burn_in = _default_burn_in(model.phi)
+        if burn_in > MAX_DEFAULT_BURN_IN:
+            raise ValueError(f"slowest characteristic time {burn_in / BURN_IN_FACTOR:.4g} steps: the default burn-in "
+                             f"of {burn_in} steps exceeds {MAX_DEFAULT_BURN_IN}")
     if burn_in < 0:
         raise ValueError(f"burn-in must be >= 0, got {burn_in}")
     rng = np.random.default_rng(seed)

@@ -185,9 +185,6 @@ class GridFunction:
         """Values reshaped to the grid shape (read-only view)."""
         return self.values.reshape(self.grid.shape)
 
-    def __call__(self, points):
-        return interpolate(self, points)
-
 
 def node_coordinates(grid: RectGrid, flat_index: int) -> tuple[float, ...]:
     """Coordinates of the node with the given flat (row-major) index."""

@@ -56,14 +56,14 @@ GridFunctions copy each representative to its mirror.  An input table
 that is not symmetric to the bit, or a problem that fails the check,
 sweeps all n_y plane nodes with P = P_x, through the same code.
 
-Determinism: identical inputs and configuration give bit-identical
-results regardless of the `threads` setting.  Evaluation sweeps run on
-the calling thread (see :func:`_relative_iteration`).  Only the chunked
-phases use threads: the split check, the evaluation operator build and
-the improvement sweep run chunks of a thread-independent size, each
-node's reduction in a fixed order.  When several nodes fail one check,
-its error names the first in row order.  Problem callbacks must be pure
-and thread-safe; node computations may run concurrently.
+Determinism: identical inputs and configuration give bit-identical results regardless of the
+`threads` setting.  Evaluation sweeps run on the calling thread (see :func:`_relative_iteration`).
+Only the chunked phases use threads: the split check, the evaluation operator build and the
+improvement sweep run chunks of a thread-independent size, each node's reduction in a fixed order.
+The calling thread runs the first ceil(n / threads) of a phase's n chunks, a pool of threads - 1 the
+rest, and the error of the first failing chunk is raised, so when several nodes fail one check, its
+error names the first in row order.  Problem callbacks must be pure and thread-safe; node
+computations may run concurrently.
 """
 
 from __future__ import annotations
@@ -234,10 +234,10 @@ class SolverConfig:
     sweep increment drops below ``eval_tol * (|J| + 1)`` for the current
     average-cost estimate J, and policy iteration once its bracket on J*
     is that narrow.  ``eval_max_sweeps`` is a safety cap on each
-    evaluation, ``max_improvements`` caps policy iteration, and ``threads`` sets the
-    parallelism of the chunked phases (the split check, the evaluation operator build and the
-    improvement sweep), which never changes a result bit.  Evaluation sweeps run on one thread.
-    Relative iteration anchors the value at node 0.
+    evaluation, ``max_improvements`` caps policy iteration, and ``threads`` T the threads of the chunked
+    phases (the split check, the evaluation operator build and the improvement sweep), which never changes
+    a result bit: the calling thread runs each phase's first share and T - 1 more the rest.  Evaluation
+    sweeps run on the calling thread.  Relative iteration anchors the value at node 0.
     """
 
     eval_tol: float = 1e-9
@@ -308,12 +308,17 @@ class SolveReport:
 
 
 def _run_chunks(spans, worker, threads: int) -> None:
-    if threads <= 1 or len(spans) <= 1:
+    """``worker(a, b)`` on each span, the first ceil(n / threads) here, the rest in a pool; see the module doc."""
+    own = -(-len(spans) // threads)
+    if own >= len(spans):
         for a, b in spans:
             worker(a, b)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda s: worker(*s), spans))
+        return
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        rest = pool.map(lambda s: worker(*s), spans[own:])
+        for a, b in spans[:own]:
+            worker(a, b)
+        list(rest)
 
 
 def _successors(problem: ControlProblem, grid: RectGrid, x, u, w, nodes: np.ndarray, k: int):
@@ -347,7 +352,7 @@ class _Lookahead:
 
     Every sweep runs over the same rows, y-major: row y * inner.size + z
     holds plane node y at controlled node z, which is grid node
-    ``order[row]`` at ``nodes[row]``.  Sweeps visit the first ``rows``
+    ``order[row]``, at ``grid.all_nodes[order[row]]``.  Sweeps visit the first ``rows``
     rows, those of the ``reps`` representative plane nodes: all ``n_y``
     of them (1 when generic, so rows are grid nodes), or the first
     ceil(n_y / 2) on the mirror quotient.  Successor stencils live on
@@ -372,7 +377,6 @@ class _Lookahead:
     chunks: list[tuple[int, int]]
     width: int
     order: np.ndarray
-    nodes: np.ndarray
 
     @property
     def rows(self) -> int:
@@ -419,18 +423,18 @@ def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig, ta
     inner = RectGrid(grid.axes[:c]) if c else grid
     n_y = grid.size // inner.size
     order = np.arange(grid.size).reshape(inner.size, n_y).T.reshape(-1)
-    nodes = grid.all_nodes[order]
-    k, width = problem.candidate_array(nodes[:1]).shape[1:]
+    nodes = grid.all_nodes  # gathered into row order a span at a time
+    k, width = problem.candidate_array(nodes[order[:1]]).shape[1:]
     noise = problem.noise
     visited = DiscreteNoise(noise.nodes[:1], [1.0]) if c else noise
     step = max(1, CHUNK_POINTS // (k * visited.n))
     chunks = [(a, min(a + step, grid.size)) for a in range(0, grid.size, step)]
     if c == 0:
-        return _Lookahead(grid, problem, grid, 1, 1, sp.identity(1, format="csr"), noise, chunks, width, order, nodes)
+        return _Lookahead(grid, problem, grid, 1, 1, sp.identity(1, format="csr"), noise, chunks, width, order)
     plane = RectGrid(grid.axes[c:])
     mirror = (all(_mirror_symmetric(ax.nodes, -1.0) for ax in plane.axes) and _mirror_symmetric(noise.nodes, -1.0)
               and _mirror_symmetric(noise.weights) and all(_mirror_symmetric(t.reshape(-1, n_y).T) for t in tables))
-    slice0 = np.ascontiguousarray(nodes[:: inner.size])  # controlled node 0: grid nodes 0 .. n_y - 1
+    slice0 = nodes[order[:: inner.size]]  # controlled node 0: grid nodes 0 .. n_y - 1
     u0 = np.ascontiguousarray(problem.candidate_array(slice0)[:, 0])
     ncorner = 1 << plane.dim
     indices = np.empty((n_y, noise.n * ncorner), dtype=np.int64)
@@ -452,7 +456,7 @@ def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig, ta
     seen = np.empty((grid.size, 2, width + c + 1)) if mirror else None  # per row and checked candidate
 
     def check(a: int, b: int) -> None:
-        xc, at = nodes[a:b], order[a:b]
+        xc, at = nodes[order[a:b]], order[a:b]
         cand = problem.candidate_array(xc)
         y = np.arange(a, b) // inner.size
         for j in (0, -1):
@@ -477,12 +481,12 @@ def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig, ta
     operator = sp.csr_matrix((data[:reps].reshape(-1), lumped.reshape(-1), indptr[: reps + 1]), shape=(reps, reps))
     operator.sum_duplicates()  # noise nodes often share stencil corners: about half the entries
     chunks = [(a, min(b, reps * inner.size)) for a, b in chunks if a < reps * inner.size]
-    return _Lookahead(grid, problem, inner, n_y, reps, operator, visited, chunks, width, order, nodes)
+    return _Lookahead(grid, problem, inner, n_y, reps, operator, visited, chunks, width, order)
 
 
 def _mirror_symmetric(table: np.ndarray, sign: float = 1.0) -> bool:
     """Whether row i of ``table`` equals ``sign`` times its row n - 1 - i, to the bit."""
-    return np.array_equal(table, sign * table[::-1])
+    return np.array_equal(table, table[::-1] if sign == 1.0 else sign * table[::-1])
 
 
 def _min_sweep(look: _Lookahead, values: np.ndarray, threads: int):
@@ -496,7 +500,7 @@ def _min_sweep(look: _Lookahead, values: np.ndarray, threads: int):
     g = look.expect(values)
 
     def worker(a: int, b: int) -> None:
-        xc = look.nodes[a:b]
+        xc = look.grid.all_nodes[look.order[a:b]]
         cand = look.problem.candidate_array(xc)
         mc, k, _ = cand.shape
         u_rep = cand.reshape(mc * k, -1)
@@ -573,9 +577,10 @@ def _fixed_policy_operator(look: _Lookahead, policy, threads: int):
     cost = np.empty(n)
 
     def worker(a: int, b: int) -> None:
-        cand = look.problem.candidate_array(look.nodes[a:b])
+        xc = look.grid.all_nodes[look.order[a:b]]
+        cand = look.problem.candidate_array(xc)
         u = cand[np.arange(b - a), np.argmin(((cand - stored[a:b, None, :]) ** 2).sum(axis=2), axis=1)]
-        cost[a:b], stencils = look.successors(look.nodes[a:b], u, a, 1)
+        cost[a:b], stencils = look.successors(xc, u, a, 1)
         for l, (wprob, (idx, wts)) in enumerate(zip(look.noise.weights, stencils)):
             indices[a:b, l], data[a:b, l] = idx, wprob * wts
 

@@ -558,6 +558,23 @@ class TestSimulate:
         want = lfilter([1.0], np.concatenate([[1.0], -phi]), eps)[burn_in:]
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    def test_default_burn_in_above_the_cap_raises_before_drawing(self, monkeypatch):
+        # ten slowest characteristic times of this AR(4) are 6.6e11 steps, far more than memory holds
+        model = ARModel(tuple(armodel.phi_from_pacf(np.tanh([3.2] * 4))), 1.0, 0.1)
+        assert armodel._default_burn_in(model.phi) > 1e11
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("innovations were drawn"))
+        with pytest.raises(ValueError, match=r"^slowest characteristic time 6\.\d+e\+10 steps: .* exceeds 2000000$"):
+            armodel.simulate(model, n=10, seed=0)
+
+    def test_an_explicit_burn_in_is_not_capped(self, monkeypatch):
+        model = ARModel((0.9,), 1.0, 1.0)
+        burn_in = armodel._default_burn_in(model.phi)  # 95 steps
+        want = armodel.simulate(model, n=10, seed=4)
+        monkeypatch.setattr(armodel, "MAX_DEFAULT_BURN_IN", burn_in - 1)
+        with pytest.raises(ValueError, match=f"default burn-in of {burn_in} steps exceeds {burn_in - 1}$"):
+            armodel.simulate(model, n=10, seed=4)
+        assert armodel.simulate(model, n=10, seed=4, burn_in=burn_in).tobytes() == want.tobytes()
+
     def test_rejects_non_stationary_default_burn_in(self):
         with pytest.raises(ValueError):
             armodel.simulate(armodel.ARModel((1.2,), 1.0, 1.0), n=10, seed=0)

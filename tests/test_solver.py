@@ -806,13 +806,20 @@ class TestPostDecisionSplit:
             with pytest.raises(ValueError, match=f"node {bad} "):
                 solver.bellman_sweep(value, problem)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_the_split_check_names_the_first_violation_in_row_order(self, monkeypatch, threads):
-        # the check runs 8-row spans here; node 134 (y-major row 39) fails in span 4 and node 12
-        # (row 101) in span 12, so the first node in row order is not the first in grid order
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("nodes, first", [((12, 134), 134), ((13, 109), 109), ((9, 70), 70)],
+                             ids=["both shares", "pool only", "caller only"])
+    def test_the_split_check_names_the_first_violation_in_row_order(self, monkeypatch, threads, nodes, first):
+        """The check runs 18 spans of 8 rows here; grid node z * 7 + y sits in y-major row y * 20 + z.
+
+        The calling thread runs the first 9 spans (rows 0-71) at 2 threads, the first 6 (rows 0-47)
+        at 3.  Node 134 (row 39) fails in span 4 and node 12 (row 101) in span 12, nodes 109 (row 95)
+        and 13 (row 121) only in the pool's spans, and nodes 70 (row 10) and 9 (row 41) only in the
+        caller's.  Each time, the first node in row order is not the first in grid order.
+        """
         base, grid = split_problem()
         monkeypatch.setattr(solver, "CHUNK_POINTS", 2 * base.candidate_array(grid.all_nodes[:1]).shape[1])
-        bad = np.array([grids.node_coordinates(grid, node) for node in (12, 134)])
+        bad = np.array([grids.node_coordinates(grid, node) for node in nodes])
 
         def dynamics(x, u, w):
             out = base.dynamics(x, u, w)
@@ -821,7 +828,7 @@ class TestPostDecisionSplit:
 
         problem, _ = split_problem(dynamics=dynamics)
         value = grids.GridFunction(grid, np.zeros(grid.size))
-        with pytest.raises(ValueError, match="^dynamics: the exogenous components .* at grid node 134 "):
+        with pytest.raises(ValueError, match=f"^dynamics: the exogenous components .* at grid node {first} "):
             solver.bellman_sweep(value, problem, SolverConfig(threads=threads))
 
     @pytest.mark.parametrize("controlled_dims", [-1, 3])
@@ -945,9 +952,11 @@ class TestBlockParallelEvaluation:
                          result.converged, result.span_ratio))
         assert all(run == runs[0] for run in runs[1:])
 
-    def test_many_blocks_under_a_short_switch_interval(self):
-        # more threads than cores, switching every microsecond: a lost update changes a bit
+    def test_many_blocks_under_a_short_switch_interval(self, monkeypatch):
+        # more threads than cores, switching every microsecond: a lost update changes a bit; 5-row
+        # chunks give the operator build 15 spans, 2 on the calling thread and 13 in a pool of 7
         problem, grid, policy = storage_split_case(4, 5, 7)
+        shrink_chunks(monkeypatch, problem, grid, 5)
         config = SolverConfig(eval_tol=1e-10, eval_max_sweeps=200)
         expected = solver.policy_evaluation(policy, problem, config)
         results = []
@@ -1028,6 +1037,27 @@ class TestBlockParallelEvaluation:
         assert result.sweeps > 1
         assert len(callers) == result.sweeps
         assert set(callers) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_the_improvement_runs_on_the_calling_thread_and_threads_minus_one_more(self, monkeypatch, threads):
+        base, grid = split_problem()
+        shrink_chunks(monkeypatch, base, grid, 11)
+        callers = []
+
+        def candidates(states):
+            callers.append(threading.get_ident())
+            return base.control_candidates(states)
+
+        problem, _ = split_problem(control_candidates=candidates)
+        config = SolverConfig(threads=threads)
+        look = solver._lookahead(grid, problem, config)
+        assert len(look.chunks) > threads  # so the pool gets spans at every thread count here
+        callers.clear()
+        before = threading.active_count()
+        solver.policy_improvement(grids.GridFunction(grid, np.zeros(grid.size)), problem, config, look)
+        assert threading.active_count() == before
+        assert len(callers) == len(look.chunks)
+        assert threading.get_ident() in callers and 2 <= len(set(callers)) <= threads
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("sweep", ["policy_evaluation", "policy_improvement", "bellman_sweep"])
