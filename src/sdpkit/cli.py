@@ -107,24 +107,17 @@ def cmd_fit(args) -> int:
 
 
 def _write_policy_slices(policy: grids.GridFunction, path: Path) -> None:
-    """CSV slices of the policy over (omega, accel) at fixed energy levels, in the bytes of ``storage.write_csv``.
+    """CSV slices of the policy over (omega, accel) at fixed energy levels.
 
-    Intended for external plotting; one block of rows per energy level.  Each coordinate is formatted
-    once, and each accel line, the rows of one (energy, omega) pair, is one write.
+    Intended for external plotting; one block of rows per energy level.
     """
-    axes = policy.grid.axes
-    levels = np.linspace(axes[0].lo, axes[0].hi, DEFAULT_SLICES)
-    e, om, ac = np.meshgrid(levels, axes[1].nodes, axes[2].nodes, indexing="ij")
-    p = grids.interpolate(policy, np.column_stack([e.ravel(), om.ravel(), ac.ravel()])).reshape(-1, axes[2].n)
-    es, oms, acs = ([storage._FLOAT_FMT % v for v in x.tolist()] for x in (levels, axes[1].nodes, axes[2].nodes))
-    line = "".join(f"@{a},{storage._FLOAT_FMT}\n" for a in acs)  # "@" stands for the line's "energy,omega,"
-
-    def chunks():
-        yield b"e_sto,omega,accel,p_grid\n"
-        for prefix, row in zip((f"{x},{y}," for x in es for y in oms), p.tolist()):
-            yield (line.replace("@", prefix) % tuple(row)).encode()
-
-    grids.write_atomic(path, chunks())
+    grid = policy.grid
+    e_axis, om_axis, ac_axis = grid.axes
+    levels = np.linspace(e_axis.lo, e_axis.hi, DEFAULT_SLICES)
+    e, om, ac = np.meshgrid(levels, om_axis.nodes, ac_axis.nodes, indexing="ij")
+    pts = np.column_stack([e.ravel(), om.ravel(), ac.ravel()])
+    rows = np.column_stack([pts, grids.interpolate(policy, pts)])
+    storage.write_csv(path, rows, "e_sto,omega,accel,p_grid")
 
 
 def cmd_solve(args) -> int:
@@ -283,9 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-improvements", type=_positive_int, default=10,
                    help="policy improvement cap (default 10)")
     p.add_argument("--threads", type=_positive_int, default=1,
-                   help="threads T of the improvement, split check and operator build: the calling thread runs "
-                        "each one's first share, T - 1 started threads the rest; evaluations run on the calling thread "
-                        "(same results at any T)")
+                   help="threads T of the improvement, split check and operator build: the calling thread and T - 1 "
+                        "more share their chunks; evaluations run on the calling thread (same results at any T)")
     _add_storage_flags(p)
     p.set_defaults(func=cmd_solve)
 

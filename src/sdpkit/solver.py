@@ -60,10 +60,9 @@ Determinism: identical inputs and configuration give bit-identical results regar
 `threads` setting.  Evaluation sweeps run on the calling thread (see :func:`_relative_iteration`).
 Only the chunked phases use threads: the split check, the evaluation operator build and the
 improvement sweep run chunks of a thread-independent size, each node's reduction in a fixed order.
-The calling thread runs the first ceil(n / threads) of a phase's n chunks, a pool of threads - 1 the
-rest, and the error of the first failing chunk is raised, so when several nodes fail one check, its
-error names the first in row order.  Problem callbacks must be pure and thread-safe; node
-computations may run concurrently.
+The calling thread and a pool of threads - 1 take a phase's chunks in row order.  After a chunk fails
+none is taken and the first failing chunk's error is raised, so a check names the first failing node
+in row order.  Problem callbacks must be pure and thread-safe; node computations may run concurrently.
 """
 
 from __future__ import annotations
@@ -236,7 +235,7 @@ class SolverConfig:
     is that narrow.  ``eval_max_sweeps`` is a safety cap on each
     evaluation, ``max_improvements`` caps policy iteration, and ``threads`` T the threads of the chunked
     phases (the split check, the evaluation operator build and the improvement sweep), which never changes
-    a result bit: the calling thread runs each phase's first share and T - 1 more the rest.  Evaluation
+    a result bit: the calling thread and T - 1 more take each phase's chunks in turn.  Evaluation
     sweeps run on the calling thread.  Relative iteration anchors the value at node 0.
     """
 
@@ -308,17 +307,24 @@ class SolveReport:
 
 
 def _run_chunks(spans, worker, threads: int) -> None:
-    """``worker(a, b)`` on each span, the first ceil(n / threads) here, the rest in a pool; see the module doc."""
-    own = -(-len(spans) // threads)
-    if own >= len(spans):
-        for a, b in spans:
-            worker(a, b)
-        return
-    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        rest = pool.map(lambda s: worker(*s), spans[own:])
-        for a, b in spans[:own]:
-            worker(a, b)
-        list(rest)
+    """``worker(a, b)`` on each span; the calling thread and ``threads - 1`` more take them in row order."""
+    todo, failed = iter(range(len(spans))), {}
+
+    def run() -> None:
+        for i in todo:  # shared by the threads: a range iterator hands out each index once, under the GIL
+            try:
+                worker(*spans[i])
+            except BaseException as err:
+                failed[i] = err
+                for _ in todo:  # no thread takes a later span
+                    pass
+
+    with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as pool:  # a thread starts on a submit only
+        for _ in range(threads - 1 if len(spans) > 1 else 0):
+            pool.submit(run)
+        run()
+    if failed:
+        raise failed[min(failed)]
 
 
 def _successors(problem: ControlProblem, grid: RectGrid, x, u, w, nodes: np.ndarray, k: int):
@@ -352,7 +358,7 @@ class _Lookahead:
 
     Every sweep runs over the same rows, y-major: row y * inner.size + z
     holds plane node y at controlled node z, which is grid node
-    ``order[row]``, at ``grid.all_nodes[order[row]]``.  Sweeps visit the first ``rows``
+    ``order[row]``; ``at(a, b)`` gathers rows a .. b - 1's nodes.  Sweeps visit the first ``rows``
     rows, those of the ``reps`` representative plane nodes: all ``n_y``
     of them (1 when generic, so rows are grid nodes), or the first
     ceil(n_y / 2) on the mirror quotient.  Successor stencils live on
@@ -381,6 +387,9 @@ class _Lookahead:
     @property
     def rows(self) -> int:
         return self.reps * self.inner.size
+
+    def at(self, a: int, b: int) -> np.ndarray:
+        return self.grid.all_nodes[self.order[a:b]]
 
     def expect(self, h: np.ndarray) -> np.ndarray:
         """G = P H for the value table H (representative y, z), flat in row order."""
@@ -423,8 +432,7 @@ def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig, ta
     inner = RectGrid(grid.axes[:c]) if c else grid
     n_y = grid.size // inner.size
     order = np.arange(grid.size).reshape(inner.size, n_y).T.reshape(-1)
-    nodes = grid.all_nodes  # gathered into row order a span at a time
-    k, width = problem.candidate_array(nodes[order[:1]]).shape[1:]
+    k, width = problem.candidate_array(grid.all_nodes[order[:1]]).shape[1:]
     noise = problem.noise
     visited = DiscreteNoise(noise.nodes[:1], [1.0]) if c else noise
     step = max(1, CHUNK_POINTS // (k * visited.n))
@@ -434,7 +442,7 @@ def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig, ta
     plane = RectGrid(grid.axes[c:])
     mirror = (all(_mirror_symmetric(ax.nodes, -1.0) for ax in plane.axes) and _mirror_symmetric(noise.nodes, -1.0)
               and _mirror_symmetric(noise.weights) and all(_mirror_symmetric(t.reshape(-1, n_y).T) for t in tables))
-    slice0 = nodes[order[:: inner.size]]  # controlled node 0: grid nodes 0 .. n_y - 1
+    slice0 = grid.all_nodes[order[:: inner.size]]  # controlled node 0: grid nodes 0 .. n_y - 1
     u0 = np.ascontiguousarray(problem.candidate_array(slice0)[:, 0])
     ncorner = 1 << plane.dim
     indices = np.empty((n_y, noise.n * ncorner), dtype=np.int64)
@@ -456,7 +464,7 @@ def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig, ta
     seen = np.empty((grid.size, 2, width + c + 1)) if mirror else None  # per row and checked candidate
 
     def check(a: int, b: int) -> None:
-        xc, at = nodes[order[a:b]], order[a:b]
+        xc, at = grid.all_nodes[order[a:b]], order[a:b]
         cand = problem.candidate_array(xc)
         y = np.arange(a, b) // inner.size
         for j in (0, -1):
@@ -500,7 +508,7 @@ def _min_sweep(look: _Lookahead, values: np.ndarray, threads: int):
     g = look.expect(values)
 
     def worker(a: int, b: int) -> None:
-        xc = look.grid.all_nodes[look.order[a:b]]
+        xc = look.at(a, b)
         cand = look.problem.candidate_array(xc)
         mc, k, _ = cand.shape
         u_rep = cand.reshape(mc * k, -1)
@@ -577,7 +585,7 @@ def _fixed_policy_operator(look: _Lookahead, policy, threads: int):
     cost = np.empty(n)
 
     def worker(a: int, b: int) -> None:
-        xc = look.grid.all_nodes[look.order[a:b]]
+        xc = look.at(a, b)
         cand = look.problem.candidate_array(xc)
         u = cand[np.arange(b - a), np.argmin(((cand - stored[a:b, None, :]) ** 2).sum(axis=2), axis=1)]
         cost[a:b], stencils = look.successors(xc, u, a, 1)

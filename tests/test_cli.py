@@ -231,17 +231,6 @@ class TestSolve:
         assert set(np.unique(block[:, 0]).round(3)).issuperset({0.0})
         assert block[:, 3].min() >= 0.0
 
-    def test_policy_slices_are_the_bytes_of_write_csv(self, tmp_path):
-        # a random policy on an uneven grid, so no two values share their text by accident
-        grid = grids.build_grid([(0.0, 10e6, 4), (-0.37, 0.41, 6), (-0.013, 0.011, 9)])
-        policy = grids.GridFunction(grid, np.random.default_rng(5).normal(0.0, 3e5, grid.size))
-        cli._write_policy_slices(policy, tmp_path / "slices.csv")
-        levels = np.linspace(0.0, 10e6, cli.DEFAULT_SLICES)
-        e, om, ac = np.meshgrid(levels, grid.axes[1].nodes, grid.axes[2].nodes, indexing="ij")
-        points = np.column_stack([e.ravel(), om.ravel(), ac.ravel()])
-        storage.write_csv(tmp_path / "block.csv", np.column_stack([points, grids.interpolate(policy, points)]),
-                          "e_sto,omega,accel,p_grid")
-        assert (tmp_path / "slices.csv").read_bytes() == (tmp_path / "block.csv").read_bytes()
 
     def test_sweep_cap_cut_off_is_reported(self, tmp_path, capsys):
         out_dir = tmp_path / "capped"

@@ -808,14 +808,13 @@ class TestPostDecisionSplit:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("nodes, first", [((12, 134), 134), ((13, 109), 109), ((9, 70), 70)],
-                             ids=["both shares", "pool only", "caller only"])
+                             ids=["far apart", "both late", "both early"])
     def test_the_split_check_names_the_first_violation_in_row_order(self, monkeypatch, threads, nodes, first):
         """The check runs 18 spans of 8 rows here; grid node z * 7 + y sits in y-major row y * 20 + z.
 
-        The calling thread runs the first 9 spans (rows 0-71) at 2 threads, the first 6 (rows 0-47)
-        at 3.  Node 134 (row 39) fails in span 4 and node 12 (row 101) in span 12, nodes 109 (row 95)
-        and 13 (row 121) only in the pool's spans, and nodes 70 (row 10) and 9 (row 41) only in the
-        caller's.  Each time, the first node in row order is not the first in grid order.
+        Node 134 (row 39) fails in span 4 and node 12 (row 101) in span 12; nodes 109 (row 95) and
+        13 (row 121) fail in spans 11 and 15, and nodes 70 (row 10) and 9 (row 41) in spans 1 and 5.
+        Each time, the first node in row order is not the first in grid order.
         """
         base, grid = split_problem()
         monkeypatch.setattr(solver, "CHUNK_POINTS", 2 * base.candidate_array(grid.all_nodes[:1]).shape[1])
@@ -1046,18 +1045,37 @@ class TestBlockParallelEvaluation:
 
         def candidates(states):
             callers.append(threading.get_ident())
+            time.sleep(0.005)  # so that no thread runs every span before the others take one
             return base.control_candidates(states)
 
         problem, _ = split_problem(control_candidates=candidates)
         config = SolverConfig(threads=threads)
         look = solver._lookahead(grid, problem, config)
-        assert len(look.chunks) > threads  # so the pool gets spans at every thread count here
+        assert len(look.chunks) > 2 * threads
         callers.clear()
         before = threading.active_count()
         solver.policy_improvement(grids.GridFunction(grid, np.zeros(grid.size)), problem, config, look)
         assert threading.active_count() == before
         assert len(callers) == len(look.chunks)
         assert threading.get_ident() in callers and 2 <= len(set(callers)) <= threads
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_after_a_span_fails_no_thread_takes_another(self, threads):
+        # span 2 fails late and span 5 at once: span 2's error is raised, and of the 60 spans the
+        # threads run only those they took before the first failure and at most one more each
+        calls = []
+
+        def worker(a, b):
+            calls.append(a)
+            time.sleep(0.06 if a == 2 else 0.01)
+            if a in (2, 5):
+                raise ValueError(f"span {a}")
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^span 2$"):
+            solver._run_chunks([(a, a + 1) for a in range(60)], worker, threads)
+        assert threading.active_count() == before
+        assert set(range(3)) <= set(calls) and len(calls) == len(set(calls)) <= 6 + 2 * threads
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("sweep", ["policy_evaluation", "policy_improvement", "bellman_sweep"])
