@@ -396,14 +396,6 @@ class StateSpaceAR2:
     transition: np.ndarray
     noise_gain: np.ndarray
 
-    def step(self, value: float, diff: float, eps: float) -> tuple[float, float]:
-        t = self.transition
-        g = self.noise_gain
-        return (
-            t[0, 0] * value + t[0, 1] * diff + g[0] * eps,
-            t[1, 0] * value + t[1, 1] * diff + g[1] * eps,
-        )
-
 
 def to_state_space(model: ARModel) -> StateSpaceAR2:
     """Companion form of an AR(2) model on (value, backward-difference).

@@ -119,7 +119,7 @@ class RectGrid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)  # a Python int: np.prod wraps in int64
 
     @cached_property
     def strides(self) -> tuple[int, ...]:
@@ -180,10 +180,6 @@ class GridFunction:
             raise ValueError("grid function values must all be finite")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    def as_array(self) -> np.ndarray:
-        """Values reshaped to the grid shape (read-only view)."""
-        return self.values.reshape(self.grid.shape)
 
 
 def node_coordinates(grid: RectGrid, flat_index: int) -> tuple[float, ...]:

@@ -60,9 +60,10 @@ Determinism: identical inputs and configuration give bit-identical results regar
 `threads` setting.  Evaluation sweeps run on the calling thread (see :func:`_relative_iteration`).
 Only the chunked phases use threads: the split check, the evaluation operator build and the
 improvement sweep run chunks of a thread-independent size, each node's reduction in a fixed order.
-The calling thread and a pool of threads - 1 take a phase's chunks in row order.  After a chunk fails
-none is taken and the first failing chunk's error is raised, so a check names the first failing node
-in row order.  Problem callbacks must be pure and thread-safe; node computations may run concurrently.
+The calling thread and a pool of up to threads - 1, one thread at most per chunk, take a phase's
+chunks in row order.  After a chunk fails none is taken and the first failing chunk's error is raised,
+so a check names the first failing node in row order.  Problem callbacks must be pure and
+thread-safe; node computations may run concurrently.
 """
 
 from __future__ import annotations
@@ -277,7 +278,9 @@ class SolveReport:
     :func:`policy_iteration`).  Per improvement sweep,
     ``bracket_history`` holds (min(Tv - v), max(Tv - v)), which brackets
     the optimal average cost J* of the gridded problem and the average
-    cost of the policy greedy for v.
+    cost of the policy greedy for v.  Every list holds one entry per
+    improvement step, none per sweep (value iteration is one step with
+    its final anchor and no policy change).
     ``plane_nodes_swept`` counts the plane nodes every sweep visits:
     ceil(n_y / 2) on the mirror quotient, else all n_y (1 when generic).
     ``lookahead_seconds`` is the wall time of the solve's one lookahead
@@ -299,7 +302,6 @@ class SolveReport:
     bracket_history: list[tuple[float, float]]
     avg_cost_history: list[float]
     policy_change_history: list[float]
-    residual_history: list[float]
     plane_nodes_swept: int
     lookahead_seconds: float
     evaluation_seconds: list[float]
@@ -307,7 +309,7 @@ class SolveReport:
 
 
 def _run_chunks(spans, worker, threads: int) -> None:
-    """``worker(a, b)`` on each span; the calling thread and ``threads - 1`` more take them in row order."""
+    """``worker(a, b)`` on each span, taken in row order by the calling thread and min(threads, spans) - 1 more."""
     todo, failed = iter(range(len(spans))), {}
 
     def run() -> None:
@@ -320,7 +322,7 @@ def _run_chunks(spans, worker, threads: int) -> None:
                     pass
 
     with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as pool:  # a thread starts on a submit only
-        for _ in range(threads - 1 if len(spans) > 1 else 0):
+        for _ in range(min(threads, len(spans)) - 1):
             pool.submit(run)
         run()
     if failed:
@@ -526,30 +528,30 @@ def _min_sweep(look: _Lookahead, values: np.ndarray, threads: int):
     return raw, tuple(look.grid_function(u) for u in controls), (float(gain.min()), float(gain.max()))
 
 
-def _stop(residuals: list[float], anchors: list[float], config: SolverConfig, fraction: float) -> float:
+def _stop(residuals: list[float], anchor: float, config: SolverConfig, fraction: float) -> float:
     """The span an iteration stops at: the tolerance, or ``fraction`` times its first span if that is looser."""
-    return max(fraction * residuals[0], config.eval_tol * (abs(anchors[-1]) + 1.0))
+    return max(fraction * residuals[0], config.eval_tol * (abs(anchor) + 1.0))
 
 
 def _relative_iteration(step, n: int, config: SolverConfig, start: np.ndarray | None = None, fraction: float = 0.0):
-    """Iterate v <- raw - raw[0], raw = step(v), on the calling thread; returns (v, anchors, residuals, converged).
+    """Iterate v <- raw - raw[0], raw = step(v), on the calling thread; returns (v, anchor, residuals, converged).
 
     Starts from ``start`` (default: n zeros); ``step`` may thread its own work.  Stops once the span
     of raw - v drops to :func:`_stop`, or after ``eval_max_sweeps`` sweeps.
     """
     v = np.zeros(n) if start is None else np.array(start, dtype=np.float64)
-    anchors, residuals = [], []
+    residuals = []
     converged = False
     for _ in range(config.eval_max_sweeps):
         raw = step(v)
         np.subtract(raw, v, out=v)  # the increment, in v's own buffer
-        anchors.append(float(raw[0]))
+        anchor = float(raw[0])
         residuals.append(float(v.max() - v.min()))
-        np.subtract(raw, anchors[-1], out=v)
-        converged = residuals[-1] <= _stop(residuals, anchors, config, fraction)
+        np.subtract(raw, anchor, out=v)
+        converged = residuals[-1] <= _stop(residuals, anchor, config, fraction)
         if converged:
             break
-    return v, anchors, residuals, converged
+    return v, anchor, residuals, converged
 
 
 def bellman_sweep(
@@ -637,10 +639,10 @@ def policy_evaluation(
         raw += cost
         return raw
 
-    v, anchors, residuals, converged = _relative_iteration(
+    v, anchor, residuals, converged = _relative_iteration(
         step, look.rows, config, None if start is None else start.values[look.order[: look.rows]], fraction)
-    return EvaluationResult(anchors[-1], look.grid_function(v), len(residuals), residuals, converged,
-                            residuals[-1] / _stop(residuals, anchors, config, fraction))
+    return EvaluationResult(anchor, look.grid_function(v), len(residuals), residuals, converged,
+                            residuals[-1] / _stop(residuals, anchor, config, fraction))
 
 
 def policy_improvement(
@@ -678,8 +680,7 @@ def policy_iteration(
     """
     config = config or SolverConfig()
     current = tuple(initial_policy)
-    residual_history, avg_history, change_history, sweeps_per_eval, eval_converged, eval_span_ratio, brackets = (
-        [], [], [], [], [], [], [])
+    avg_history, change_history, sweeps_per_eval, eval_converged, eval_span_ratio, brackets = [], [], [], [], [], []
     import scipy.sparse  # noqa: F401  loaded before the clock starts: see SolveReport.lookahead_seconds
     start = time.perf_counter()
     look = _policy_lookahead(current, problem, config)
@@ -696,7 +697,6 @@ def policy_iteration(
         eval_converged.append(evaluation.converged)
         eval_span_ratio.append(evaluation.span_ratio)
         sweeps_per_eval.append(sum(a.sweeps for a in attempts))
-        residual_history.extend(r for a in attempts for r in a.residuals)
         avg_history.append(evaluation.avg_cost)
         improved, bracket = policy_improvement(evaluation.value, problem, config, look)
         clock.append(time.perf_counter())
@@ -714,7 +714,6 @@ def policy_iteration(
         policy=current,
         sweeps_per_evaluation=sweeps_per_eval,
         improvement_steps=len(change_history),
-        residual_history=residual_history,
         avg_cost_history=avg_history,
         policy_change_history=change_history,
         converged=converged,
@@ -751,19 +750,18 @@ def value_iteration(
         raw, policy, bracket = _min_sweep(look, v, config.threads)
         return raw
 
-    v, anchors, residuals, converged = _relative_iteration(step, look.rows, config)
+    v, anchor, residuals, converged = _relative_iteration(step, look.rows, config)
     return SolveReport(
-        avg_cost=anchors[-1],
+        avg_cost=anchor,
         value=look.grid_function(v),
         policy=policy,
         sweeps_per_evaluation=[len(residuals)],
         improvement_steps=1,
-        residual_history=residuals,
-        avg_cost_history=anchors,
+        avg_cost_history=[anchor],
         policy_change_history=[],
         converged=converged,
         evaluation_converged=[converged],
-        evaluation_span_ratio=[residuals[-1] / _stop(residuals, anchors, config, 0.0)],
+        evaluation_span_ratio=[residuals[-1] / _stop(residuals, anchor, config, 0.0)],
         bracket_history=[bracket],
         plane_nodes_swept=look.reps,
         lookahead_seconds=built - start,

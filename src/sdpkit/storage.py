@@ -91,10 +91,6 @@ class StorageParams:
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
 
-    @property
-    def leveling_speed(self) -> float:
-        return math.sqrt(self.p_max / self.beta)
-
 
 def require_storage_timestep(dt: float, params: StorageParams, source: str) -> None:
     """Raise ValueError unless ``dt`` is the storage timestep to within TIMESTEP_RTOL."""

@@ -602,11 +602,12 @@ class TestStateSpace:
         ss = armodel.to_state_space(model)
         rng = np.random.default_rng(8)
         eps = rng.normal(size=200)
+        t, g = ss.transition, ss.noise_gain
         x_prev, x_cur = 0.3, -0.1
         value, diff = x_cur, (x_cur - x_prev) / model.dt
         for e in eps:
             x_next = model.phi[0] * x_cur + model.phi[1] * x_prev + e
-            value, diff = ss.step(value, diff, e)
+            value, diff = t[0, 0] * value + t[0, 1] * diff + g[0] * e, t[1, 0] * value + t[1, 1] * diff + g[1] * e
             assert value == pytest.approx(x_next, rel=1e-10, abs=1e-12)
             assert diff == pytest.approx((x_next - x_cur) / model.dt, rel=1e-9, abs=1e-9)
             x_prev, x_cur = x_cur, x_next

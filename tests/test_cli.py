@@ -222,6 +222,9 @@ class TestSolve:
         assert doc["avg_cost"] > 0.0
         assert 1 <= doc["improvement_steps"] <= 3
         assert len(doc["avg_cost_history"]) == doc["improvement_steps"]
+        # every list holds one entry per improvement step, though the evaluations ran many more sweeps
+        assert all(len(v) <= doc["improvement_steps"] for v in doc.values() if isinstance(v, list))
+        assert sum(doc["sweeps_per_evaluation"]) > doc["improvement_steps"]
 
     def test_policy_slices_table(self, tiny_solution):
         lines = (tiny_solution / "policy_slices.csv").read_text().strip().splitlines()

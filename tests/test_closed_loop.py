@@ -155,7 +155,7 @@ def tied_policy(shape, seed, narrow=1.0):
     """``random_policy`` with every odd energy layer a copy of the one below, and a
     third of the entries +0.0 or -0.0: equal bracketing values, ties and signed zeros."""
     policy = random_policy(shape, seed, narrow)
-    table = policy.as_array().copy()
+    table = policy.values.reshape(policy.grid.shape).copy()
     table[1::2] = table[0:table.shape[0] - 1:2]
     rng = np.random.default_rng(seed)
     zero = rng.random(table.shape) < 1 / 3
@@ -257,7 +257,7 @@ def test_queries_on_nodes_reproduce_the_table_exactly(name):
     om_idx, ac_idx = np.meshgrid(np.arange(om_ax.n), np.arange(ac_ax.n), indexing="ij")
     om_idx, ac_idx = om_idx.ravel(), ac_idx.ravel()
     law = storage.grid_policy_fn(policy)(om_ax.nodes[om_idx], ac_ax.nodes[ac_idx])
-    table = policy.as_array()
+    table = policy.values.reshape(policy.grid.shape)
     for k in range(om_idx.size):
         for i, e in enumerate(e_ax.nodes):
             assert law(k, float(e)) == table[i, om_idx[k], ac_idx[k]]

@@ -375,13 +375,17 @@ class TestPersistence:
         ({"axes": [{"lo": None, "hi": 1, "n": 2}]}, "not numbers"),
         ({"dtype": ">f8"}, "dtype '>f8'"),
         ({"order": "column-major"}, "order 'column-major'"),
+        # 2^22 * 2^21 * 2^21 = 2^64 nodes, which wraps to 0 in int64, against an empty payload
+        ({"axes": [{"lo": 0, "hi": 1, "n": 2**22}, {"lo": 0, "hi": 1, "n": 2**21}, {"lo": 0, "hi": 1, "n": 2**21}],
+          "value_count": 0}, f"holds 0 values, expected {2**64}"),
     ], ids=["list", "string", "axes-object", "axis-list", "no-lo", "no-hi", "no-n",
-            "float-n", "string-n", "bool-n", "null-lo", "big-endian", "column-major"])
+            "float-n", "string-n", "bool-n", "null-lo", "big-endian", "column-major", "size-overflows-int64"])
     def test_load_rejects_malformed_metadata(self, tmp_path, meta, message):
         path = tmp_path / "fn.gridfn"
         grids.save_grid_function(grids.GridFunction(grids.build_grid([(0, 1, 2)]), [0.0, 1.0]), path)
         if isinstance(meta, dict):
             meta = {**json.loads(path.read_text()), **meta}
+            (tmp_path / "fn.gridfn.bin").write_bytes(bytes(8 * meta["value_count"]))  # the count it declares
         path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=message):
             grids.load_grid_function(path)

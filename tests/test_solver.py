@@ -279,7 +279,6 @@ class TestTwoStateCycle:
                 assert report.converged and report.improvement_steps == 3 and report.avg_cost_history[2] == 1.0
                 warm = report.evaluation_converged[1]  # else the cycle starts from zero at once
                 assert report.sweeps_per_evaluation[2] == (sweeps + 1 if warm else 1)
-            assert len(report.residual_history) == sum(report.sweeps_per_evaluation)
             assert all(lo <= 1.0 <= hi for lo, hi in report.bracket_history)
             lo, hi = report.bracket_history[-1]
             assert report.converged == (hi - lo <= 1e-9 * (abs(report.avg_cost) + 1.0))
@@ -371,15 +370,19 @@ class TestAgainstEnumeration:
         sweeps of policy p that ended with an increment d of span s, the top is at most
         max(P_p d) <= min(d) + s <= J(p) + s.
         """
+        evaluations = record_calls(monkeypatch, "policy_evaluation")
         improvements = record_calls(monkeypatch, "policy_improvement")
         for mdp, (best_j, _) in small_mdps:
+            evaluations.clear()
             improvements.clear()
             problem, grid = as_control_problem(mdp)
             initial = policy_as_grid_functions(np.zeros(mdp.n_states, dtype=int), grid)
             report = solver.policy_iteration(problem, initial, self._solve_config())
             policies = [initial] + [policy for _, (policy, _) in improvements]
             costs = [evaluate_policy_linear(mdp, p[0].values.astype(int))[0] for p in policies]
-            spans = [report.residual_history[end - 1] for end in np.cumsum(report.sweeps_per_evaluation)]
+            # the final span of the evaluation whose value each improvement was greedy for
+            spans = [next(e.residuals[-1] for _, e in evaluations if e.value is args[0]) for args, _ in improvements]
+            assert sum(e.sweeps for _, e in evaluations) == sum(report.sweeps_per_evaluation)
             assert len(costs) == len(spans) + 1 == report.improvement_steps + 1
             for earlier, later, span, (lo, hi) in zip(costs, costs[1:], spans, report.bracket_history):
                 assert lo - 1e-12 <= later <= hi + 1e-12
@@ -427,17 +430,18 @@ class TestDeterminism:
         shrink_chunks(monkeypatch, problem, grid, 7)
         config = SolverConfig(eval_tol=1e-11, eval_max_sweeps=3000, max_improvements=30, threads=threads)
         initial = policy_as_grid_functions(np.zeros(40, dtype=int), grid)
-        return solver.policy_iteration(problem, initial, config)
+        evaluations = record_calls(monkeypatch, "policy_evaluation")
+        report = solver.policy_iteration(problem, initial, config)
+        return report, [e.residuals for _, e in evaluations]
 
     def test_bit_identical_across_repeats_and_thread_counts(self, monkeypatch):
-        first = self._run(monkeypatch, 1)
-        second = self._run(monkeypatch, 1)
-        threaded = self._run(monkeypatch, 3)
-        for other in (second, threaded):
+        first, first_spans = self._run(monkeypatch, 1)
+        for threads in (1, 3):
+            other, spans = self._run(monkeypatch, threads)
             assert other.avg_cost == first.avg_cost
             assert np.array_equal(other.value.values, first.value.values)
             assert np.array_equal(other.policy[0].values, first.policy[0].values)
-            assert other.residual_history == first.residual_history
+            assert spans == first_spans and len(spans) >= first.improvement_steps
             assert other.avg_cost_history == first.avg_cost_history
 
 
@@ -500,10 +504,12 @@ class TestOneLookaheadPerSolve:
         assert len(builds) == 3
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_policy_iteration_matches_standalone_steps(self, case):
+    def test_policy_iteration_matches_standalone_steps(self, case, monkeypatch):
         """Modified policy iteration, spelled out with standalone calls that each build their own lookahead."""
         problem, grid, policy = self.CASES[case]()
+        evaluations = record_calls(monkeypatch, "policy_evaluation")
         report = solver.policy_iteration(problem, policy, self.CONFIG)
+        spans = [e.residuals for _, e in evaluations]
         current, evaluation, steps, converged, fraction = policy, None, [], False, solver.STOP_FRACTION
         for _ in range(self.CONFIG.max_improvements):
             start = evaluation.value if evaluation is not None and evaluation.converged else None
@@ -525,7 +531,7 @@ class TestOneLookaheadPerSolve:
         assert report.evaluation_converged == [s[1] for s in steps]
         assert report.evaluation_span_ratio == [s[2] for s in steps]
         assert report.avg_cost_history == [s[3] for s in steps]
-        assert report.residual_history == [r for s in steps for r in s[4]]
+        assert spans == [s[4] for s in steps]
         assert report.bracket_history == [s[5] for s in steps]
         assert report.policy_change_history == [s[6] for s in steps]
 
@@ -617,11 +623,21 @@ class TestValueIterationSweeps:
     def test_thread_count_does_not_change_a_bit(self, case, monkeypatch):
         problem, grid = self.CASES[case]()
         shrink_chunks(monkeypatch, problem, grid, 7)
+        sweep, spans = solver._min_sweep, []
+
+        def spanned(look, values, threads):  # records each sweep's increment span, as the iteration computes it
+            raw, policy, bracket = sweep(look, values, threads)
+            spans.append(float((raw - values).max() - (raw - values).min()))
+            return raw, policy, bracket
+
+        monkeypatch.setattr(solver, "_min_sweep", spanned)
         runs = []
         for threads in (1, 3):
+            spans.clear()
             report = solver.value_iteration(problem, grid, SolverConfig(eval_max_sweeps=60, threads=threads))
+            assert len(spans) == report.sweeps_per_evaluation[0] and report.avg_cost_history == [report.avg_cost]
             runs.append((report.value.values.tobytes(), report.policy[0].values.tobytes(), report.avg_cost,
-                         report.residual_history, report.bracket_history, report.converged))
+                         list(spans), report.bracket_history, report.evaluation_span_ratio, report.converged))
         assert runs[0] == runs[1]
 
 
@@ -972,17 +988,19 @@ class TestBlockParallelEvaluation:
         assert results[0].value.values.tobytes() == expected.value.values.tobytes()
         assert results[0].residuals == expected.residuals
 
-    def test_policy_iteration_agrees_across_thread_counts_and_times_each_step(self):
+    def test_policy_iteration_agrees_across_thread_counts_and_times_each_step(self, monkeypatch):
         problem, grid, policy = storage_split_case(4, 5, 7)
+        evaluations = record_calls(monkeypatch, "policy_evaluation")
         runs = []
         for threads in (1, 3):
+            evaluations.clear()
             config = SolverConfig(eval_max_sweeps=200, max_improvements=3, threads=threads)
             report = solver.policy_iteration(problem, policy, config)
             assert len(report.evaluation_seconds) == len(report.improvement_seconds) == report.improvement_steps
             assert all(s > 0.0 for s in report.evaluation_seconds + report.improvement_seconds)
             assert isinstance(report.lookahead_seconds, float) and report.lookahead_seconds > 0.0
             runs.append((report.value.values.tobytes(), report.policy[0].values.tobytes(),
-                         report.residual_history, report.avg_cost_history, report.bracket_history,
+                         [e.residuals for _, e in evaluations], report.avg_cost_history, report.bracket_history,
                          report.policy_change_history, report.evaluation_span_ratio))
         assert runs[0] == runs[1]
 
@@ -1077,6 +1095,19 @@ class TestBlockParallelEvaluation:
         assert threading.active_count() == before
         assert set(range(3)) <= set(calls) and len(calls) == len(set(calls)) <= 6 + 2 * threads
 
+    @pytest.mark.parametrize("spans", [1, 2, 5])
+    def test_a_phase_starts_no_more_pool_threads_than_spans_after_the_first(self, spans):
+        # each span sleeps, so every pool thread started by the submits is still alive when one ends
+        before, alive = set(threading.enumerate()), []
+
+        def worker(a, b):
+            time.sleep(0.05)
+            alive.append(len(set(threading.enumerate()) - before))
+
+        solver._run_chunks([(a, a + 1) for a in range(spans)], worker, 16)
+        assert len(alive) == spans and max(alive) <= spans - 1
+        assert set(threading.enumerate()) <= before
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("sweep", ["policy_evaluation", "policy_improvement", "bellman_sweep"])
     def test_non_finite_successor_names_the_node_while_the_operator_is_built(self, monkeypatch, sweep, threads):
@@ -1158,6 +1189,28 @@ class TestSaveReport:
         assert doc["lookahead_seconds"] == report.lookahead_seconds > 0.0
         assert doc["evaluation_seconds"] == report.evaluation_seconds and len(report.evaluation_seconds) == 1
         assert doc["improvement_seconds"] == report.improvement_seconds == [0.0]
+        # one entry per improvement step, and value iteration is one step: no list grows with the sweeps
+        assert doc["avg_cost_history"] == [report.avg_cost]
+        assert all(len(v) <= doc["improvement_steps"] for v in doc.values() if isinstance(v, list))
+
+    def test_a_two_component_control_gives_the_one_component_solve_and_saves_both(self, tmp_path):
+        problem, grid, policy = storage_split_case(5, 6, 6)
+        candidates = problem.control_candidates
+
+        def widened(states):  # a second component, always zero, that the dynamics and cost never read
+            cand = candidates(states)
+            return np.concatenate([cand, np.zeros_like(cand)], axis=2)
+
+        wide = dataclasses.replace(problem, control_candidates=widened)
+        config = SolverConfig(eval_max_sweeps=200, max_improvements=3)
+        narrow_report = solver.policy_iteration(problem, policy, config)
+        report = solver.policy_iteration(wide, (*policy, grids.GridFunction(grid, np.zeros(grid.size))), config)
+        assert report.avg_cost == narrow_report.avg_cost and report.improvement_steps >= 2
+        assert report.policy[0].values.tobytes() == narrow_report.policy[0].values.tobytes()
+        assert len(report.policy) == 2 and not report.policy[1].values.any()
+        paths = solver.save_report(report, tmp_path)
+        assert set(paths) == {"value", "policy_u0", "policy_u1", "report"}
+        assert grids.load_grid_function(paths["policy_u1"]).values.tobytes() == report.policy[1].values.tobytes()
 
     def test_failed_report_write_keeps_the_previous_report(self, tmp_path, monkeypatch):
         problem, grid = make_tabular_problem(TestTwoStateCycle.COSTS)

@@ -20,7 +20,8 @@ class TestParams:
         assert PARAMS.p_max == 1.1e6
         assert PARAMS.dt == 0.1
         assert PARAMS.beta == 4.4e6
-        assert PARAMS.leveling_speed == 0.5
+        # production levels off at p_max from 0.5 rad/s, and not one ulp below
+        assert storage.pto_power(0.5, PARAMS) == PARAMS.p_max > storage.pto_power(math.nextafter(0.5, 0.0), PARAMS)
 
     @pytest.mark.parametrize("kwargs", [
         {"e_rated": 0.0},
@@ -190,7 +191,9 @@ class TestBuildProblem:
         u = np.array([[3e5]])
         w = np.array([0.001])
         nxt = problem.dynamics(state, u, w)
-        om, ac = ss.step(0.2, -0.1, 0.001)
+        t, g = ss.transition, ss.noise_gain
+        om = t[0, 0] * 0.2 + t[0, 1] * -0.1 + g[0] * 0.001
+        ac = t[1, 0] * 0.2 + t[1, 1] * -0.1 + g[1] * 0.001
         assert nxt[0, 1] == pytest.approx(om, rel=1e-15)
         assert nxt[0, 2] == pytest.approx(ac, rel=1e-15)
         expected_e = 4e6 + (storage.pto_power(0.2, PARAMS) - 3e5) * 0.1
