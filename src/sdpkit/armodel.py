@@ -80,7 +80,6 @@ class AcfSeries:
     """Autocorrelations rho(0..max_lag); rho(0) is always 1."""
 
     values: np.ndarray
-    dt: float
 
     def __post_init__(self) -> None:
         vals = np.ascontiguousarray(self.values, dtype=np.float64).reshape(-1)
@@ -90,8 +89,6 @@ class AcfSeries:
             raise ValueError("autocorrelations must be finite")
         if vals[0] != 1.0:
             raise ValueError(f"lag-0 autocorrelation must be 1, got {vals[0]}")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"sample period must be > 0, got {self.dt}")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -100,8 +97,8 @@ class AcfSeries:
         return self.values.size - 1
 
 
-def sample_acf(series, max_lag: int, dt: float) -> AcfSeries:
-    """Biased sample autocorrelation of a series up to ``max_lag``.
+def sample_acf(series, max_lag: int) -> AcfSeries:
+    """Biased sample autocorrelation of a series up to ``max_lag`` samples.
 
     Uses the full-length denominator (the estimate of lag k divides by N,
     not N - k), which keeps the estimated sequence positive semidefinite.
@@ -121,7 +118,7 @@ def sample_acf(series, max_lag: int, dt: float) -> AcfSeries:
     vals[0] = 1.0
     for k in range(1, max_lag + 1):
         vals[k] = float(np.dot(x[:-k], x[k:])) / denom
-    return AcfSeries(vals, dt)
+    return AcfSeries(vals)
 
 
 def is_stationary(phi) -> bool:
@@ -165,8 +162,8 @@ def pacf_from_phi(phi) -> np.ndarray:
     return kappa
 
 
-def theoretical_acf(phi, max_lag: int, dt: float) -> AcfSeries:
-    """Exact autocorrelation of a stationary AR(p) model.
+def theoretical_acf(phi, max_lag: int) -> AcfSeries:
+    """Exact autocorrelation of a stationary AR(p) model, lags counted in steps.
 
     Solves the order-p linear system for rho(1..p) and extends with the recursion
     rho(k) = sum_j phi_j rho(k - j), run by :func:`_all_pole` from lfiltic's state.
@@ -189,7 +186,7 @@ def theoretical_acf(phi, max_lag: int, dt: float) -> AcfSeries:
     rho_head = np.linalg.solve(a, rhs)
     state = [0.0 - float(np.sum(-coeffs[m:] * rho_head[::-1][: p - m])) for m in range(p)]
     tail = _all_pole(coeffs.tolist(), [0.0] * (max_lag - p), state)
-    return AcfSeries(np.concatenate([[1.0], rho_head, tail])[: max_lag + 1], dt)
+    return AcfSeries(np.concatenate([[1.0], rho_head, tail])[: max_lag + 1])
 
 
 def _all_pole(phi, drive, state) -> list[float]:
@@ -274,7 +271,7 @@ def fit_multilag(acf_data: AcfSeries, p: int, lag_count: int) -> tuple[tuple[flo
         if np.max(np.abs(u)) > MAX_PACF_U:
             return None
         try:
-            return theoretical_acf(phi_from_pacf(np.tanh(u)), lag_count, acf_data.dt).values[1:] - target
+            return theoretical_acf(phi_from_pacf(np.tanh(u)), lag_count).values[1:] - target
         except (ValueError, np.linalg.LinAlgError):
             return None
 
@@ -428,7 +425,7 @@ def stationary_moments(model: ARModel) -> tuple[float, float]:
     """
     if not is_stationary(model.phi):
         raise ValueError("stationary moments require a stationary model")
-    rho = theoretical_acf(model.phi, max(model.p, 1), model.dt).values
+    rho = theoretical_acf(model.phi, max(model.p, 1)).values
     gamma0 = model.sigma_eps**2 / (1.0 - float(np.dot(model.phi, rho[1 : model.p + 1])))
     std_x = math.sqrt(gamma0)
     std_diff = math.sqrt(2.0 * gamma0 * (1.0 - rho[1])) / model.dt

@@ -90,12 +90,12 @@ def cmd_fit(args) -> int:
     if dt <= 0.0:
         raise ValueError("need at least two samples to infer the timestep")
     lag_count = max(args.p, int(round(args.lag_seconds / dt)))
-    acf = armodel.sample_acf(omega, lag_count, dt)
+    acf = armodel.sample_acf(omega, lag_count)
     phi, criterion = armodel.fit_multilag(acf, args.p, lag_count)
     gamma0 = float(np.var(omega))
     # the fitted model's own rho(1..p): 1 - phi . rho is then positive for
     # every stationary phi, which the sample rho does not guarantee
-    model_acf = armodel.theoretical_acf(phi, args.p, dt)
+    model_acf = armodel.theoretical_acf(phi, args.p)
     sigma = armodel.innovation_std_from_acf(phi, gamma0, model_acf)
     model = armodel.ARModel(phi, sigma, dt)
     provenance = {"method": "multilag", "lag_count": lag_count, "criterion": criterion}

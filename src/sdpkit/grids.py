@@ -133,18 +133,6 @@ class RectGrid:
         return tuple(reversed(out))
 
     @cached_property
-    def lower(self) -> np.ndarray:
-        out = np.array([ax.lo for ax in self.axes])
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def upper(self) -> np.ndarray:
-        out = np.array([ax.hi for ax in self.axes])
-        out.flags.writeable = False
-        return out
-
-    @cached_property
     def all_nodes(self) -> np.ndarray:
         """All node coordinates as an ``(size, dim)`` array in flat-index order."""
         mesh = np.meshgrid(*(ax.nodes for ax in self.axes), indexing="ij")
@@ -246,8 +234,6 @@ def interpolation_stencil(grid: RectGrid, points) -> tuple[np.ndarray, np.ndarra
     points are clamped first.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != grid.dim:
         raise ValueError(f"query shape {pts.shape} does not match grid dimension {grid.dim}")
     if not np.isfinite(pts).all():
@@ -276,21 +262,15 @@ def interpolation_stencil(grid: RectGrid, points) -> tuple[np.ndarray, np.ndarra
 
 
 def interpolate(gf: GridFunction, points):
-    """Multilinear interpolation of a grid function at query points.
+    """Multilinear interpolation of a grid function at a batch of query points.
 
-    ``points`` is either a single point of shape ``(dim,)`` (returns a
-    float) or a batch of shape ``(m, dim)`` (returns an ``(m,)`` array).
+    ``points`` has shape ``(m, dim)``; returns an ``(m,)`` array.
     Queries outside the hull are clamped coordinate by coordinate.  The
     result is clipped to the enclosing-cell corner range, so it can
     never escape the convex hull of the corner values.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    scalar = pts.ndim == 1
-    flat, weights = interpolation_stencil(gf.grid, pts)
-    out = stencil_blend(weights, gf.values[flat])
-    if scalar:
-        return float(out[0])
-    return out
+    flat, weights = interpolation_stencil(gf.grid, points)
+    return stencil_blend(weights, gf.values[flat])
 
 
 def stencil_blend(weights: np.ndarray, corner_vals: np.ndarray) -> np.ndarray:
@@ -392,10 +372,13 @@ def load_grid_function(path) -> GridFunction:
     # the payload must sit next to its metadata file: a plain name, no path
     if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
         raise ValueError(f"{path}: payload {name!r} is not a plain file name")
+    count = meta["value_count"]
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise ValueError(f"{path}: value_count {count!r} is not an integer")
     grid = build_grid(_axis_specs(path, meta["axes"]))
     payload = path.parent / name
     raw = np.frombuffer(payload.read_bytes(), dtype="<f8")
-    if raw.size != meta["value_count"] or raw.size != grid.size:
+    if raw.size != count or raw.size != grid.size:
         raise ValueError(
             f"payload {payload} holds {raw.size} values, expected {grid.size}"
         )

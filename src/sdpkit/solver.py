@@ -44,14 +44,15 @@ in or goes out.  The lookahead takes one of two shapes:
 
 Mirror quotient (post-decision, detected, never declared): the mirror
 (z, y, w) -> (z, -y, -w) maps plane node y to n_y - 1 - y.  The build
-requires mirror-exact plane axes and noise, P_x commuting with the
-mirror to ``MIRROR_TOL``, and, in the split check, the first and last
+requires, to the bit: mirror-exact plane axes, mirrored noise weights,
+the exogenous successor of (y, noise node l) equal to minus that of
+(n_y - 1 - y, L - 1 - l), and, in the split check, the first and last
 candidate, controlled successor and stage cost of every row equal to
-its mirror row's, to the bit.  A symmetric table then stays symmetric,
-so sweeps visit only the rows of plane nodes y < ceil(n_y / 2), through
-the lumped P(r, r') = P_x(r, r') + P_x(r, n_y - 1 - r') (an odd plane's
-centre counted once): exact lumping (Kemeny & Snell, *Finite Markov
-Chains*, 6.3), an MDP homomorphism (Ravindran & Barto, 2003).  Output
+its mirror row's.  A symmetric table then stays symmetric, so sweeps
+visit only the rows of plane nodes y < ceil(n_y / 2), through the lumped
+P(r, r') = P_x(r, r') + P_x(r, n_y - 1 - r') (an odd plane's centre
+counted once): exact lumping (Kemeny & Snell, *Finite Markov Chains*,
+6.3), an MDP homomorphism (Ravindran & Barto, 2003).  Output
 GridFunctions copy each representative to its mirror.  An input table
 that is not symmetric to the bit, or a problem that fails the check,
 sweeps all n_y plane nodes with P = P_x, through the same code.
@@ -107,9 +108,6 @@ WEIGHT_SUM_TOL = 1e-12
 
 # Improvement chunks hold about this many (node, candidate, noise node) points, small enough to stay in cache.
 CHUNK_POINTS = 65_536
-
-# Transition probabilities of mirrored plane nodes may differ by this much on the mirror quotient.
-MIRROR_TOL = 1e-12
 
 # Policy iteration stops an evaluation at this fraction of its first sweep's span, unless it certifies.
 STOP_FRACTION = 0.01
@@ -424,8 +422,8 @@ class _Lookahead:
 def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig, tables=()) -> _Lookahead:
     """The lookahead of ``problem`` on ``grid``: post-decision if declared, after checking the split.
 
-    It is taken on the mirror quotient when the plane axes, the noise, P_x, the checked candidates
-    and their successors and costs, and every grid-order table in ``tables`` are mirror-symmetric.
+    It is taken on the mirror quotient when the plane axes, noise weights and exogenous successors (negated), the checked
+    candidates and their successors and costs, and every grid-order table in ``tables`` are mirror-symmetric, to the bit.
     """
     import scipy.sparse as sp  # imported here, so that commands which never solve start without SciPy
     c = problem.controlled_dims
@@ -434,7 +432,9 @@ def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig, ta
     inner = RectGrid(grid.axes[:c]) if c else grid
     n_y = grid.size // inner.size
     order = np.arange(grid.size).reshape(inner.size, n_y).T.reshape(-1)
-    k, width = problem.candidate_array(grid.all_nodes[order[:1]]).shape[1:]
+    slice0 = grid.all_nodes[order[:: inner.size]]  # controlled node 0: grid nodes 0 .. n_y - 1 (node 0 when generic)
+    cand0 = problem.candidate_array(slice0)
+    k, width = cand0.shape[1:]
     noise = problem.noise
     visited = DiscreteNoise(noise.nodes[:1], [1.0]) if c else noise
     step = max(1, CHUNK_POINTS // (k * visited.n))
@@ -442,10 +442,7 @@ def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig, ta
     if c == 0:
         return _Lookahead(grid, problem, grid, 1, 1, sp.identity(1, format="csr"), noise, chunks, width, order)
     plane = RectGrid(grid.axes[c:])
-    mirror = (all(_mirror_symmetric(ax.nodes, -1.0) for ax in plane.axes) and _mirror_symmetric(noise.nodes, -1.0)
-              and _mirror_symmetric(noise.weights) and all(_mirror_symmetric(t.reshape(-1, n_y).T) for t in tables))
-    slice0 = grid.all_nodes[order[:: inner.size]]  # controlled node 0: grid nodes 0 .. n_y - 1
-    u0 = np.ascontiguousarray(problem.candidate_array(slice0)[:, 0])
+    u0 = np.ascontiguousarray(cand0[:, 0])
     ncorner = 1 << plane.dim
     indices = np.empty((n_y, noise.n * ncorner), dtype=np.int64)
     data = np.empty((n_y, noise.n * ncorner))
@@ -457,10 +454,10 @@ def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig, ta
         indices[:, l * ncorner : (l + 1) * ncorner] = flat
         data[:, l * ncorner : (l + 1) * ncorner] = wprob * wts
     indptr = np.arange(n_y + 1, dtype=np.int64) * indices.shape[1]
-    if mirror:  # P_x commutes with the mirror R: y -> n_y - 1 - y
-        p_x, r_p_x_r = (sp.csr_matrix((d.reshape(-1), i.reshape(-1), indptr), shape=(n_y, n_y))
-                        for d, i in ((data, indices), (data[::-1], n_y - 1 - indices[::-1])))
-        mirror = abs(p_x - r_p_x_r).max() <= MIRROR_TOL
+    # the successor of (plane node y, noise node l) is minus that of (n_y - 1 - y, L - 1 - l)
+    mirror = (all(_mirror_symmetric(ax.nodes, -1.0) for ax in plane.axes) and _mirror_symmetric(noise.weights)
+              and _mirror_symmetric(np.stack(exogenous, axis=1).reshape(n_y * noise.n, -1), -1.0)
+              and all(_mirror_symmetric(t.reshape(-1, n_y).T) for t in tables))
     ends = ((noise.nodes[0], exogenous[0]), (noise.nodes[-1], exogenous[-1]))
     declared = f"controlled_dims={c} declares otherwise"
     seen = np.empty((grid.size, 2, width + c + 1)) if mirror else None  # per row and checked candidate

@@ -165,7 +165,7 @@ def test_criterion_4_smoothing_beats_the_heuristic(workdir, speed_series, solved
 def test_criterion_5_ar_fitting_self_consistency():
     started = time.perf_counter()
     target = (1.9799, -0.9879)
-    acf = armodel.theoretical_acf(target, max_lag=150, dt=0.1)
+    acf = armodel.theoretical_acf(target, max_lag=150)
     fitted, criterion_value = armodel.fit_multilag(acf, p=2, lag_count=150)
     multilag_err = max(abs(a - b) for a, b in zip(fitted, target))
 
@@ -215,14 +215,16 @@ def test_criterion_7_interpolation_suite():
         coeffs = rng.uniform(-1, 1, size=dim)
         const = rng.uniform(-1, 1)
         affine = grids.GridFunction(grid, const + grid.all_nodes @ coeffs)
-        pts = rng.uniform(grid.lower, grid.upper, size=(1000, dim))
+        lo, hi = np.array([ax.lo for ax in grid.axes]), np.array([ax.hi for ax in grid.axes])
+        pts = rng.uniform(lo, hi, size=(1000, dim))
         err = np.abs(grids.interpolate(affine, pts) - (const + pts @ coeffs))
         affine_worst = max(affine_worst, float(err.max()))
 
     hull_grid = grids.build_grid([(-2.0, 3.0, 9), (0.0, 7.0, 8), (-1.0, 1.0, 7)])
     hull_fn = grids.GridFunction(hull_grid, rng.normal(size=hull_grid.size))
-    span = hull_grid.upper - hull_grid.lower
-    pts = rng.uniform(hull_grid.lower - 0.2 * span, hull_grid.upper + 0.2 * span,
+    lo, hi = np.array([ax.lo for ax in hull_grid.axes]), np.array([ax.hi for ax in hull_grid.axes])
+    span = hi - lo
+    pts = rng.uniform(lo - 0.2 * span, hi + 0.2 * span,
                       size=(100_000, 3))
     out = grids.interpolate(hull_fn, pts)
     flat, _ = grids.interpolation_stencil(hull_grid, pts)

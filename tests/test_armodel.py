@@ -99,7 +99,7 @@ def filter_acf(phi, max_lag):
 
 def acf_criterion(phi, acf, lag_count):
     """Sum of squared autocorrelation errors over lags 1..lag_count."""
-    diff = armodel.theoretical_acf(phi, lag_count, acf.dt).values[1:] - acf.values[1 : lag_count + 1]
+    diff = armodel.theoretical_acf(phi, lag_count).values[1:] - acf.values[1 : lag_count + 1]
     return float(diff @ diff)
 
 
@@ -125,7 +125,7 @@ def least_squares_criterion(acf, p, lag_count):
 
     def residual(u):
         phi = armodel.phi_from_pacf(np.tanh(np.clip(u, -armodel.MAX_PACF_U, armodel.MAX_PACF_U)))
-        return armodel.theoretical_acf(phi, lag_count, acf.dt).values[1:] - acf.values[1 : lag_count + 1]
+        return armodel.theoretical_acf(phi, lag_count).values[1:] - acf.values[1 : lag_count + 1]
 
     start_fun = residual(start)
     try:
@@ -137,9 +137,9 @@ def least_squares_criterion(acf, p, lag_count):
 
 def noisy_acf():
     """The ACF of AR(2) (0.7, 0.1) with N(0, 0.01) noise on lags 1..20."""
-    acf = armodel.theoretical_acf((0.7, 0.1), max_lag=20, dt=1.0)
+    acf = armodel.theoretical_acf((0.7, 0.1), max_lag=20)
     rng = np.random.default_rng(17)
-    return AcfSeries(np.concatenate([[1.0], acf.values[1:] + rng.normal(0, 0.01, 20)]), dt=1.0)
+    return AcfSeries(np.concatenate([[1.0], acf.values[1:] + rng.normal(0, 0.01, 20)]))
 
 
 def ar2_stationary_variance(phi1, phi2, sigma):
@@ -151,41 +151,40 @@ class TestSampleAcf:
     def test_alternating_series_exact(self):
         n = 64
         x = np.array([(-1.0) ** t for t in range(n)])
-        acf = armodel.sample_acf(x, max_lag=3, dt=0.5)
+        acf = armodel.sample_acf(x, max_lag=3)
         assert acf.values[0] == 1.0
         assert acf.values[1] == -(n - 1) / n
         assert acf.values[2] == (n - 2) / n
-        assert acf.dt == 0.5
 
     def test_white_noise_decorrelates(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=200_000)
-        acf = armodel.sample_acf(x, max_lag=5, dt=1.0)
+        acf = armodel.sample_acf(x, max_lag=5)
         assert np.max(np.abs(acf.values[1:])) < 4.0 / math.sqrt(x.size)
 
     def test_mean_is_removed(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=5000)
-        shifted = armodel.sample_acf(x + 123.0, max_lag=4, dt=1.0)
-        plain = armodel.sample_acf(x, max_lag=4, dt=1.0)
+        shifted = armodel.sample_acf(x + 123.0, max_lag=4)
+        plain = armodel.sample_acf(x, max_lag=4)
         assert np.allclose(shifted.values, plain.values, rtol=0, atol=1e-9)
 
     def test_biased_estimator_is_psd(self):
         # full-N denominator keeps the acf sequence positive semidefinite
         rng = np.random.default_rng(7)
         x = rng.normal(size=40)
-        acf = armodel.sample_acf(x, max_lag=20, dt=1.0)
+        acf = armodel.sample_acf(x, max_lag=20)
         full = np.concatenate([acf.values[::-1], acf.values[1:]])
         toeplitz = np.array([full[20 + i - np.arange(21)] for i in range(21)])
         assert np.linalg.eigvalsh(toeplitz).min() > -1e-12
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            armodel.sample_acf(np.ones(50), max_lag=2, dt=1.0)  # constant
+            armodel.sample_acf(np.ones(50), max_lag=2)  # constant
         with pytest.raises(ValueError):
-            armodel.sample_acf(np.arange(10.0), max_lag=10, dt=1.0)  # too few
+            armodel.sample_acf(np.arange(10.0), max_lag=10)  # too few
         with pytest.raises(ValueError):
-            armodel.sample_acf(np.arange(10.0), max_lag=0, dt=1.0)
+            armodel.sample_acf(np.arange(10.0), max_lag=0)
 
 
 class TestStationarity:
@@ -221,22 +220,22 @@ class TestTheoreticalAcf:
         (0.2, -0.1, 0.05, 0.3),
     ])
     def test_matches_lyapunov_oracle(self, phi):
-        acf = armodel.theoretical_acf(phi, max_lag=25, dt=1.0)
+        acf = armodel.theoretical_acf(phi, max_lag=25)
         assert np.allclose(acf.values, oracle_acf(phi, 25), rtol=1e-9, atol=1e-9)
 
     def test_ar1_closed_form(self):
-        acf = armodel.theoretical_acf((0.7,), max_lag=6, dt=1.0)
+        acf = armodel.theoretical_acf((0.7,), max_lag=6)
         assert np.allclose(acf.values, 0.7 ** np.arange(7), rtol=1e-13, atol=0)
 
     def test_bundled_model_first_lag(self):
-        acf = armodel.theoretical_acf((1.9799, -0.9879), max_lag=1, dt=0.1)
+        acf = armodel.theoretical_acf((1.9799, -0.9879), max_lag=1)
         # rho(1) = phi1 / (1 - phi2) for AR(2)
         assert acf.values[1] == pytest.approx(1.9799 / 1.9879, rel=1e-14)
         assert acf.values[1] == pytest.approx(0.9959756526988279, rel=1e-14)
 
     def test_rejects_non_stationary(self):
         with pytest.raises(ValueError):
-            armodel.theoretical_acf((1.01,), max_lag=3, dt=1.0)
+            armodel.theoretical_acf((1.01,), max_lag=3)
 
     @settings(max_examples=200, deadline=None)
     @given(u=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5), max_lag=st.integers(1, 60))
@@ -245,7 +244,7 @@ class TestTheoreticalAcf:
         phi = armodel.phi_from_pacf(np.tanh(u))
         head = pxp_acf_head(phi)[: max_lag + 1]
         exact, bound = exact_acf_tail(phi, head, max_lag)
-        got = armodel.theoretical_acf(phi, max_lag, dt=1.0).values
+        got = armodel.theoretical_acf(phi, max_lag).values
         assert all(abs(Fraction(g) - r) <= e for g, r, e in zip(got.tolist(), exact, bound))
 
     @settings(max_examples=200, deadline=None)
@@ -253,7 +252,7 @@ class TestTheoreticalAcf:
     def test_head_is_the_pxp_solve_bit_for_bit(self, u, max_lag):
         phi = armodel.phi_from_pacf(np.tanh(u))
         upto = min(phi.size, max_lag)
-        got = armodel.theoretical_acf(phi, max_lag, dt=1.0).values[: upto + 1]
+        got = armodel.theoretical_acf(phi, max_lag).values[: upto + 1]
         assert np.array_equal(got, pxp_acf_head(phi)[: upto + 1])
 
     @pytest.mark.parametrize("phi", [(0.8,), (0.9, -0.2), (1.9799, -0.9879), (0.4, 0.1, -0.3)])
@@ -272,10 +271,10 @@ class TestTheoreticalAcf:
         # kernel extends them as scipy's lfiltic and lfilter do, to the bit
         p = len(phi)
         for max_lag in range(1, p + 1):
-            got = armodel.theoretical_acf(phi, max_lag, dt=1.0).values
+            got = armodel.theoretical_acf(phi, max_lag).values
             assert np.array_equal(got, pxp_acf_head(phi)[: max_lag + 1])
         for max_lag in (*range(p + 1, p + 6), 150):
-            got = armodel.theoretical_acf(phi, max_lag, dt=1.0).values
+            got = armodel.theoretical_acf(phi, max_lag).values
             assert got.tobytes() == filter_acf(phi, max_lag).tobytes()
 
 
@@ -347,14 +346,14 @@ class TestFitCls:
 class TestFitMultilag:
     def test_exact_acf_recovered(self):
         phi = (0.9, -0.2)
-        acf = armodel.theoretical_acf(phi, max_lag=30, dt=1.0)
+        acf = armodel.theoretical_acf(phi, max_lag=30)
         fitted, crit = armodel.fit_multilag(acf, p=2, lag_count=30)
         assert fitted == pytest.approx(phi, abs=1e-6)
         assert crit < 1e-12
 
     def test_oscillatory_model_recovered(self):
         phi = (1.9799, -0.9879)
-        acf = armodel.theoretical_acf(phi, max_lag=100, dt=0.1)
+        acf = armodel.theoretical_acf(phi, max_lag=100)
         fitted, crit = armodel.fit_multilag(acf, p=2, lag_count=100)
         assert fitted == pytest.approx(phi, abs=1e-5)
         assert crit < 1e-10
@@ -367,29 +366,29 @@ class TestFitMultilag:
     def test_longer_lag_window_changes_tradeoff(self):
         # with a mis-specified order the fit depends on the lag window
         phi = (0.5, 0.2, 0.15)
-        acf = armodel.theoretical_acf(phi, max_lag=40, dt=1.0)
+        acf = armodel.theoretical_acf(phi, max_lag=40)
         short, _ = armodel.fit_multilag(acf, p=2, lag_count=2)
         long, _ = armodel.fit_multilag(acf, p=2, lag_count=40)
         assert short != pytest.approx(long, abs=1e-6)
 
     def test_rejects_bad_lag_count(self):
-        acf = armodel.theoretical_acf((0.5,), max_lag=5, dt=1.0)
+        acf = armodel.theoretical_acf((0.5,), max_lag=5)
         with pytest.raises(ValueError):
             armodel.fit_multilag(acf, p=1, lag_count=6)
         with pytest.raises(ValueError):
             armodel.fit_multilag(acf, p=0, lag_count=3)
 
     def test_singular_toeplitz_block_is_a_value_error(self):
-        acf = AcfSeries([1.0, 1.0, 0.3], dt=0.1)  # rho(1) = 1: the 2x2 block [[1, 1], [1, 1]]
+        acf = AcfSeries([1.0, 1.0, 0.3])  # rho(1) = 1: the 2x2 block [[1, 1], [1, 1]]
         with pytest.raises(ValueError, match="order 2 over 2 lags: singular"):
             armodel.fit_multilag(acf, p=2, lag_count=2)
 
     @pytest.mark.parametrize("acf, p, lag_count", [
-        (armodel.theoretical_acf((0.9, -0.2), max_lag=30, dt=1.0), 2, 30),
-        (armodel.theoretical_acf((1.9799, -0.9879), max_lag=100, dt=0.1), 2, 100),
+        (armodel.theoretical_acf((0.9, -0.2), max_lag=30), 2, 30),
+        (armodel.theoretical_acf((1.9799, -0.9879), max_lag=100), 2, 100),
         (noisy_acf(), 2, 20),
-        (armodel.theoretical_acf((0.5, 0.2, 0.15), max_lag=40, dt=1.0), 2, 2),
-        (armodel.theoretical_acf((0.5, 0.2, 0.15), max_lag=40, dt=1.0), 2, 40),
+        (armodel.theoretical_acf((0.5, 0.2, 0.15), max_lag=40), 2, 2),
+        (armodel.theoretical_acf((0.5, 0.2, 0.15), max_lag=40), 2, 40),
     ], ids=["exact", "oscillatory", "noisy", "misspecified-2", "misspecified-40"])
     def test_matches_the_nelder_mead_search(self, acf, p, lag_count):
         fitted, crit = armodel.fit_multilag(acf, p, lag_count)
@@ -400,7 +399,7 @@ class TestFitMultilag:
 
     def test_non_stationary_yule_walker_start(self):
         # rho(1) = 0.9 then rho(2) = 0.2: the lag-2 partial autocorrelation is -3.2
-        acf = AcfSeries(np.array([1.0, 0.9, 0.2, 0.1, 0.0, -0.1]), dt=1.0)
+        acf = AcfSeries(np.array([1.0, 0.9, 0.2, 0.1, 0.0, -0.1]))
         assert not armodel.is_stationary(solve_toeplitz(acf.values[:2], acf.values[1:3]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -415,7 +414,7 @@ class TestFitMultilag:
         # least_squares raised at a point whose phi rounded onto the stationarity boundary, and the
         # fit returned its clipped start; a Jacobian probe there now steps backward, and a trial step
         # there is rejected
-        acf = AcfSeries(np.array([1.0, -0.9, -0.8, -0.3, 0.7, 0.0, 0.9, -0.6, -0.6]), dt=1.0)
+        acf = AcfSeries(np.array([1.0, -0.9, -0.8, -0.3, 0.7, 0.0, 0.9, -0.6, -0.6]))
         fitted, crit = armodel.fit_multilag(acf, p=5, lag_count=8)
         kappa = armodel.pacf_from_phi(solve_toeplitz(acf.values[:5], acf.values[1:6]))
         start = armodel.phi_from_pacf(np.where(np.abs(kappa) < 1, kappa, np.sign(kappa) * armodel.START_PACF))
@@ -430,7 +429,7 @@ class TestFitMultilag:
     ])
     def test_boundary_optimum_of_a_non_psd_acf(self, values, p):
         # no stationary model reaches these: the search drives several kappa to the clip
-        acf = AcfSeries(np.array(values), dt=1.0)
+        acf = AcfSeries(np.array(values))
         lag_count = acf.max_lag
         fitted, crit = armodel.fit_multilag(acf, p, lag_count)
         assert armodel.is_stationary(fitted)
@@ -444,7 +443,7 @@ class TestFitMultilag:
 def bundled_model_acfs():
     """Sample ACFs (150 lags) of the 10k-step series of seeds 1-3, as `sdpkit fit` sees them."""
     model = storage.bundled_speed_model()
-    return [armodel.sample_acf(armodel.simulate(model, 10_000, seed), 150, model.dt)
+    return [armodel.sample_acf(armodel.simulate(model, 10_000, seed), 150)
             for seed in (1, 2, 3)]
 
 
@@ -471,7 +470,7 @@ class TestFitMultilagOracle:
         # circle, order 3-4 criteria can have several basins or narrow valleys that both searches crawl
         # to the evaluation cap; there the two, parted by rounding, may end either side of each other.
         model = ARModel(tuple(armodel.phi_from_pacf(np.tanh(u))), 1.0, 1.0)
-        acf = armodel.sample_acf(armodel.simulate(model, n, seed, burn_in=1000), lag_count, 1.0)
+        acf = armodel.sample_acf(armodel.simulate(model, n, seed, burn_in=1000), lag_count)
         fitted, crit = armodel.fit_multilag(acf, len(u), lag_count)
         assert armodel.is_stationary(fitted)
         assert crit == acf_criterion(fitted, acf, lag_count)
@@ -494,19 +493,19 @@ class TestFitMultilagOracle:
 
 class TestInnovationStd:
     def test_ar1_closed_form(self):
-        acf = armodel.theoretical_acf((0.8,), max_lag=1, dt=1.0)
+        acf = armodel.theoretical_acf((0.8,), max_lag=1)
         out = armodel.innovation_std_from_acf((0.8,), 1.0, acf)
         assert out == pytest.approx(0.6, rel=1e-12)
 
     def test_consistency_with_stationary_moments(self):
         model = ARModel((1.9799, -0.9879), 0.00347, 0.1)
         std_x, _ = armodel.stationary_moments(model)
-        acf = armodel.theoretical_acf(model.phi, max_lag=2, dt=0.1)
+        acf = armodel.theoretical_acf(model.phi, max_lag=2)
         back = armodel.innovation_std_from_acf(model.phi, std_x**2, acf)
         assert back == pytest.approx(model.sigma_eps, rel=1e-10)
 
     def test_rejects_negative_radicand(self):
-        bad = AcfSeries(np.array([1.0, 2.0]), dt=1.0)
+        bad = AcfSeries(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             armodel.innovation_std_from_acf((0.9,), 1.0, bad)
 
@@ -661,7 +660,7 @@ class TestModelValidation:
 
     def test_acfseries_must_start_at_one(self):
         with pytest.raises(ValueError):
-            AcfSeries(np.array([0.99, 0.5]), dt=1.0)
+            AcfSeries(np.array([0.99, 0.5]))
 
 
 class TestPersistence:

@@ -141,10 +141,10 @@ class TestFit:
         model, fit = armodel.load_ar_model(out)
         _, omega = storage.load_series(series)
         # the sample autocorrelations would give a negative innovation variance
-        sample = armodel.sample_acf(omega, fit["lag_count"], 0.1).values
+        sample = armodel.sample_acf(omega, fit["lag_count"]).values
         assert 1.0 - np.dot(model.phi, sample[1:3]) < 0.0
         # the fitted model's own ones give the true sigma_eps (0.00347) back
-        rho = armodel.theoretical_acf(model.phi, 2, 0.1).values
+        rho = armodel.theoretical_acf(model.phi, 2).values
         expected = np.sqrt(np.var(omega) * (1.0 - np.dot(model.phi, rho[1:3])))
         assert model.sigma_eps == pytest.approx(expected, rel=1e-6)
         assert model.sigma_eps == pytest.approx(0.00347, rel=0.25)

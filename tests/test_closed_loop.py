@@ -104,7 +104,7 @@ def reference_grid_policy(policy):
 
 
 def interpolating_rule(policy):
-    return lambda e, om, ac: grids.interpolate(policy, np.array([e, om, ac]))
+    return lambda e, om, ac: float(grids.interpolate(policy, np.array([[e, om, ac]]))[0])
 
 
 def heuristic_rule(e, om, ac):

@@ -60,6 +60,11 @@ def random_grid(rng, dim, max_nodes=7):
     return grids.build_grid(specs)
 
 
+def bounds(g):
+    """Lower and upper corners of a grid's hull, as arrays."""
+    return np.array([ax.lo for ax in g.axes]), np.array([ax.hi for ax in g.axes])
+
+
 class TestBuildGrid:
     def test_two_axis_example(self):
         g = grids.build_grid([(0.0, 2.5, 100), (-15.0, 15.0, 100)])
@@ -152,7 +157,7 @@ class TestInterpolate:
     def test_unit_cell_center(self):
         g = grids.build_grid([(0, 1, 2), (0, 1, 2)])
         gf = grids.GridFunction(g, [0.0, 1.0, 1.0, 2.0])
-        assert grids.interpolate(gf, [0.5, 0.5]) == 1.0
+        assert grids.interpolate(gf, [[0.5, 0.5]]).tolist() == [1.0]
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_node_reproduction_exact(self, dim):
@@ -175,7 +180,7 @@ class TestInterpolate:
         coeffs = rng.uniform(-1, 1, size=dim)
         const = rng.uniform(-1, 1)
         gf = grids.GridFunction(g, const + g.all_nodes @ coeffs)
-        pts = rng.uniform(g.lower, g.upper, size=(1000, dim))
+        pts = rng.uniform(*bounds(g), size=(1000, dim))
         exact = const + pts @ coeffs
         assert np.max(np.abs(grids.interpolate(gf, pts) - exact)) <= 1e-12
 
@@ -187,8 +192,8 @@ class TestInterpolate:
             gf = grids.GridFunction(g, vals)
             nd = vals.reshape(g.shape)
             axis_nodes = [ax.nodes for ax in g.axes]
-            span = g.upper - g.lower
-            pts = rng.uniform(g.lower - 0.3 * span, g.upper + 0.3 * span, size=(200, dim))
+            lo, hi = bounds(g)
+            pts = rng.uniform(lo - 0.3 * (hi - lo), hi + 0.3 * (hi - lo), size=(200, dim))
             out = grids.interpolate(gf, pts)
             for i in range(pts.shape[0]):
                 expected, corners = oracle_interpolate(axis_nodes, nd, pts[i])
@@ -198,32 +203,37 @@ class TestInterpolate:
     def test_clamping_matches_boundary_query(self):
         g = grids.build_grid([(0, 1, 2), (0, 1, 2)])
         gf = grids.GridFunction(g, [0.0, 1.0, 1.0, 2.0])
-        assert grids.interpolate(gf, [-1.0, 0.5]) == grids.interpolate(gf, [0.0, 0.5])
-        assert grids.interpolate(gf, [5.0, 7.0]) == gf.values[3]
+        assert grids.interpolate(gf, [[-1.0, 0.5]]) == grids.interpolate(gf, [[0.0, 0.5]])
+        assert grids.interpolate(gf, [[5.0, 7.0]]) == gf.values[3]
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(11)
         g = random_grid(rng, 3)
         gf = grids.GridFunction(g, rng.normal(size=g.size))
-        pts = rng.uniform(g.lower, g.upper, size=(50, 3))
+        pts = rng.uniform(*bounds(g), size=(50, 3))
         batch = grids.interpolate(gf, pts)
-        singles = np.array([grids.interpolate(gf, p) for p in pts])
+        singles = np.concatenate([grids.interpolate(gf, p[None]) for p in pts])
         assert np.array_equal(batch, singles)
 
     def test_degenerate_axis_is_ignored(self):
         g = grids.build_grid([(0.0, 1.0, 1), (0.0, 1.0, 2)])
         gf = grids.GridFunction(g, [3.0, 5.0])
-        assert grids.interpolate(gf, [0.7, 0.5]) == 4.0
+        assert grids.interpolate(gf, [[0.7, 0.5]]).tolist() == [4.0]
 
     def test_query_errors(self):
         g = grids.build_grid([(0, 1, 2), (0, 1, 2)])
         gf = grids.GridFunction(g, [0.0, 1.0, 1.0, 2.0])
         with pytest.raises(ValueError):
-            grids.interpolate(gf, [0.5])
+            grids.interpolate(gf, [[0.5]])
         with pytest.raises(ValueError):
             grids.interpolate(gf, [[0.5, 0.5, 0.5]])
-        with pytest.raises(ValueError):
-            grids.interpolate(gf, [np.nan, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            grids.interpolate(gf, [[np.nan, 0.5]])
+        for single in ([0.5, 0.5], 0.5):  # one point is a batch of one, shape (1, dim)
+            with pytest.raises(ValueError, match="query shape"):
+                grids.interpolate(gf, single)
+            with pytest.raises(ValueError, match="query shape"):
+                grids.interpolation_stencil(g, single)
 
     @pytest.mark.parametrize("spec", [
         (0.0, 1.0, 2), (0.0, 10e6, 15), (-0.37, 0.91, 60), (1e-3, 1e-3 + 7e-9, 9), (-0.37, 0.37, 31),
@@ -252,7 +262,8 @@ class TestInterpolate:
     def test_stencil_weights_are_convex(self):
         rng = np.random.default_rng(13)
         g = random_grid(rng, 3)
-        pts = rng.uniform(g.lower - 1, g.upper + 1, size=(300, 3))
+        lo, hi = bounds(g)
+        pts = rng.uniform(lo - 1, hi + 1, size=(300, 3))
         flat, weights = grids.interpolation_stencil(g, pts)
         assert np.all(weights >= 0.0)
         assert np.allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -265,7 +276,7 @@ class TestInterpolate:
         rng = np.random.default_rng(42)
         vals = rng.normal(size=g.size)
         gf = grids.GridFunction(g, vals)
-        out = grids.interpolate(gf, point)
+        out = grids.interpolate(gf, [point])[0]
         _, corners = oracle_interpolate([ax.nodes for ax in g.axes],
                                         vals.reshape(g.shape), point)
         assert min(corners) <= out <= max(corners)
@@ -378,14 +389,19 @@ class TestPersistence:
         # 2^22 * 2^21 * 2^21 = 2^64 nodes, which wraps to 0 in int64, against an empty payload
         ({"axes": [{"lo": 0, "hi": 1, "n": 2**22}, {"lo": 0, "hi": 1, "n": 2**21}, {"lo": 0, "hi": 1, "n": 2**21}],
           "value_count": 0}, f"holds 0 values, expected {2**64}"),
+        # a count that only equals the payload's size as a number, or is no number at all
+        ({"value_count": 2.0}, "value_count 2.0 is not an integer"),
+        ({"axes": [{"lo": 0, "hi": 0, "n": 1}], "value_count": True}, "value_count True is not an integer"),
+        ({"value_count": "2"}, "value_count '2' is not an integer"),
     ], ids=["list", "string", "axes-object", "axis-list", "no-lo", "no-hi", "no-n",
-            "float-n", "string-n", "bool-n", "null-lo", "big-endian", "column-major", "size-overflows-int64"])
+            "float-n", "string-n", "bool-n", "null-lo", "big-endian", "column-major", "size-overflows-int64",
+            "float-count", "bool-count", "string-count"])
     def test_load_rejects_malformed_metadata(self, tmp_path, meta, message):
         path = tmp_path / "fn.gridfn"
         grids.save_grid_function(grids.GridFunction(grids.build_grid([(0, 1, 2)]), [0.0, 1.0]), path)
         if isinstance(meta, dict):
             meta = {**json.loads(path.read_text()), **meta}
-            (tmp_path / "fn.gridfn.bin").write_bytes(bytes(8 * meta["value_count"]))  # the count it declares
+            (tmp_path / "fn.gridfn.bin").write_bytes(bytes(8 * int(meta["value_count"])))  # the count it declares
         path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=message):
             grids.load_grid_function(path)

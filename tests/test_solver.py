@@ -489,7 +489,7 @@ class TestOneLookaheadPerSolve:
         problem.control_candidates = lambda states: rows.append(len(states)) or candidates(states)
         report = solver.policy_iteration(problem, policy, self.CONFIG)
         assert report.improvement_steps >= 3 and len(builds) == 1
-        assert rows.count(1) == 1  # one node-0 probe per solve
+        assert rows[0] == 36 and 1 not in rows  # K and d come from the plane slice's candidates: no one-row probe
         solver.value_iteration(problem, grid, self.CONFIG)
         assert len(builds) == 2
 
@@ -922,7 +922,7 @@ class TestMirrorQuotient:
         assert fast_avg == pytest.approx(slow_avg, rel=1e-12, abs=0.0)
         assert_close_rel(fast_value.values + fast_avg, slow_value.values + slow_avg)
 
-    @pytest.mark.parametrize("broken", ["accel axis", "odd cost", "noise"])
+    @pytest.mark.parametrize("broken", ["accel axis", "odd cost", "noise", "near-mirror speed"])
     def test_a_broken_mirror_falls_back_to_the_whole_plane(self, broken):
         params, model = storage.StorageParams(), storage.bundled_speed_model()
         problem, grid, policy = storage_split_case(4, 6, 6)
@@ -932,8 +932,10 @@ class TestMirrorQuotient:
             policy = storage.heuristic_policy_on_grid(grid, params)
         elif broken == "odd cost":
             problem.stage_cost = lambda x, u, w, cost=problem.stage_cost: cost(x, u, w) + 1e10 * x[:, 1]
-        else:
+        elif broken == "noise":
             problem.noise = DiscreteNoise(problem.noise.nodes + 1e-4, problem.noise.weights)
+        else:  # the exogenous successors mirror to rounding only, not to the bit
+            problem.dynamics = lambda x, u, w, dynamics=problem.dynamics: dynamics(x, u, w) + [0.0, 1e-15, 0.0]
         n_y = grid.size // grid.shape[0]
         assert solver._lookahead(grid, problem, self.CONFIG).reps == n_y
         fast = solver.policy_iteration(problem, policy, self.CONFIG)
@@ -942,6 +944,21 @@ class TestMirrorQuotient:
         assert np.array_equal(fast.policy[0].values, slow.policy[0].values)
         assert fast.avg_cost == pytest.approx(slow.avg_cost, rel=1e-12, abs=0.0)
         assert_close_rel(fast.value.values, slow.value.values)
+
+    @pytest.mark.parametrize("shape", [*QUOTIENT_SHAPES.values(), (4, 5, 7), (2, 30, 30)])
+    def test_an_accepted_plane_operator_commutes_with_the_mirror(self, shape):
+        """On every grid the quotient accepts, P_x built from ``interpolation_stencil`` alone satisfies R P_x R = P_x."""
+        problem, grid, _ = storage_split_case(*shape)
+        n_y = grid.size // grid.shape[0]
+        assert solver._lookahead(grid, problem, self.CONFIG).reps == (n_y + 1) // 2
+        plane, x = grids.RectGrid(grid.axes[1:]), grid.all_nodes[:n_y]  # the plane at the lowest energy node
+        u = problem.candidate_array(x)[:, 0]
+        p_x = np.zeros((n_y, n_y))
+        for wval, wprob in zip(problem.noise.nodes, problem.noise.weights):
+            flat, wts = grids.interpolation_stencil(plane, problem.dynamics(x, u, np.full(n_y, wval))[:, 1:])
+            np.add.at(p_x, (np.arange(n_y)[:, None], flat), wprob * wts)
+        assert np.allclose(p_x.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert np.max(np.abs(p_x - p_x[::-1, ::-1])) <= 1e-12
 
 
 BLOCK_CASES = {
