@@ -229,7 +229,7 @@ class TestInterpolate:
             grids.interpolate(gf, [[0.5, 0.5, 0.5]])
         with pytest.raises(ValueError, match="finite"):
             grids.interpolate(gf, [[np.nan, 0.5]])
-        for single in ([0.5, 0.5], 0.5):  # one point is a batch of one, shape (1, dim)
+        for single in ([0.5, 0.5], 0.5):  # a single point goes in as a batch of one, shape (1, dim)
             with pytest.raises(ValueError, match="query shape"):
                 grids.interpolate(gf, single)
             with pytest.raises(ValueError, match="query shape"):
