@@ -22,7 +22,6 @@ from .grids import _is_number, write_atomic
 __all__ = [
     "ARModel",
     "AcfSeries",
-    "StateSpaceAR2",
     "sample_acf",
     "theoretical_acf",
     "is_stationary",
@@ -382,23 +381,11 @@ def simulate(model: ARModel, n: int, seed: int, burn_in: int | None = None) -> n
     return np.array(_all_pole(model.phi, eps.tolist(), [0.0] * model.p)[burn_in:])
 
 
-@dataclass(frozen=True)
-class StateSpaceAR2:
-    """AR(2) rewritten on the (value, backward-difference) state.
+def to_state_space(model: ARModel) -> np.ndarray:
+    """Read-only 2x2 transition of an AR(2) model on the (value, backward-difference) state.
 
-    With state (x, a) where a_k = (x_k - x_{k-1}) / dt, one step is
-    ``state_next = transition @ state + noise_gain * eps``.
-    """
-
-    transition: np.ndarray
-    noise_gain: np.ndarray
-
-
-def to_state_space(model: ARModel) -> StateSpaceAR2:
-    """Companion form of an AR(2) model on (value, backward-difference).
-
-    Substituting x_{t-2} = x_{t-1} - dt * a_{t-1} into the recursion
-    gives a one-lag linear system driven by the same innovation.
+    With a_k = (x_k - x_{k-1}) / dt, substituting x_{t-2} = x_{t-1} - dt * a_{t-1} into the
+    recursion gives ``(x, a)_next = transition @ (x, a) + (1, 1/dt) * eps``, the same innovation.
     """
     if model.p != 2:
         raise ValueError(f"state-space form needs an AR(2) model, got order {model.p}")
@@ -410,10 +397,8 @@ def to_state_space(model: ARModel) -> StateSpaceAR2:
             [(c1 + c2 - 1.0) / dt, -c2],
         ]
     )
-    noise_gain = np.array([1.0, 1.0 / dt])
     transition.flags.writeable = False
-    noise_gain.flags.writeable = False
-    return StateSpaceAR2(transition, noise_gain)
+    return transition
 
 
 def stationary_moments(model: ARModel) -> tuple[float, float]:

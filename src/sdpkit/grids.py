@@ -48,11 +48,9 @@ GRIDFN_FORMAT = "gridfn-v1"
 
 @dataclass(frozen=True)
 class Axis:
-    """One uniformly spaced axis: ``n`` nodes spanning ``[lo, hi]``.
+    """One uniformly spaced axis: ``n >= 2`` nodes spanning ``[lo, hi]`` with ``lo < hi``.
 
-    A single-node axis (``n == 1``) is degenerate: its only node sits at
-    ``lo`` and interpolation ignores that coordinate.  An axis with
-    ``lo == -hi`` is mirror-exact: node n - 1 - i is -(node i), to the bit.
+    An axis with ``lo == -hi`` is mirror-exact: node n - 1 - i is -(node i), to the bit.
     """
 
     lo: float
@@ -62,14 +60,12 @@ class Axis:
     def __post_init__(self) -> None:
         if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
             raise ValueError(f"node count must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError(f"axis needs at least one node, got n={self.n}")
+        if self.n < 2:
+            raise ValueError(f"axis needs at least two nodes, got n={self.n}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError(f"axis bounds must be finite, got [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValueError(f"axis bounds out of order: lo={self.lo} > hi={self.hi}")
-        if self.n >= 2 and self.lo == self.hi:
-            raise ValueError(f"axis with n={self.n} nodes needs lo < hi, got lo == hi == {self.lo}")
+        if not self.lo < self.hi:
+            raise ValueError(f"axis needs lo < hi, got lo={self.lo}, hi={self.hi}")
         # numpy scalars pass the checks above; plain numbers keep float64 nodes and JSON metadata
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
@@ -77,16 +73,12 @@ class Axis:
 
     @property
     def step(self) -> float:
-        """Node spacing; 0.0 on a degenerate axis."""
-        if self.n == 1:
-            return 0.0
+        """Node spacing."""
         return (self.hi - self.lo) / (self.n - 1)
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        if self.n == 1:
-            out = np.array([self.lo])
-        elif self.lo == -self.hi:  # hi * k / (n - 1) for k = 1 - n, 3 - n, ..., n - 1: node -k is exactly -(node k)
+        if self.lo == -self.hi:  # hi * k / (n - 1) for k = 1 - n, 3 - n, ..., n - 1: node -k is exactly -(node k)
             out = self.hi * (np.arange(1 - self.n, self.n, 2) / (self.n - 1))
         else:
             out = np.linspace(self.lo, self.hi, self.n)
@@ -187,11 +179,9 @@ def _locate(grid: RectGrid, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a fraction of exactly 0.0 or 1.0.
     """
     m = pts.shape[0]
-    idx = np.zeros((m, grid.dim), dtype=np.int64)
-    frac = np.zeros((m, grid.dim))
+    idx = np.empty((m, grid.dim), dtype=np.int64)
+    frac = np.empty((m, grid.dim))
     for d, ax in enumerate(grid.axes):
-        if ax.n == 1:
-            continue
         q = np.clip(pts[:, d], ax.lo, ax.hi)
         nodes = ax.nodes
         i = np.clip(((q - ax.lo) / ax.step).astype(np.int64), 0, ax.n - 2)
@@ -206,14 +196,12 @@ def _locate(grid: RectGrid, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def axis_locator(ax: Axis):
-    """Scalar twin of :func:`_locate` for one axis with ``n >= 2``.
+    """Scalar twin of :func:`_locate` for one axis.
 
     Returns ``locate(q) -> (i, f)``: for finite ``q``, the same cell and fraction as the batch
     version, by bisection on plain floats.  The end nodes are ``lo`` and ``hi`` to the bit, so
     a clamped ``q`` lies in its cell and ``f`` needs no clip to stay in [0, 1].
     """
-    if ax.n < 2:
-        raise ValueError("a locator needs an axis with at least 2 nodes")
     nodes = ax.nodes.tolist()
     lo, hi, last = ax.lo, ax.hi, ax.n - 2
 
@@ -245,10 +233,9 @@ def interpolation_stencil(grid: RectGrid, points) -> tuple[np.ndarray, np.ndarra
     flat = np.zeros((m, ncorner), dtype=np.int64)
     weights = np.ones((m, ncorner))
     for d in range(grid.dim):
-        n = grid.axes[d].n
         stride = grid.strides[d]
         lo_i = idx[:, d]
-        hi_i = np.minimum(lo_i + 1, n - 1)
+        hi_i = lo_i + 1
         f = frac[:, d]
         bit = 1 << (grid.dim - 1 - d)
         for c in range(ncorner):

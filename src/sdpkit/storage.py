@@ -184,8 +184,7 @@ def build_problem(
     require_storage_timestep(model.dt, params, "model")
     if n_controls < 2:
         raise ValueError(f"need at least 2 control levels, got {n_controls}")
-    ss = to_state_space(model)
-    t = ss.transition
+    t = to_state_space(model)
     base = np.linspace(0.0, params.p_max, n_controls)
 
     def dynamics(x, u, w):
@@ -275,8 +274,6 @@ def grid_policy_fn(policy: GridFunction) -> Policy:
         for j in range(e_axis.n):
             layers[:, j] = stencil_blend(weights, table[j][flat])
         values = memoryview(layers)  # indexed per step: plain floats, no copy
-        if e_axis.n == 1:
-            return lambda k, e_sto: values[k, 0]
         locate = axis_locator(e_axis)
 
         def step(k: int, e_sto: float) -> float:

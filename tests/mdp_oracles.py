@@ -10,8 +10,8 @@ contract quickly.  The stage cost depends on (state, action) or, with
 ``noisy_cost``, on (state, action, event); the references use its
 expectation over the event.
 
-The same family is exactly representable on a degenerate 1-D grid
-(states at integer nodes, interpolation never blends), which lets the
+The same family is exactly representable on a 1-D grid with one node
+per state (states at integer nodes, interpolation never blends), which lets the
 grid solver run on it without discretization error.  The references
 below never touch the solver: transition matrices come straight from
 the table, policy values from a dense linear solve, and optima from
@@ -105,12 +105,9 @@ def enumerate_optimum(mdp: FiniteMDP, ref: int = 0):
 
 
 def as_control_problem(mdp: FiniteMDP) -> tuple[solver.ControlProblem, grids.RectGrid]:
-    """Encode the MDP on a degenerate integer grid for the grid solver."""
+    """Encode the MDP on an integer grid, one node per state, for the grid solver."""
     n = mdp.n_states
-    if n == 1:
-        grid = grids.build_grid([(0.0, 1.0, 1)])
-    else:
-        grid = grids.build_grid([(0.0, float(n - 1), n)])
+    grid = grids.build_grid([(0.0, float(n - 1), n)])
     actions = np.arange(mdp.n_actions, dtype=np.float64)[:, None]
     table = mdp.table
     cost = mdp.cost

@@ -589,19 +589,19 @@ class TestSimulate:
 class TestStateSpace:
     def test_transition_entries(self):
         model = armodel.ARModel((1.9799, -0.9879), 0.00347, 0.1)
-        ss = armodel.to_state_space(model)
-        assert ss.transition[0, 0] == pytest.approx(0.992, rel=1e-12)
-        assert ss.transition[0, 1] == pytest.approx(0.09879, rel=1e-12)
-        assert ss.transition[1, 0] == pytest.approx(-0.08, rel=1e-9)
-        assert ss.transition[1, 1] == pytest.approx(0.9879, rel=1e-12)
-        assert np.allclose(ss.noise_gain, [1.0, 10.0], rtol=1e-12)
+        t = armodel.to_state_space(model)
+        assert t.shape == (2, 2)
+        assert t[0, 0] == pytest.approx(0.992, rel=1e-12)
+        assert t[0, 1] == pytest.approx(0.09879, rel=1e-12)
+        assert t[1, 0] == pytest.approx(-0.08, rel=1e-9)
+        assert t[1, 1] == pytest.approx(0.9879, rel=1e-12)
 
     def test_step_reproduces_scalar_recursion(self):
         model = armodel.ARModel((0.9, -0.5), 1.0, 0.25)
-        ss = armodel.to_state_space(model)
+        t = armodel.to_state_space(model)
+        g = (1.0, 1.0 / model.dt)  # the innovation drives the value once and the difference per dt
         rng = np.random.default_rng(8)
         eps = rng.normal(size=200)
-        t, g = ss.transition, ss.noise_gain
         x_prev, x_cur = 0.3, -0.1
         value, diff = x_cur, (x_cur - x_prev) / model.dt
         for e in eps:
@@ -616,9 +616,9 @@ class TestStateSpace:
             armodel.to_state_space(armodel.ARModel((0.5,), 1.0, 1.0))
 
     def test_transition_is_frozen(self):
-        ss = armodel.to_state_space(armodel.ARModel((0.5, 0.1), 1.0, 1.0))
+        t = armodel.to_state_space(armodel.ARModel((0.5, 0.1), 1.0, 1.0))
         with pytest.raises(ValueError):
-            ss.transition[0, 0] = 0.0
+            t[0, 0] = 0.0
 
 
 class TestStationaryMoments:

@@ -208,6 +208,17 @@ class TestSolve:
         assert "malformed field phi" in capsys.readouterr().err
         assert not (tmp_path / "solution").exists()
 
+    @pytest.mark.parametrize("flag", ["--n-e", "--n-omega", "--n-accel"])
+    def test_one_node_axis_is_a_usage_error(self, tmp_path, capsys, flag):
+        # a lone energy node would make its axis a free wall and certify J = 0
+        grid = list(TINY_GRID)
+        grid[grid.index(flag) + 1] = "1"
+        out_dir = tmp_path / "solution"
+        code = run_cli("solve", *grid, "--out-dir", str(out_dir))
+        assert code == cli.EXIT_USAGE
+        assert "at least two nodes, got n=1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_artifacts_exist_and_load(self, tiny_solution):
         value = grids.load_grid_function(tiny_solution / "solution_value.gridfn")
         policy = grids.load_grid_function(tiny_solution / "solution_policy_u0.gridfn")
@@ -408,6 +419,19 @@ class TestSimulate:
                 "compare": ("compare", "--policy", "heuristic", "--series", str(series))}[command]
         assert run_cli(*argv, "--out", str(out)) == cli.EXIT_USAGE
         assert "series time column is not uniformly spaced" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_one_node_policy_axis_is_a_usage_error(self, speed_csv, tmp_path, capsys, command):
+        # written by hand: save_grid_function cannot write a one-node axis
+        policy = tmp_path / "flat.gridfn"
+        axes = [{"lo": 0.0, "hi": 1e7, "n": 1}, {"lo": -1.0, "hi": 1.0, "n": 2}, {"lo": -1.0, "hi": 1.0, "n": 2}]
+        policy.write_text(json.dumps({"format": "gridfn-v1", "axes": axes, "value_count": 4,
+                                      "payload": "flat.gridfn.bin", "dtype": "<f8", "order": "row-major"}))
+        (tmp_path / "flat.gridfn.bin").write_bytes(np.zeros(4, dtype="<f8").tobytes())
+        out = tmp_path / "out"
+        assert run_cli(command, "--policy", str(policy), "--series", str(speed_csv), "--out", str(out)) == cli.EXIT_USAGE
+        assert "at least two nodes, got n=1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_fit_on_a_single_sample_is_a_usage_error(self, tmp_path, capsys):

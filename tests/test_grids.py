@@ -26,10 +26,6 @@ def oracle_interpolate(axis_nodes, values_nd, point):
     for d in range(dim):
         nodes = axis_nodes[d]
         q = min(max(point[d], nodes[0]), nodes[-1])
-        if nodes.size == 1:
-            cells.append(0)
-            fracs.append(0.0)
-            continue
         i = nodes.size - 2
         for j in range(nodes.size - 1):
             if q < nodes[j + 1]:
@@ -44,7 +40,7 @@ def oracle_interpolate(axis_nodes, values_nd, point):
         index = []
         for d, b in enumerate(bits):
             weight *= fracs[d] if b else 1.0 - fracs[d]
-            index.append(min(cells[d] + b, axis_nodes[d].size - 1))
+            index.append(cells[d] + b)
         corner = float(values_nd[tuple(index)])
         corners.append(corner)
         total += weight * corner
@@ -86,10 +82,20 @@ class TestBuildGrid:
             assert np.array_equal(nodes, -nodes[::-1]) and np.all(np.diff(nodes) > 0.0)
             assert nodes[0] == -hi and nodes[-1] == hi and (n % 2 == 0 or nodes[n // 2] == 0.0)
 
-    def test_degenerate_axis(self):
-        g = grids.build_grid([(0.0, 1.0, 1)])
-        assert g.size == 1
-        assert g.axes[0].nodes.tolist() == [0.0]
+    def test_axis_needs_two_nodes(self, tmp_path):
+        # one node has no cell: a grid could not represent motion along that axis
+        with pytest.raises(ValueError, match="two nodes"):
+            grids.Axis(0.0, 1.0, 1)
+        with pytest.raises(ValueError, match="two nodes"):
+            grids.build_grid([(0.0, 1.0, 2), (0.0, 1.0, 1)])
+        path = tmp_path / "fn.gridfn"
+        grids.save_grid_function(grids.GridFunction(grids.build_grid([(0.0, 1.0, 2)]), [3.0, 5.0]), path)
+        meta = json.loads(path.read_text())
+        meta["axes"][0]["n"], meta["value_count"] = 1, 1
+        path.write_text(json.dumps(meta))
+        (tmp_path / "fn.gridfn.bin").write_bytes(np.array([3.0], dtype="<f8").tobytes())
+        with pytest.raises(ValueError, match="two nodes"):
+            grids.load_grid_function(path)
 
     def test_dim_limits(self):
         grids.build_grid([(0, 1, 2)] * 4)
@@ -215,11 +221,6 @@ class TestInterpolate:
         singles = np.concatenate([grids.interpolate(gf, p[None]) for p in pts])
         assert np.array_equal(batch, singles)
 
-    def test_degenerate_axis_is_ignored(self):
-        g = grids.build_grid([(0.0, 1.0, 1), (0.0, 1.0, 2)])
-        gf = grids.GridFunction(g, [3.0, 5.0])
-        assert grids.interpolate(gf, [[0.7, 0.5]]).tolist() == [4.0]
-
     def test_query_errors(self):
         g = grids.build_grid([(0, 1, 2), (0, 1, 2)])
         gf = grids.GridFunction(g, [0.0, 1.0, 1.0, 2.0])
@@ -254,10 +255,6 @@ class TestInterpolate:
         got = [locate(float(q)) for q in pts]
         assert [i for i, _ in got] == idx[:, 0].tolist()
         assert [f for _, f in got] == frac[:, 0].tolist()
-
-    def test_axis_locator_needs_two_nodes(self):
-        with pytest.raises(ValueError):
-            grids.axis_locator(grids.Axis(0.0, 1.0, 1))
 
     def test_stencil_weights_are_convex(self):
         rng = np.random.default_rng(13)

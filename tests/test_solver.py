@@ -129,22 +129,24 @@ class TestBellmanSweep:
         assert avg == 0.0
         assert np.array_equal(new_value.values, np.zeros(grid.size))
 
-    def test_single_node_constant_cost(self):
-        grid = grids.build_grid([(0.0, 1.0, 1)])
+    # the next three run on two nodes whose dynamics stay put: each node sees only its own value,
+    # so both nodes must agree
+    def test_stay_put_constant_cost(self):
+        grid = grids.build_grid([(0.0, 1.0, 2)])
         problem = ControlProblem(
             dynamics=lambda x, u, w: x.copy(),
             stage_cost=lambda x, u, w: np.full(x.shape[0], 3.5),
             control_candidates=fixed_candidates(np.array([[0.0]])),
             noise=DiscreteNoise(np.array([0.0]), np.array([1.0])),
         )
-        value = grids.GridFunction(grid, np.zeros(1))
+        value = grids.GridFunction(grid, np.zeros(2))
         new_value, policy, avg = solver.bellman_sweep(value, problem)
         assert avg == 3.5
-        assert new_value.values[0] == 0.0
-        assert policy[0].values[0] == 0.0
+        assert new_value.values.tolist() == [0.0, 0.0]
+        assert policy[0].values.tolist() == [0.0, 0.0]
 
     def test_quadratic_control_cost_picks_zero(self):
-        grid = grids.build_grid([(0.0, 1.0, 1)])
+        grid = grids.build_grid([(0.0, 1.0, 2)])
         candidates = np.array([[-1.0], [-0.5], [0.0], [0.5], [1.0]])
         problem = ControlProblem(
             dynamics=lambda x, u, w: x.copy(),
@@ -152,13 +154,14 @@ class TestBellmanSweep:
             control_candidates=fixed_candidates(candidates),
             noise=DiscreteNoise(np.array([0.0]), np.array([1.0])),
         )
-        value = grids.GridFunction(grid, np.zeros(1))
-        _, policy, avg = solver.bellman_sweep(value, problem)
+        value = grids.GridFunction(grid, np.zeros(2))
+        new_value, policy, avg = solver.bellman_sweep(value, problem)
         assert avg == 0.0
-        assert policy[0].values[0] == 0.0
+        assert new_value.values.tolist() == [0.0, 0.0]
+        assert policy[0].values.tolist() == [0.0, 0.0]
 
     def test_tie_breaks_to_first_candidate(self):
-        grid = grids.build_grid([(0.0, 1.0, 1)])
+        grid = grids.build_grid([(0.0, 1.0, 2)])
         candidates = np.array([[1.0], [-1.0]])  # same |u|, first must win
         problem = ControlProblem(
             dynamics=lambda x, u, w: x.copy(),
@@ -166,9 +169,10 @@ class TestBellmanSweep:
             control_candidates=fixed_candidates(candidates),
             noise=DiscreteNoise(np.array([0.0]), np.array([1.0])),
         )
-        value = grids.GridFunction(grid, np.zeros(1))
-        _, policy, _ = solver.bellman_sweep(value, problem)
-        assert policy[0].values[0] == 1.0
+        value = grids.GridFunction(grid, np.zeros(2))
+        _, policy, avg = solver.bellman_sweep(value, problem)
+        assert avg == 1.0
+        assert policy[0].values.tolist() == [1.0, 1.0]
 
     def test_non_finite_dynamics_names_the_node(self):
         grid = grids.build_grid([(0.0, 1.0, 2)])

@@ -186,12 +186,12 @@ class TestBuildProblem:
     def test_dynamics_matches_state_space_recursion(self):
         model = storage.bundled_speed_model()
         problem = storage.build_problem(model, PARAMS)
-        ss = armodel.to_state_space(model)
+        t = armodel.to_state_space(model)
+        g = (1.0, 1.0 / model.dt)
         state = np.array([[4e6, 0.2, -0.1]])
         u = np.array([[3e5]])
         w = np.array([0.001])
         nxt = problem.dynamics(state, u, w)
-        t, g = ss.transition, ss.noise_gain
         om = t[0, 0] * 0.2 + t[0, 1] * -0.1 + g[0] * 0.001
         ac = t[1, 0] * 0.2 + t[1, 1] * -0.1 + g[1] * 0.001
         assert nxt[0, 1] == pytest.approx(om, rel=1e-15)
