@@ -113,10 +113,10 @@ def _write_policy_slices(policy: grids.GridFunction, path: Path) -> None:
     """
     grid = policy.grid
     e_axis, om_axis, ac_axis = grid.axes
-    levels = np.linspace(e_axis.lo, e_axis.hi, DEFAULT_SLICES)
-    e, om, ac = np.meshgrid(levels, om_axis.nodes, ac_axis.nodes, indexing="ij")
-    pts = np.column_stack([e.ravel(), om.ravel(), ac.ravel()])
-    rows = np.column_stack([pts, grids.interpolate(policy, pts)])
+    om, ac = (m.ravel() for m in np.meshgrid(om_axis.nodes, ac_axis.nodes, indexing="ij"))
+    levels = [np.column_stack([np.full(om.size, e), om, ac]) for e in np.linspace(e_axis.lo, e_axis.hi, DEFAULT_SLICES)]
+    # one level at a time: the interpolation's temporaries grow with its batch
+    rows = np.concatenate([np.column_stack([pts, grids.interpolate(policy, pts)]) for pts in levels])
     storage.write_csv(path, rows, "e_sto,omega,accel,p_grid")
 
 

@@ -124,19 +124,27 @@ class RectGrid:
             acc *= n
         return tuple(reversed(out))
 
+    def nodes_at(self, flat: np.ndarray) -> np.ndarray:
+        """Coordinates ``(m, dim)`` of the nodes with the m flat (row-major) indices ``flat``."""
+        return np.column_stack([ax.nodes[i] for ax, i in zip(self.axes, np.unravel_index(flat, self.shape))])
+
     @cached_property
     def all_nodes(self) -> np.ndarray:
         """All node coordinates as an ``(size, dim)`` array in flat-index order."""
-        mesh = np.meshgrid(*(ax.nodes for ax in self.axes), indexing="ij")
-        out = np.stack([m.ravel() for m in mesh], axis=1)
+        out = self.nodes_at(np.arange(self.size))
         out.flags.writeable = False
         return out
 
 
-def build_grid(axis_specs) -> RectGrid:
-    """Build a grid from an iterable of ``(lo, hi, n)`` triples."""
-    axes = tuple(Axis(float(lo), float(hi), int(n)) for lo, hi, n in axis_specs)
-    return RectGrid(axes)
+def build_grid(axis_specs, names=None) -> RectGrid:
+    """Build a grid from an iterable of ``(lo, hi, n)`` triples; an invalid axis i is named names[i], or "axis i"."""
+    axes = []
+    for i, (lo, hi, n) in enumerate(axis_specs):
+        try:
+            axes.append(Axis(float(lo), float(hi), int(n)))
+        except ValueError as exc:
+            raise ValueError(f"{names[i] if names else f'axis {i}'}: {exc}") from None
+    return RectGrid(tuple(axes))
 
 
 @dataclass(frozen=True)

@@ -106,8 +106,9 @@ __all__ = [
 
 WEIGHT_SUM_TOL = 1e-12
 
-# Improvement chunks hold about this many (node, candidate, noise node) points, small enough to stay in cache.
-CHUNK_POINTS = 65_536
+# Improvement chunks hold about this many (node, candidate, noise node) points.  A point takes about 150 B of
+# temporaries, so a chunk about 4.8 MB per thread that runs one.
+CHUNK_POINTS = 32_768
 
 # Policy iteration stops an evaluation at this fraction of its first sweep's span, unless it certifies.
 STOP_FRACTION = 0.01
@@ -389,7 +390,7 @@ class _Lookahead:
         return self.reps * self.inner.size
 
     def at(self, a: int, b: int) -> np.ndarray:
-        return self.grid.all_nodes[self.order[a:b]]
+        return self.grid.nodes_at(self.order[a:b])
 
     def expect(self, h: np.ndarray) -> np.ndarray:
         """G = P H for the value table H (representative y, z), flat in row order."""
@@ -401,14 +402,15 @@ class _Lookahead:
         Point i belongs to row ``first_row + i // k``.
         """
         m = x.shape[0]
-        offset = (first_row + np.arange(m) // k) // self.inner.size * self.inner.size  # its plane node's first row
+        offset = (first_row + np.arange(m // k)) // self.inner.size * self.inner.size  # each row's plane block
         cost = np.zeros(m)
         stencils = []
         for wval, wprob in zip(self.noise.nodes, self.noise.weights):
             xn, stage = _successors(self.problem, self.grid, x, u, np.full(m, wval), self.order[first_row:], k)
             cost += wprob * stage
             flat, wts = interpolation_stencil(self.inner, xn[:, : self.inner.dim])
-            stencils.append((offset[:, None] + flat, wts))
+            flat.reshape(m // k, k, -1)[:] += offset[:, None, None]  # in place, through a view of the rows
+            stencils.append((flat, wts))
         return cost, stencils
 
     def grid_function(self, rows: np.ndarray) -> GridFunction:
@@ -432,7 +434,7 @@ def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig, ta
     inner = RectGrid(grid.axes[:c]) if c else grid
     n_y = grid.size // inner.size
     order = np.arange(grid.size).reshape(inner.size, n_y).T.reshape(-1)
-    slice0 = grid.all_nodes[order[:: inner.size]]  # controlled node 0: grid nodes 0 .. n_y - 1 (node 0 when generic)
+    slice0 = grid.nodes_at(order[:: inner.size])  # controlled node 0: grid nodes 0 .. n_y - 1 (node 0 when generic)
     cand0 = problem.candidate_array(slice0)
     k, width = cand0.shape[1:]
     noise = problem.noise
@@ -463,7 +465,7 @@ def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig, ta
     seen = np.empty((grid.size, 2, width + c + 1)) if mirror else None  # per row and checked candidate
 
     def check(a: int, b: int) -> None:
-        xc, at = grid.all_nodes[order[a:b]], order[a:b]
+        xc, at = grid.nodes_at(order[a:b]), order[a:b]
         cand = problem.candidate_array(xc)
         y = np.arange(a, b) // inner.size
         for j in (0, -1):
@@ -591,7 +593,8 @@ def _fixed_policy_operator(look: _Lookahead, policy, threads: int):
         for l, (wprob, (idx, wts)) in enumerate(zip(look.noise.weights, stencils)):
             indices[a:b, l], data[a:b, l] = idx, wprob * wts
 
-    _run_chunks(look.chunks, worker, threads)
+    step = 4 * (look.chunks[0][1] - look.chunks[0][0])  # one candidate per row: spans as long as the split check's
+    _run_chunks([(a, min(a + step, n)) for a in range(0, n, step)], worker, threads)
     indptr = np.arange(n + 1, dtype=np.int64) * indices[0].size
     return cost, sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))
 

@@ -151,13 +151,14 @@ def default_state_grid(
             (0.0, params.e_rated, n_e),
             (-GRID_SIGMA_SPAN * std_omega, GRID_SIGMA_SPAN * std_omega, n_omega),
             (-GRID_SIGMA_SPAN * std_accel, GRID_SIGMA_SPAN * std_accel, n_accel),
-        ]
+        ],
+        ("energy (n_e)", "speed (n_omega)", "accel (n_accel)"),
     )
 
 
 def heuristic_policy_on_grid(grid: RectGrid, params: StorageParams) -> tuple[GridFunction, ...]:
     """The proportional rule sampled at the grid nodes (policy-iteration seed)."""
-    e = grid.all_nodes[:, 0]
+    e = np.repeat(grid.axes[0].nodes, grid.strides[0])  # the energy column of the nodes, in flat order
     return (GridFunction(grid, heuristic_policy(e, params)),)
 
 

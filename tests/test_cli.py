@@ -216,7 +216,11 @@ class TestSolve:
         out_dir = tmp_path / "solution"
         code = run_cli("solve", *grid, "--out-dir", str(out_dir))
         assert code == cli.EXIT_USAGE
-        assert "at least two nodes, got n=1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "at least two nodes, got n=1" in err
+        # the message names the axis whose flag was 1, and no other
+        named = {"--n-e": "energy (n_e)", "--n-omega": "speed (n_omega)", "--n-accel": "accel (n_accel)"}
+        assert [name for name in named.values() if name in err] == [named[flag]]
         assert not out_dir.exists()
 
     def test_artifacts_exist_and_load(self, tiny_solution):
@@ -245,6 +249,18 @@ class TestSolve:
         assert set(np.unique(block[:, 0]).round(3)).issuperset({0.0})
         assert block[:, 3].min() >= 0.0
 
+
+    def test_policy_slices_equal_one_whole_batch_interpolation(self, tmp_path):
+        # the slices are interpolated one energy level at a time; the bytes are those of one batch of all levels
+        grid = grids.build_grid([(0.0, 1e7, 9), (-1.0, 1.0, 12), (-0.5, 0.5, 11)])
+        policy = grids.GridFunction(grid, np.random.default_rng(7).uniform(0.0, 1.1e6, grid.size))
+        cli._write_policy_slices(policy, tmp_path / "slices.csv")
+        levels = np.linspace(0.0, 1e7, cli.DEFAULT_SLICES)
+        e, om, ac = np.meshgrid(levels, grid.axes[1].nodes, grid.axes[2].nodes, indexing="ij")
+        pts = np.column_stack([e.ravel(), om.ravel(), ac.ravel()])
+        storage.write_csv(tmp_path / "batch.csv", np.column_stack([pts, grids.interpolate(policy, pts)]),
+                          "e_sto,omega,accel,p_grid")
+        assert (tmp_path / "slices.csv").read_bytes() == (tmp_path / "batch.csv").read_bytes()
 
     def test_sweep_cap_cut_off_is_reported(self, tmp_path, capsys):
         out_dir = tmp_path / "capped"
@@ -431,7 +447,7 @@ class TestSimulate:
         (tmp_path / "flat.gridfn.bin").write_bytes(np.zeros(4, dtype="<f8").tobytes())
         out = tmp_path / "out"
         assert run_cli(command, "--policy", str(policy), "--series", str(speed_csv), "--out", str(out)) == cli.EXIT_USAGE
-        assert "at least two nodes, got n=1" in capsys.readouterr().err
+        assert "axis 0: axis needs at least two nodes, got n=1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_fit_on_a_single_sample_is_a_usage_error(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -989,10 +990,10 @@ class TestBlockParallelEvaluation:
         assert all(run == runs[0] for run in runs[1:])
 
     def test_many_blocks_under_a_short_switch_interval(self, monkeypatch):
-        # more threads than cores, switching every microsecond: a lost update changes a bit; 5-row
-        # chunks give the operator build 15 spans, 2 on the calling thread and 13 in a pool of 7
+        # more threads than cores, switching every microsecond: a lost update changes a bit; 1-row
+        # chunks give the operator build 18 spans of 4 rows, for the calling thread and a pool of 7
         problem, grid, policy = storage_split_case(4, 5, 7)
-        shrink_chunks(monkeypatch, problem, grid, 5)
+        shrink_chunks(monkeypatch, problem, grid, 1)
         config = SolverConfig(eval_tol=1e-10, eval_max_sweeps=200)
         expected = solver.policy_evaluation(policy, problem, config)
         results = []
@@ -1149,6 +1150,25 @@ class TestBlockParallelEvaluation:
         with pytest.raises(ValueError, match=f"^dynamics output is not finite at grid node {bad} {coordinates}"):
             getattr(solver, sweep)((value,) if sweep == "policy_evaluation" else value, problem,
                                    SolverConfig(threads=threads))
+
+    def test_each_extra_thread_adds_at_most_one_chunk_of_traced_memory(self):
+        # a chunk's temporaries take about 150 B per (node, candidate) point: about 4.8 MB at 32,768 points.
+        # The calling thread and two more run at most three chunks at once, so three threads may peak at most
+        # two chunks above one; 65,536-point chunks grew the peak by 14-16 MB on this grid
+        allowance = 5e6  # bytes per extra thread
+        problem, grid, policy = storage_split_case(10, 30, 30)
+        look = solver._lookahead(grid, problem, SolverConfig(), [p.values for p in policy])
+        value = solver.policy_evaluation(policy, problem, SolverConfig(eval_max_sweeps=20), look).value
+        assert len(look.chunks) == 7  # 4,500 swept rows (450 of 900 plane nodes, 10 energy nodes) of 655
+        peaks = {}
+        for threads in (1, 3):
+            tracemalloc.start()
+            try:
+                solver.policy_improvement(value, problem, SolverConfig(threads=threads), look)
+                peaks[threads] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[3] - peaks[1] <= 2 * allowance, peaks
 
 
 class TestBracket:

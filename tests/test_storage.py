@@ -112,6 +112,17 @@ class TestDefaultGrid:
         expected = storage.heuristic_policy(grid.all_nodes[:, 0], PARAMS)
         assert np.array_equal(seed.values, expected)
 
+    def test_a_default_solve_builds_no_whole_grid_node_table(self):
+        # the seed, the lookahead and the sweeps read node coordinates per chunk: a (108,000, 3) table is 2.6 MB
+        grid = storage.default_state_grid(storage.bundled_speed_model(), PARAMS)
+        assert grid.shape == (30, 60, 60)
+        seed = storage.heuristic_policy_on_grid(grid, PARAMS)
+        problem = storage.build_problem(storage.bundled_speed_model(), PARAMS)
+        report = solver.policy_iteration(problem, seed, solver.SolverConfig(eval_max_sweeps=3, max_improvements=1,
+                                                                            threads=2))
+        assert report.improvement_steps == 1 and report.plane_nodes_swept == 1800
+        assert "all_nodes" not in grid.__dict__
+
 
 class TestBuildProblem:
     def test_rejects_mismatched_inputs(self):
