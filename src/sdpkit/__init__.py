@@ -11,46 +11,9 @@ Library layout:
 - :mod:`sdpkit.storage`: the energy-storage power-smoothing
   application built on the three modules above;
 - :mod:`sdpkit.cli`: the ``sdpkit`` command-line pipeline.
+
+The package root re-exports nothing: import the module you use, as in
+``from sdpkit import solver``.
 """
 
-from .armodel import ARModel, fit_cls, fit_multilag, sample_acf, simulate, stationary_moments
-from .grids import Axis, GridFunction, RectGrid, build_grid, interpolate
-from .solver import (
-    ControlProblem,
-    DiscreteNoise,
-    SolverConfig,
-    bellman_sweep,
-    discretize_noise,
-    policy_evaluation,
-    policy_iteration,
-    value_iteration,
-)
-from .storage import StorageParams, build_problem, metrics, simulate_trajectory
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ARModel",
-    "Axis",
-    "ControlProblem",
-    "DiscreteNoise",
-    "GridFunction",
-    "RectGrid",
-    "SolverConfig",
-    "StorageParams",
-    "bellman_sweep",
-    "build_grid",
-    "build_problem",
-    "discretize_noise",
-    "fit_cls",
-    "fit_multilag",
-    "interpolate",
-    "metrics",
-    "policy_evaluation",
-    "policy_iteration",
-    "sample_acf",
-    "simulate",
-    "simulate_trajectory",
-    "stationary_moments",
-    "value_iteration",
-]

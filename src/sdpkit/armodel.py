@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import _is_number, write_atomic
+from .grids import _is_number, write_json
 
 __all__ = [
     "ARModel",
@@ -428,7 +428,7 @@ def save_ar_model(model: ARModel, path, provenance: dict | None = None) -> None:
     }
     if provenance is not None:
         doc["fit"] = provenance
-    write_atomic(path, (json.dumps(doc, indent=2) + "\n").encode())
+    write_json(path, doc)
 
 
 def load_ar_model(path) -> tuple[ARModel, dict | None]:

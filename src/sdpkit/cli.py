@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import armodel, grids, solver, storage
+from . import armodel, grids, storage
 
 __all__ = ["main", "entry", "EXIT_OK", "EXIT_USAGE", "EXIT_IO"]
 
@@ -121,6 +120,7 @@ def _write_policy_slices(policy: grids.GridFunction, path: Path) -> None:
 
 
 def cmd_solve(args) -> int:
+    from . import solver  # imported here, so that only solves load the solver
     params = _storage_params(args)
     model = _load_model(args.model)
     problem = storage.build_problem(model, params, n_noise=args.noise_nodes,
@@ -195,7 +195,7 @@ def cmd_simulate(args) -> int:
     storage.save_trajectory(traj, args.out)
     m = storage.metrics(traj)
     if args.metrics_out:
-        grids.write_atomic(args.metrics_out, (json.dumps(dataclasses.asdict(m), indent=2) + "\n").encode())
+        grids.write_json(args.metrics_out, dataclasses.asdict(m))
     print(f"wrote {traj.t.size} steps to {args.out}")
     print(f"std(p_grid) = {m.std_p_grid:.1f} W, mean(p_grid) = {m.mean_p_grid:.1f} W, "
           f"e_sto in [{m.e_sto_min:.3e}, {m.e_sto_max:.3e}] J")
@@ -227,7 +227,7 @@ def cmd_compare(args) -> int:
     mean_reduction = float(np.mean([s["reduction_vs_heuristic_pct"] for s in per_series]))
     doc = {"series": per_series, "mean_reduction_pct": mean_reduction}
     if args.out:
-        grids.write_atomic(args.out, (json.dumps(doc, indent=2) + "\n").encode())
+        grids.write_json(args.out, doc)
     for s in per_series:
         print(f"{s['series']}: std none={s['std_no_storage']:.0f} W, "
               f"heuristic={s['std_heuristic']:.0f} W, optimized={s['std_optimized']:.0f} W "

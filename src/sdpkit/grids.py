@@ -39,6 +39,7 @@ __all__ = [
     "save_grid_function",
     "load_grid_function",
     "write_atomic",
+    "write_json",
 ]
 
 MAX_DIM = 4
@@ -302,6 +303,11 @@ def write_atomic(path, data) -> None:
         raise
 
 
+def write_json(path, doc) -> None:
+    """Write ``doc`` with :func:`write_atomic` in the one text form of every JSON artifact: indent 2, final newline."""
+    write_atomic(path, (json.dumps(doc, indent=2) + "\n").encode())
+
+
 def save_grid_function(gf: GridFunction, path) -> None:
     """Write a grid function as a JSON metadata file plus a sibling raw payload.
 
@@ -322,7 +328,7 @@ def save_grid_function(gf: GridFunction, path) -> None:
         "order": "row-major",
     }
     write_atomic(path.parent / payload_name, gf.values.astype("<f8").tobytes())
-    write_atomic(path, (json.dumps(meta, indent=2) + "\n").encode())
+    write_json(path, meta)
 
 
 def _is_number(x) -> bool:

@@ -61,18 +61,17 @@ Determinism: identical inputs and configuration give bit-identical results regar
 `threads` setting.  Evaluation sweeps run on the calling thread (see :func:`_relative_iteration`).
 Only the chunked phases use threads: the split check, the evaluation operator build and the
 improvement sweep run chunks of a thread-independent size, each node's reduction in a fixed order.
-The calling thread and a pool of up to threads - 1, one thread at most per chunk, take a phase's
-chunks in row order.  After a chunk fails none is taken and the first failing chunk's error is raised,
-so a check names the first failing node in row order.  Problem callbacks must be pure and
+The calling thread and up to threads - 1 more, one thread at most per chunk, take a phase's chunks
+in row order under one lock.  After a chunk fails none is taken and the first failing chunk's error is
+raised, so a check names the first failing node in row order.  Problem callbacks must be pure and
 thread-safe; node computations may run concurrently.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
@@ -86,7 +85,7 @@ from .grids import (
     node_coordinates,
     save_grid_function,
     stencil_blend,
-    write_atomic,
+    write_json,
 )
 
 __all__ = [
@@ -309,21 +308,27 @@ class SolveReport:
 
 def _run_chunks(spans, worker, threads: int) -> None:
     """``worker(a, b)`` on each span, taken in row order by the calling thread and min(threads, spans) - 1 more."""
-    todo, failed = iter(range(len(spans))), {}
+    todo, lock, failed = list(range(len(spans)))[::-1], threading.Lock(), {}
 
     def run() -> None:
-        for i in todo:  # shared by the threads: a range iterator hands out each index once, under the GIL
+        while True:
+            with lock:  # hands out each index once, lowest first, with or without a GIL
+                if not todo:
+                    return
+                i = todo.pop()
             try:
                 worker(*spans[i])
             except BaseException as err:
-                failed[i] = err
-                for _ in todo:  # no thread takes a later span
-                    pass
+                with lock:
+                    failed[i] = err
+                    todo.clear()  # no thread takes a later span
 
-    with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as pool:  # a thread starts on a submit only
-        for _ in range(min(threads, len(spans)) - 1):
-            pool.submit(run)
-        run()
+    helpers = [threading.Thread(target=run) for _ in range(min(threads, len(spans)) - 1)]
+    for helper in helpers:
+        helper.start()
+    run()
+    for helper in helpers:
+        helper.join()
     if failed:
         raise failed[min(failed)]
 
@@ -792,6 +797,6 @@ def save_report(report: SolveReport, directory) -> dict:
         paths[f"policy_u{j}"] = str(policy_path)
     summary = {f.name: getattr(report, f.name) for f in fields(report) if f.name not in ("value", "policy")}
     report_path = directory / "solution_report.json"
-    write_atomic(report_path, (json.dumps(summary, indent=2) + "\n").encode())
+    write_json(report_path, summary)
     paths["report"] = str(report_path)
     return paths

@@ -38,7 +38,6 @@ from .armodel import ARModel, stationary_moments, to_state_space
 from .grids import (GridFunction, RectGrid, axis_locator, build_grid, interpolation_stencil,
                     stencil_blend, write_atomic)
 from .grids import interpolate  # noqa: F401  kept as storage.interpolate: perfbench wraps it
-from .solver import ControlProblem, discretize_noise
 
 __all__ = [
     "StorageParams",
@@ -180,6 +179,7 @@ def build_problem(
     deterministically, the noise drives only (speed, accel) through the
     AR(2) transition, and the cost p_grid^2 ignores the noise.
     """
+    from .solver import ControlProblem, discretize_noise  # imported here, so that only solves load the solver
     if model.p != 2:
         raise ValueError(f"the storage problem needs an AR(2) speed model, got order {model.p}")
     require_storage_timestep(model.dt, params, "model")

@@ -559,9 +559,9 @@ class TestJsonWrites:
         assert files() == before
 
 
-# Runs in a fresh interpreter: importing the CLI, generating and fitting load no SciPy module;
-# solve loads scipy.sparse but not scipy.special, and solve, simulate and compare load
-# neither scipy.optimize, scipy.linalg, scipy.signal nor scipy.stats.
+# Runs in a fresh interpreter: importing the CLI, generating and fitting load no SciPy module,
+# no solver and no concurrent.futures; solve loads the solver and scipy.sparse but not scipy.special,
+# and solve, simulate and compare load neither scipy.optimize, scipy.linalg, scipy.signal nor scipy.stats.
 START_UP_SCRIPT = """
 import sys
 from sdpkit import cli
@@ -569,13 +569,19 @@ from sdpkit import cli
 work, series, *grid = sys.argv[1:]
 def scipy_modules():
     return [name for name in sys.modules if name.split(".")[0] == "scipy"]
+def solver_modules():
+    return [name for name in ("sdpkit.solver", "concurrent.futures") if name in sys.modules]
 assert not scipy_modules()
+assert not solver_modules(), f"loaded by importing the CLI: {solver_modules()}"
 assert cli.main(["generate", "--n", "20", "--out", f"{work}/g.csv"]) == 0
 assert not scipy_modules(), f"loaded by generate: {scipy_modules()}"
+assert not solver_modules(), f"loaded by generate: {solver_modules()}"
 assert cli.main(["fit", "--series", series, "--out", f"{work}/m.json"]) == 0
 assert not scipy_modules(), f"loaded by fit: {scipy_modules()}"
+assert not solver_modules(), f"loaded by fit: {solver_modules()}"
 policy = f"{work}/solution_policy_u0.gridfn"
 assert cli.main(["solve", "--out-dir", work, *grid]) == 0
+assert "sdpkit.solver" in sys.modules
 assert "scipy.sparse" in sys.modules and "scipy.special" not in sys.modules
 assert cli.main(["simulate", "--policy", policy, "--series", series, "--out", f"{work}/t.csv"]) == 0
 assert cli.main(["compare", "--policy", policy, "--series", series]) == 0
@@ -584,16 +590,29 @@ loaded = [name for name in unused if name in sys.modules]
 assert not loaded, f"loaded by solve, simulate or compare: {loaded}"
 """
 
-# Runs in a fresh interpreter: simulate and compare on a saved policy load no SciPy module at all.
+# Runs in a fresh interpreter: simulate and compare on a saved policy load no SciPy module at all,
+# and neither the solver nor concurrent.futures.
 NO_SCIPY_SCRIPT = """
 import sys
 from sdpkit import cli
 
 work, series, policy = sys.argv[1:]
+def solver_modules():
+    return [name for name in ("sdpkit.solver", "concurrent.futures") if name in sys.modules]
 assert cli.main(["simulate", "--policy", policy, "--series", series, "--out", f"{work}/t.csv"]) == 0
+assert not solver_modules(), f"loaded by simulate: {solver_modules()}"
 assert cli.main(["compare", "--policy", policy, "--series", series, "--out", f"{work}/c.json"]) == 0
+assert not solver_modules(), f"loaded by compare: {solver_modules()}"
 loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
 assert not loaded, f"loaded without solving or fitting: {loaded}"
+"""
+
+# Runs in a fresh interpreter: the solver runs its chunk threads without concurrent.futures.
+SOLVER_IMPORT_SCRIPT = """
+import sys
+import sdpkit.solver
+
+assert "concurrent.futures" not in sys.modules
 """
 
 
@@ -638,6 +657,10 @@ class TestStartUpImports:
     def test_simulate_and_compare_load_no_scipy_module(self, tiny_solution, speed_csv, tmp_path):
         proc = run_fresh(NO_SCIPY_SCRIPT, str(tmp_path), str(speed_csv),
                          str(tiny_solution / "solution_policy_u0.gridfn"))
+        assert proc.returncode == 0, proc.stderr
+
+    def test_importing_the_solver_loads_no_concurrent_futures(self):
+        proc = run_fresh(SOLVER_IMPORT_SCRIPT)
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("solve", ["policy_iteration", "value_iteration"])

@@ -1117,6 +1117,22 @@ class TestBlockParallelEvaluation:
         assert threading.active_count() == before
         assert set(range(3)) <= set(calls) and len(calls) == len(set(calls)) <= 6 + 2 * threads
 
+    def test_each_span_is_taken_once_under_a_short_switch_interval(self):
+        # more threads than cores, switching every microsecond: a span handed out twice or never shows here,
+        # where a bit check on an operator would miss a span that two threads both wrote
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run = threading.Thread(target=solver._run_chunks, daemon=True,
+                                   args=([(a, a + 1) for a in range(2000)], lambda a, b: calls.append(a), 8))
+            run.start()
+            run.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not run.is_alive()
+        assert sorted(calls) == list(range(2000))
+
     @pytest.mark.parametrize("spans", [1, 2, 5])
     def test_a_phase_starts_no_more_pool_threads_than_spans_after_the_first(self, spans):
         # each span sleeps, so every pool thread started by the submits is still alive when one ends
