@@ -10,14 +10,12 @@ storage controller.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .grids import _is_number, write_json
+from .grids import read_json, write_json
 
 __all__ = [
     "ARModel",
@@ -433,30 +431,8 @@ def save_ar_model(model: ARModel, path, provenance: dict | None = None) -> None:
 
 def load_ar_model(path) -> tuple[ARModel, dict | None]:
     """Read back a model written by :func:`save_ar_model`."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"corrupt model file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: model file is not a JSON object")
-    if doc.get("format") != ARMODEL_FORMAT:
-        raise ValueError(f"{path} is not a model file (format={doc.get('format')!r})")
-    missing = [key for key in ("p", "phi", "sigma_eps", "dt") if key not in doc]
-    if missing:
-        raise ValueError(f"{path} lacks the field(s) {', '.join(missing)}")
-    phi = doc["phi"]
-    if not (isinstance(phi, list) and phi and all(_is_number(c) for c in phi)):
-        raise ValueError(f"{path}: malformed field phi: {phi!r} is not a non-empty list of numbers")
-    for key in ("sigma_eps", "dt"):
-        if not _is_number(doc[key]):
-            raise ValueError(f"{path}: malformed field {key}: {doc[key]!r} is not a number")
-    if not isinstance(doc["p"], int) or isinstance(doc["p"], bool):
-        raise ValueError(f"{path}: malformed field p: {doc['p']!r} is not an integer")
-    try:
-        model = ARModel(tuple(phi), float(doc["sigma_eps"]), float(doc["dt"]))
-    except OverflowError as exc:  # an integer too large for a float
-        raise ValueError(f"{path}: malformed field: {exc}") from exc
+    doc = read_json(path, ARMODEL_FORMAT, {"p": int, "phi": [float], "sigma_eps": float, "dt": float})
+    model = ARModel(tuple(doc["phi"]), doc["sigma_eps"], doc["dt"])
     if model.p != doc["p"]:
         raise ValueError(f"{path}: declared order {doc['p']} does not match {model.p} coefficients")
     return model, doc.get("fit")

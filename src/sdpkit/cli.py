@@ -61,19 +61,6 @@ def _load_model(path: str | None) -> armodel.ARModel:
     return model
 
 
-def _series_dt(t: np.ndarray) -> float:
-    """The series' uniform positive timestep, or 0.0 for fewer than two samples."""
-    if t.size < 2:
-        return 0.0
-    steps = np.diff(t)
-    dt = float((t[-1] - t[0]) / (t.size - 1))  # the mean step: an offset time column rounds each step
-    if not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
-        raise ValueError("series time column is not uniformly spaced")
-    if not dt > 0.0:
-        raise ValueError(f"series time column must increase, got step {dt}")
-    return dt
-
-
 def cmd_generate(args) -> int:
     model = _load_model(args.model)
     omega = armodel.simulate(model, args.n, args.seed)
@@ -85,9 +72,7 @@ def cmd_generate(args) -> int:
 
 def cmd_fit(args) -> int:
     t, omega = storage.load_series(args.series)
-    dt = _series_dt(t)
-    if dt <= 0.0:
-        raise ValueError("need at least two samples to infer the timestep")
+    dt = storage.series_timestep(t)
     lag_count = max(args.p, int(round(args.lag_seconds / dt)))
     acf = armodel.sample_acf(omega, lag_count)
     phi, criterion = armodel.fit_multilag(acf, args.p, lag_count)
@@ -167,30 +152,14 @@ def cmd_solve(args) -> int:
 def _policy_fn(spec: str, params: storage.StorageParams):
     if spec == "heuristic":
         return storage.heuristic_policy_fn(params)
-    policy = grids.load_grid_function(spec)
-    law = storage.grid_policy_fn(policy)  # rejects a table without 3 axes
-    e_axis = policy.grid.axes[0]
-    if abs(e_axis.lo) > 1e-9 * params.e_rated or abs(e_axis.hi - params.e_rated) > 1e-9 * params.e_rated:
-        raise ValueError(
-            f"policy energy axis [{e_axis.lo}, {e_axis.hi}] does not match e_rated={params.e_rated}"
-        )
-    return law
-
-
-def _load_storage_series(series_path, params: storage.StorageParams):
-    """Speed column of a series sampled at the storage timestep; runs derive production from it."""
-    t, omega = storage.load_series(series_path)
-    dt = _series_dt(t)
-    if dt > 0.0:
-        storage.require_storage_timestep(dt, params, "series")
-    return omega
+    return storage.grid_policy_fn(grids.load_grid_function(spec), params)
 
 
 def cmd_simulate(args) -> int:
     params = _storage_params(args)
     e0 = params.e_rated / 2.0 if args.e0 is None else args.e0
     policy_fn = _policy_fn(args.policy, params)
-    omega = _load_storage_series(args.series, params)
+    omega = storage.load_speed_series(args.series, params)
     traj = storage.simulate_trajectory(policy_fn, omega, params, e0)
     storage.save_trajectory(traj, args.out)
     m = storage.metrics(traj)
@@ -209,7 +178,7 @@ def cmd_compare(args) -> int:
     heuristic_fn = storage.heuristic_policy_fn(params)
     per_series = []
     for series_path in args.series:
-        omega = _load_storage_series(series_path, params)
+        omega = storage.load_speed_series(series_path, params)
         heur_traj = storage.simulate_trajectory(heuristic_fn, omega, params, e0)
         heur = storage.metrics(heur_traj)
         opti = storage.metrics(storage.simulate_trajectory(optimized_fn, omega, params, e0))

@@ -40,6 +40,7 @@ __all__ = [
     "load_grid_function",
     "write_atomic",
     "write_json",
+    "read_json",
 ]
 
 MAX_DIM = 4
@@ -308,6 +309,50 @@ def write_json(path, doc) -> None:
     write_atomic(path, (json.dumps(doc, indent=2) + "\n").encode())
 
 
+def read_json(path, fmt: str, fields: dict) -> dict:
+    """Read back a JSON artifact: an object tagged ``"format": fmt`` that holds every field of ``fields``.
+
+    ``fields`` maps each field to its kind: ``float`` (a number, returned as a float), ``int``, ``None``
+    (any value), ``[kind]`` (a non-empty list) or a dict of the same form (an object).  A bool is not a
+    number, and an integer too large for a float is malformed too: ValueError names the field.
+    """
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:  # a JSONDecodeError, or an integer of more digits than int() converts
+        raise ValueError(f"corrupt JSON artifact {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    if doc.get("format") != fmt:
+        raise ValueError(f"{path}: format {doc.get('format')!r} is not {fmt!r}")
+    return _field(path, "", doc, fields)
+
+
+def _field(path: Path, name: str, value, kind):
+    """``value``, the field ``name`` of ``path`` (``""`` for the whole document), read as ``kind``."""
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{path}: malformed field {name}: {value!r} is not an object")
+        missing = [key for key in kind if key not in value]
+        if missing:
+            raise ValueError(f"{path}{name and ': ' + name} lacks the field(s) {', '.join(missing)}")
+        return {**value, **{key: _field(path, f"{name}.{key}" if name else key, value[key], sub)
+                            for key, sub in kind.items()}}
+    if isinstance(kind, list):
+        if not (isinstance(value, list) and value):
+            raise ValueError(f"{path}: malformed field {name}: {value!r} is not a non-empty list")
+        return [_field(path, f"{name}[{i}]", v, kind[0]) for i, v in enumerate(value)]
+    if kind is None:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        what = "a number" if kind is float else "an integer"
+        raise ValueError(f"{path}: malformed field {name}: {value!r} is not {what}")
+    try:
+        return kind(value)
+    except OverflowError as exc:  # an integer too large for a float
+        raise ValueError(f"{path}: malformed field {name}: {exc}") from None
+
+
 def save_grid_function(gf: GridFunction, path) -> None:
     """Write a grid function as a JSON metadata file plus a sibling raw payload.
 
@@ -331,41 +376,11 @@ def save_grid_function(gf: GridFunction, path) -> None:
     write_json(path, meta)
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _axis_specs(path: Path, axes) -> list[tuple]:
-    """``(lo, hi, n)`` per axis entry of a metadata file; ValueError if malformed."""
-    if not isinstance(axes, list) or not all(isinstance(a, dict) for a in axes):
-        raise ValueError(f"{path}: axes must be a list of objects, got {axes!r}")
-    specs = []
-    for i, a in enumerate(axes):
-        missing = [key for key in ("lo", "hi", "n") if key not in a]
-        if missing:
-            raise ValueError(f"{path}: axis {i} lacks the field(s) {', '.join(missing)}")
-        if not (_is_number(a["lo"]) and _is_number(a["hi"])):
-            raise ValueError(f"{path}: axis {i} bounds {a['lo']!r}, {a['hi']!r} are not numbers")
-        if not isinstance(a["n"], int) or isinstance(a["n"], bool):
-            raise ValueError(f"{path}: axis {i} node count {a['n']!r} is not an integer")
-        specs.append((a["lo"], a["hi"], a["n"]))
-    return specs
-
-
 def load_grid_function(path) -> GridFunction:
     """Read back a grid function written by :func:`save_grid_function`."""
     path = Path(path)
-    try:
-        meta = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"corrupt grid function metadata in {path}: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise ValueError(f"{path}: metadata is not a JSON object")
-    if meta.get("format") != GRIDFN_FORMAT:
-        raise ValueError(f"{path} is not a grid function file (format={meta.get('format')!r})")
-    missing = [key for key in ("axes", "payload", "value_count", "dtype", "order") if key not in meta]
-    if missing:
-        raise ValueError(f"{path} lacks the field(s) {', '.join(missing)}")
+    meta = read_json(path, GRIDFN_FORMAT, {"axes": [{"lo": float, "hi": float, "n": int}], "payload": None,
+                                           "value_count": int, "dtype": None, "order": None})
     for key, written in (("dtype", "<f8"), ("order", "row-major")):
         if meta[key] != written:
             raise ValueError(f"{path}: {key} {meta[key]!r} is not {written!r}")
@@ -373,14 +388,9 @@ def load_grid_function(path) -> GridFunction:
     # the payload must sit next to its metadata file: a plain name, no path
     if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
         raise ValueError(f"{path}: payload {name!r} is not a plain file name")
-    count = meta["value_count"]
-    if not isinstance(count, int) or isinstance(count, bool):
-        raise ValueError(f"{path}: value_count {count!r} is not an integer")
-    grid = build_grid(_axis_specs(path, meta["axes"]))
+    grid = build_grid((a["lo"], a["hi"], a["n"]) for a in meta["axes"])
     payload = path.parent / name
     raw = np.frombuffer(payload.read_bytes(), dtype="<f8")
-    if raw.size != count or raw.size != grid.size:
-        raise ValueError(
-            f"payload {payload} holds {raw.size} values, expected {grid.size}"
-        )
+    if raw.size != meta["value_count"] or raw.size != grid.size:
+        raise ValueError(f"payload {payload} holds {raw.size} values, expected {grid.size}")
     return GridFunction(grid, raw)

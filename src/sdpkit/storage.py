@@ -49,7 +49,7 @@ __all__ = [
     "feasible_interval",
     "default_state_grid",
     "heuristic_policy_on_grid",
-    "TIMESTEP_RTOL",
+    "INPUT_RTOL",
     "require_storage_timestep",
     "build_problem",
     "grid_policy_fn",
@@ -58,7 +58,9 @@ __all__ = [
     "metrics",
     "write_csv",
     "save_series",
+    "series_timestep",
     "load_series",
+    "load_speed_series",
     "save_trajectory",
     "load_trajectory",
 ]
@@ -66,8 +68,9 @@ __all__ = [
 # Span of the speed/accel grid axes, in stationary standard deviations.
 GRID_SIGMA_SPAN = 4.0
 
-# Relative tolerance within which a model's or a series' timestep is the storage timestep.
-TIMESTEP_RTOL = 1e-9
+# Relative tolerance of the input checks: a model's or a series' timestep against the storage timestep,
+# each step of a series' time column against its mean step, and a policy's energy axis against [0, e_rated].
+INPUT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,8 @@ class StorageParams:
 
 
 def require_storage_timestep(dt: float, params: StorageParams, source: str) -> None:
-    """Raise ValueError unless ``dt`` is the storage timestep to within TIMESTEP_RTOL."""
-    if not abs(dt - params.dt) <= TIMESTEP_RTOL * params.dt:
+    """Raise ValueError unless ``dt`` is the storage timestep to within INPUT_RTOL."""
+    if not abs(dt - params.dt) <= INPUT_RTOL * params.dt:
         raise ValueError(f"{source} timestep {dt} != storage timestep {params.dt}")
 
 
@@ -253,8 +256,10 @@ StepLaw = Callable[[int, float], float]
 Policy = Callable[[np.ndarray, np.ndarray], StepLaw]
 
 
-def grid_policy_fn(policy: GridFunction) -> Policy:
-    """Closed-loop control law from a solved policy table (interpolated).
+def grid_policy_fn(policy: GridFunction, params: StorageParams) -> Policy:
+    """Closed-loop control law from a solved policy table (interpolated), run under ``params``.
+
+    The table's first axis is the stored energy and must span [0, e_rated] to within INPUT_RTOL.
 
     Per run, one batch stencil on the (speed, accel) sub-grid blends every
     energy layer of the table at every step, each value clipped to its 4
@@ -266,6 +271,8 @@ def grid_policy_fn(policy: GridFunction) -> Policy:
     if policy.grid.dim != 3:
         raise ValueError(f"storage policies are 3-dimensional, got {policy.grid.dim} axes")
     e_axis = policy.grid.axes[0]
+    if abs(e_axis.lo) > INPUT_RTOL * params.e_rated or abs(e_axis.hi - params.e_rated) > INPUT_RTOL * params.e_rated:
+        raise ValueError(f"policy energy axis [{e_axis.lo}, {e_axis.hi}] does not match e_rated={params.e_rated}")
     plane = RectGrid(policy.grid.axes[1:])
     table = policy.values.reshape(e_axis.n, plane.size)
 
@@ -420,10 +427,32 @@ def _read_csv(path, required: tuple[str, ...]):
     return {name: data[:, i] for i, name in enumerate(names)}
 
 
+def series_timestep(t: np.ndarray) -> float:
+    """Mean step of a time column of two or more samples; ValueError unless it increases at that step."""
+    if t.size < 2:
+        raise ValueError("need at least two samples to infer the timestep")
+    dt = float((t[-1] - t[0]) / (t.size - 1))  # the mean step: an offset time column rounds each step
+    if not np.allclose(np.diff(t), dt, rtol=INPUT_RTOL, atol=0.0):
+        raise ValueError("series time column is not uniformly spaced")
+    if not dt > 0.0:
+        raise ValueError(f"series time column must increase, got step {dt}")
+    return dt
+
+
 def load_series(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a speed series CSV; returns (t, omega) and ignores any other column."""
+    """(t, omega) of a speed series CSV, other columns ignored; two or more times must pass :func:`series_timestep`."""
     cols = _read_csv(path, required=("t", "omega"))
+    if cols["t"].size > 1:
+        series_timestep(cols["t"])
     return cols["t"], cols["omega"]
+
+
+def load_speed_series(path, params: StorageParams) -> np.ndarray:
+    """Speed column of a series sampled at the storage timestep; closed-loop runs derive production from it."""
+    t, omega = load_series(path)
+    if t.size > 1:
+        require_storage_timestep(series_timestep(t), params, "series")
+    return omega
 
 
 TRAJECTORY_COLUMNS = ("t", "omega", "accel", "p_prod", "p_grid", "p_sto", "e_sto")

@@ -185,6 +185,8 @@ class TestSampleAcf:
             armodel.sample_acf(np.arange(10.0), max_lag=10)  # too few
         with pytest.raises(ValueError):
             armodel.sample_acf(np.arange(10.0), max_lag=0)
+        with pytest.raises(ValueError, match="series must be finite"):
+            armodel.sample_acf(np.array([0.0, 1.0, math.nan, 2.0]), max_lag=2)
 
 
 class TestStationarity:
@@ -196,6 +198,8 @@ class TestStationarity:
         ((1.5, -0.5), False),   # unit root
         ((0.2, 0.9), False),
         ((), True),
+        ((math.nan, 0.1), False),
+        ((math.inf,), False),
     ])
     def test_known_cases(self, phi, expected):
         assert armodel.is_stationary(phi) is expected
@@ -236,6 +240,14 @@ class TestTheoreticalAcf:
     def test_rejects_non_stationary(self):
         with pytest.raises(ValueError):
             armodel.theoretical_acf((1.01,), max_lag=3)
+
+    @pytest.mark.parametrize("phi, max_lag, message", [
+        ((), 3, "model order must be at least 1"),
+        ((0.5,), 0, "max_lag must be >= 1, got 0"),
+    ], ids=["no-order", "no-lag"])
+    def test_rejects_an_empty_order_or_lag_range(self, phi, max_lag, message):
+        with pytest.raises(ValueError, match=message):
+            armodel.theoretical_acf(phi, max_lag)
 
     @settings(max_examples=200, deadline=None)
     @given(u=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5), max_lag=st.integers(1, 60))
@@ -378,6 +390,10 @@ class TestFitMultilag:
         with pytest.raises(ValueError):
             armodel.fit_multilag(acf, p=0, lag_count=3)
 
+    def test_rejects_fewer_lags_than_the_order(self):
+        with pytest.raises(ValueError, match="need at least 2 lags to fit order 2"):
+            armodel.fit_multilag(AcfSeries([1.0, 0.5]), p=2, lag_count=1)
+
     def test_singular_toeplitz_block_is_a_value_error(self):
         acf = AcfSeries([1.0, 1.0, 0.3])  # rho(1) = 1: the 2x2 block [[1, 1], [1, 1]]
         with pytest.raises(ValueError, match="order 2 over 2 lags: singular"):
@@ -508,6 +524,17 @@ class TestInnovationStd:
         bad = AcfSeries(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             armodel.innovation_std_from_acf((0.9,), 1.0, bad)
+
+    @pytest.mark.parametrize("phi, gamma0, message", [
+        ((0.8,), -1.0, "variance must be finite and >= 0"),
+        ((0.8,), math.nan, "variance must be finite and >= 0"),
+        ((0.8,), math.inf, "variance must be finite and >= 0"),
+        ((0.8, 0.1), 1.0, "need autocorrelations up to lag 2"),
+    ], ids=["negative", "nan", "inf", "too-few-lags"])
+    def test_rejects_a_bad_variance_or_too_few_lags(self, phi, gamma0, message):
+        acf = armodel.theoretical_acf((0.8,), max_lag=1)
+        with pytest.raises(ValueError, match=message):
+            armodel.innovation_std_from_acf(phi, gamma0, acf)
 
 
 class TestSimulate:
@@ -662,6 +689,15 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             AcfSeries(np.array([0.99, 0.5]))
 
+    @pytest.mark.parametrize("values, message", [
+        ([], "needs at least lag 0"),
+        ([1.0, math.nan], "must be finite"),
+        ([1.0, 0.5, -math.inf], "must be finite"),
+    ], ids=["empty", "nan", "inf"])
+    def test_acfseries_rejects_empty_or_non_finite_values(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            AcfSeries(np.array(values))
+
 
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
@@ -695,6 +731,14 @@ class TestPersistence:
         with pytest.raises(ValueError, match="corrupt"):
             armodel.load_ar_model(path)
 
+    def test_rejects_another_format_tag(self, tmp_path):
+        """A well-formed model under another tag: only the format check can reject it."""
+        path = tmp_path / "model.json"
+        armodel.save_ar_model(armodel.ARModel((0.5,), 1.0, 1.0), path)
+        path.write_text(path.read_text().replace('"armodel-v1"', '"gridfn-v1"'))
+        with pytest.raises(ValueError, match="format 'gridfn-v1' is not 'armodel-v1'"):
+            armodel.load_ar_model(path)
+
     @pytest.mark.parametrize("doc, message", [
         ([], "not a JSON object"),
         ("armodel-v1", "not a JSON object"),
@@ -725,7 +769,7 @@ class TestPersistence:
         ({"p": 2, "phi": "12"}, "phi"),
         ({"phi": {"0.5": 1}}, "phi"),
         ({"phi": []}, "phi"),
-        ({"phi": [0.5, True]}, "phi"),
+        ({"phi": [0.5, True]}, r"phi\[1\]"),
         ({"p": 2.9, "phi": [0.5, 0.2]}, "p"),
         ({"p": True}, "p"),
         ({"sigma_eps": "0.1"}, "sigma_eps"),
@@ -745,5 +789,5 @@ class TestPersistence:
         path = tmp_path / "model.json"
         doc = {"format": armodel.ARMODEL_FORMAT, "p": 1, "phi": [0.5], "sigma_eps": 1.0, "dt": 1.0, **fields}
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed field: int too large"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: malformed field (dt|phi\[0\]): int too large"):
             armodel.load_ar_model(path)

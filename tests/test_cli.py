@@ -373,7 +373,10 @@ class TestSimulate:
         '"dtype": ">f8", "order": "row-major"}',
         '{"format": "gridfn-v1", "axes": [{"lo": 0, "hi": 1, "n": 2}], "payload": "p.bin", "value_count": 2, '
         '"dtype": "<f8", "order": "column-major"}',
-    ], ids=["list", "axis-without-hi", "big-endian", "column-major"])
+        # a 400-digit bound, too large for a float
+        '{"format": "gridfn-v1", "axes": [{"lo": 0, "hi": 1' + "0" * 399 + ', "n": 2}], "payload": "p.bin", '
+        '"value_count": 2, "dtype": "<f8", "order": "row-major"}',
+    ], ids=["list", "axis-without-hi", "big-endian", "column-major", "huge-bound"])
     def test_malformed_policy_file_is_a_usage_error(self, speed_csv, tmp_path, meta, capsys):
         bad = tmp_path / "bad.gridfn"
         bad.write_text(meta)

@@ -200,7 +200,7 @@ def test_grid_policy_matches_the_per_point_oracle(name, seed):
     shape, narrow = GRIDS[name]
     policy = random_policy(shape, seed=seed, narrow=narrow)
     speed = speed_series(seed)
-    traj = storage.simulate_trajectory(storage.grid_policy_fn(policy), speed, PARAMS, 5e6)
+    traj = storage.simulate_trajectory(storage.grid_policy_fn(policy, PARAMS), speed, PARAMS, 5e6)
     ref = oracle_trajectory(interpolating_rule(policy), speed, PARAMS, 5e6)
     assert np.max(np.abs(traj.p_grid - ref.p_grid)) <= 1e-6
     assert abs(traj.e_final - ref.e_final) <= 1e-6
@@ -222,7 +222,7 @@ def test_every_request_lies_in_its_8_corner_range(name):
     shape, narrow = GRIDS[name]
     policy = random_policy(shape, seed=5, narrow=narrow)
     speed = speed_series(4)
-    recorder = RecordingPolicy(storage.grid_policy_fn(policy))
+    recorder = RecordingPolicy(storage.grid_policy_fn(policy, PARAMS))
     traj = storage.simulate_trajectory(recorder, speed, PARAMS, 5e6)
     k, e, requested = (np.array(col) for col in zip(*recorder.calls))
     assert k.tolist() == list(range(speed.size))
@@ -243,7 +243,7 @@ def test_a_flat_table_is_reproduced_exactly(name):
     value = 0.1 * math.pi * PARAMS.p_max
     speed = speed_series(6)
     flat = grids.GridFunction(grid, np.full(grid.size, value))
-    recorder = RecordingPolicy(storage.grid_policy_fn(flat))
+    recorder = RecordingPolicy(storage.grid_policy_fn(flat, PARAMS))
     storage.simulate_trajectory(recorder, speed, PARAMS, 5e6)
     assert all(requested == value for _, _, requested in recorder.calls)
 
@@ -255,7 +255,7 @@ def test_queries_on_nodes_reproduce_the_table_exactly(name):
     e_ax, om_ax, ac_ax = policy.grid.axes
     om_idx, ac_idx = np.meshgrid(np.arange(om_ax.n), np.arange(ac_ax.n), indexing="ij")
     om_idx, ac_idx = om_idx.ravel(), ac_idx.ravel()
-    law = storage.grid_policy_fn(policy)(om_ax.nodes[om_idx], ac_ax.nodes[ac_idx])
+    law = storage.grid_policy_fn(policy, PARAMS)(om_ax.nodes[om_idx], ac_ax.nodes[ac_idx])
     table = policy.values.reshape(policy.grid.shape)
     for k in range(om_idx.size):
         for i, e in enumerate(e_ax.nodes):
@@ -268,7 +268,7 @@ def test_store_starting_empty_or_full(name, e0):
     shape, narrow = GRIDS[name]
     policy = random_policy(shape, seed=7, narrow=narrow)
     speed = speed_series(5, n=300)
-    traj = storage.simulate_trajectory(storage.grid_policy_fn(policy), speed, PARAMS, e0)
+    traj = storage.simulate_trajectory(storage.grid_policy_fn(policy, PARAMS), speed, PARAMS, e0)
     ref = oracle_trajectory(interpolating_rule(policy), speed, PARAMS, e0)
     assert traj.e_sto[0] == e0
     assert np.max(np.abs(traj.p_grid - ref.p_grid)) <= 1e-6
@@ -280,7 +280,7 @@ def test_length_one_series(name):
     shape, narrow = GRIDS[name]
     policy = random_policy(shape, seed=8, narrow=narrow)
     speed = np.array([0.37])
-    traj = storage.simulate_trajectory(storage.grid_policy_fn(policy), speed, PARAMS, 3e6)
+    traj = storage.simulate_trajectory(storage.grid_policy_fn(policy, PARAMS), speed, PARAMS, 3e6)
     ref = oracle_trajectory(interpolating_rule(policy), speed, PARAMS, 3e6)
     assert traj.t.size == 1 and traj.accel[0] == 0.0
     assert abs(traj.p_grid[0] - ref.p_grid[0]) <= 1e-6
@@ -312,6 +312,6 @@ def test_grid_trajectories_keep_the_reference_bits(name, make, e0):
     policy = make(shape, seed=9, narrow=narrow)
     speed = speed_series(9)
     speed[200:260] = 0.0  # no production: a store at a bound meets requests on its feasibility ends
-    traj = storage.simulate_trajectory(storage.grid_policy_fn(policy), speed, PARAMS, e0)
+    traj = storage.simulate_trajectory(storage.grid_policy_fn(policy, PARAMS), speed, PARAMS, e0)
     ref = reference_trajectory(reference_grid_policy(policy), speed, PARAMS, e0)
     assert_same_bits(traj, ref)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -335,7 +336,11 @@ class TestPersistence:
         with pytest.raises(ValueError, match="corrupt"):
             grids.load_grid_function(path)
         path.write_text(json.dumps({"format": "something-else"}))
-        with pytest.raises(ValueError, match="not a grid function"):
+        with pytest.raises(ValueError, match="format 'something-else' is not 'gridfn-v1'"):
+            grids.load_grid_function(path)
+        # more digits than int() converts by default: the error still names the file
+        path.write_text('{"format": "gridfn-v1", "value_count": ' + "1" * 5000 + "}")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             grids.load_grid_function(path)
 
     @pytest.mark.parametrize("field", ["axes", "payload", "value_count", "dtype", "order"])
@@ -372,26 +377,28 @@ class TestPersistence:
     @pytest.mark.parametrize("meta, message", [
         ([], "not a JSON object"),
         ("gridfn-v1", "not a JSON object"),
-        ({"axes": {"lo": 0, "hi": 1, "n": 2}}, "list of objects"),
-        ({"axes": [[0, 1, 2]]}, "list of objects"),
+        ({"axes": {"lo": 0, "hi": 1, "n": 2}}, "field axes: .* is not a non-empty list"),
+        ({"axes": [[0, 1, 2]]}, r"field axes\[0\]: \[0, 1, 2\] is not an object"),
         ({"axes": [{"hi": 1, "n": 2}]}, "lacks the field"),
         ({"axes": [{"lo": 0, "n": 2}]}, "hi"),
         ({"axes": [{"lo": 0, "hi": 1}]}, "lacks the field"),
         ({"axes": [{"lo": 0, "hi": 1, "n": 2.5}]}, "not an integer"),
         ({"axes": [{"lo": 0, "hi": 1, "n": "2"}]}, "not an integer"),
         ({"axes": [{"lo": 0, "hi": 1, "n": True}]}, "not an integer"),
-        ({"axes": [{"lo": None, "hi": 1, "n": 2}]}, "not numbers"),
+        ({"axes": [{"lo": None, "hi": 1, "n": 2}]}, r"field axes\[0\]\.lo: None is not a number"),
+        # an integer JSON holds exactly but a float cannot
+        ({"axes": [{"lo": 0, "hi": 10**400, "n": 2}]}, r"field axes\[0\]\.hi: int too large to convert to float"),
         ({"dtype": ">f8"}, "dtype '>f8'"),
         ({"order": "column-major"}, "order 'column-major'"),
         # 2^22 * 2^21 * 2^21 = 2^64 nodes, which wraps to 0 in int64, against an empty payload
         ({"axes": [{"lo": 0, "hi": 1, "n": 2**22}, {"lo": 0, "hi": 1, "n": 2**21}, {"lo": 0, "hi": 1, "n": 2**21}],
           "value_count": 0}, f"holds 0 values, expected {2**64}"),
         # a count that only equals the payload's size as a number, or is no number at all
-        ({"value_count": 2.0}, "value_count 2.0 is not an integer"),
-        ({"axes": [{"lo": 0, "hi": 0, "n": 1}], "value_count": True}, "value_count True is not an integer"),
-        ({"value_count": "2"}, "value_count '2' is not an integer"),
+        ({"value_count": 2.0}, "value_count: 2.0 is not an integer"),
+        ({"axes": [{"lo": 0, "hi": 0, "n": 1}], "value_count": True}, "value_count: True is not an integer"),
+        ({"value_count": "2"}, "value_count: '2' is not an integer"),
     ], ids=["list", "string", "axes-object", "axis-list", "no-lo", "no-hi", "no-n",
-            "float-n", "string-n", "bool-n", "null-lo", "big-endian", "column-major", "size-overflows-int64",
+            "float-n", "string-n", "bool-n", "null-lo", "huge-hi", "big-endian", "column-major", "size-overflows-int64",
             "float-count", "bool-count", "string-count"])
     def test_load_rejects_malformed_metadata(self, tmp_path, meta, message):
         path = tmp_path / "fn.gridfn"

@@ -93,6 +93,10 @@ class TestDiscretizeNoise:
             DiscreteNoise(np.array([0.0]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="not NaN"):  # NaN passes both a < 0 and a sum-to-1 test
             DiscreteNoise(np.array([0.0, 1.0]), np.array([math.nan, 1.0]))
+        with pytest.raises(ValueError, match="at least one node"):
+            DiscreteNoise(np.array([]), np.array([]))
+        with pytest.raises(ValueError, match="nodes must be finite"):
+            DiscreteNoise(np.array([0.0, math.inf]), np.array([0.5, 0.5]))
 
 
 def fixed_candidates(cands):

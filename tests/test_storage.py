@@ -293,7 +293,7 @@ class TestSimulateTrajectory:
         grid = storage.default_state_grid(model, PARAMS, 12, 8, 8)
         (seed,) = storage.heuristic_policy_on_grid(grid, PARAMS)
         speed = speed_fixture(500, 9)
-        a = storage.simulate_trajectory(storage.grid_policy_fn(seed), speed, PARAMS, 5e6)
+        a = storage.simulate_trajectory(storage.grid_policy_fn(seed, PARAMS), speed, PARAMS, 5e6)
         b = storage.simulate_trajectory(storage.heuristic_policy_fn(PARAMS), speed, PARAMS, 5e6)
         # the rule is linear in energy, so interpolating its node samples
         # reproduces it up to rounding in the weights
@@ -331,7 +331,16 @@ class TestSimulateTrajectory:
     def test_grid_policy_fn_requires_three_axes(self):
         g = grids.build_grid([(0, 1, 2)])
         with pytest.raises(ValueError):
-            storage.grid_policy_fn(grids.GridFunction(g, np.zeros(2)))
+            storage.grid_policy_fn(grids.GridFunction(g, np.zeros(2)), PARAMS)
+
+    def test_grid_policy_fn_rejects_a_policy_for_another_capacity(self):
+        grid = storage.default_state_grid(storage.bundled_speed_model(), PARAMS, 4, 5, 5)
+        (policy,) = storage.heuristic_policy_on_grid(grid, PARAMS)
+        for e_rated in (5e6, 10e6 * (1.0 + 1e-8)):
+            message = rf"policy energy axis \[0.0, 10000000.0\] does not match e_rated={e_rated}"
+            with pytest.raises(ValueError, match=message):
+                storage.grid_policy_fn(policy, StorageParams(e_rated=e_rated))
+        storage.grid_policy_fn(policy, StorageParams(e_rated=10e6 * (1.0 + 1e-10)))  # within INPUT_RTOL
 
 
 class TestMetrics:
@@ -393,6 +402,16 @@ class TestCsvRoundTrips:
         with pytest.raises(ValueError):
             storage.save_series(tmp_path / "bad.csv", [0.0, 0.1], [0.2])
 
+    @pytest.mark.parametrize("t, message", [
+        (-0.1 * np.arange(20), "series time column must increase, got step -0.1"),
+        (np.concatenate([0.1 * np.arange(10), 1.05 + 0.1 * np.arange(10)]), "not uniformly spaced"),
+    ], ids=["backward", "uneven"])
+    def test_series_time_column_must_increase_at_one_step(self, tmp_path, t, message):
+        path = tmp_path / "series.csv"
+        storage.save_series(path, t, np.sin(np.arange(t.size)))
+        with pytest.raises(ValueError, match=message):
+            storage.load_series(path)
+
     def test_series_rejects_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,speed\n0.0,1.0\n")
@@ -427,6 +446,13 @@ class TestCsvRoundTrips:
         path.write_text(",".join(storage.TRAJECTORY_COLUMNS) + "\n" + ",".join(["0.0"] * 7) + "\n")
         with pytest.raises(ValueError, match="at least one step"):
             storage.load_trajectory(path)
+
+    @pytest.mark.parametrize("load", [storage.load_series, storage.load_trajectory], ids=["series", "trajectory"])
+    def test_rows_must_have_one_value_per_header_name(self, tmp_path, load):
+        path = tmp_path / "wide.csv"
+        path.write_text(",".join(storage.TRAJECTORY_COLUMNS) + "\n" + ",".join(["0.0"] * 8) + "\n")
+        with pytest.raises(ValueError, match="8 data columns but 7 header names"):
+            load(path)
 
     @pytest.mark.parametrize("load", [storage.load_series, storage.load_trajectory], ids=["series", "trajectory"])
     def test_header_only_file_has_no_data_rows(self, tmp_path, load):
