@@ -7,7 +7,9 @@ form
 
 on a `RectGrid`, with the differential value h represented as a
 `GridFunction` (multilinear interpolation between nodes) and the scalar
-noise expectation taken over a `DiscreteNoise` distribution.
+noise expectation taken over a `DiscreteNoise` distribution.  A successor
+outside the grid is clamped to its hull, a free reflecting wall: on a linear-quadratic
+problem a grid of +-5 closed-loop stationary stds per axis reads J about 30% below the optimum.
 
 All iteration is relative value iteration: after each sweep the value at
 node 0 is subtracted from the whole table, so the table stays anchored at
@@ -537,16 +539,15 @@ def _stop(residuals: list[float], anchor: float, config: SolverConfig, fraction:
     return max(fraction * residuals[0], config.eval_tol * (abs(anchor) + 1.0))
 
 
-def _relative_iteration(step, n: int, config: SolverConfig, start: np.ndarray | None = None, fraction: float = 0.0):
-    """Iterate v <- raw - raw[0], raw = step(v), on the calling thread; returns (v, anchor, residuals, converged).
+def _relative_iteration(step, look: _Lookahead, config: SolverConfig, start: GridFunction | None = None, fraction=0.0):
+    """The EvaluationResult of v <- raw - raw[0], raw = step(v), over the swept rows of ``look``, on the calling thread.
 
-    Starts from ``start`` (default: n zeros); ``step`` may thread its own work.  Stops once the span
+    Starts from ``start`` at the swept rows (default: zeros); ``step`` may thread its own work.  Stops once the span
     of raw - v drops to :func:`_stop`, or after ``eval_max_sweeps`` sweeps.
     """
-    v = np.zeros(n) if start is None else np.array(start, dtype=np.float64)
+    v = np.zeros(look.rows) if start is None else start.values[look.order[: look.rows]]  # a copy
     residuals = []
-    converged = False
-    for _ in range(config.eval_max_sweeps):
+    for _ in range(config.eval_max_sweeps):  # at least one sweep
         raw = step(v)
         np.subtract(raw, v, out=v)  # the increment, in v's own buffer
         anchor = float(raw[0])
@@ -555,7 +556,8 @@ def _relative_iteration(step, n: int, config: SolverConfig, start: np.ndarray | 
         converged = residuals[-1] <= _stop(residuals, anchor, config, fraction)
         if converged:
             break
-    return v, anchor, residuals, converged
+    return EvaluationResult(anchor, look.grid_function(v), len(residuals), residuals, converged,
+                            residuals[-1] / _stop(residuals, anchor, config, fraction))
 
 
 def bellman_sweep(
@@ -644,10 +646,7 @@ def policy_evaluation(
         raw += cost
         return raw
 
-    v, anchor, residuals, converged = _relative_iteration(
-        step, look.rows, config, None if start is None else start.values[look.order[: look.rows]], fraction)
-    return EvaluationResult(anchor, look.grid_function(v), len(residuals), residuals, converged,
-                            residuals[-1] / _stop(residuals, anchor, config, fraction))
+    return _relative_iteration(step, look, config, start, fraction)
 
 
 def policy_improvement(
@@ -685,51 +684,30 @@ def policy_iteration(
     """
     config = config or SolverConfig()
     current = tuple(initial_policy)
-    avg_history, change_history, sweeps_per_eval, eval_converged, eval_span_ratio, brackets = [], [], [], [], [], []
     import scipy.sparse  # noqa: F401  loaded before the clock starts: see SolveReport.lookahead_seconds
     start = time.perf_counter()
     look = _policy_lookahead(current, problem, config)
-    clock = [time.perf_counter()]  # before and after each evaluation and improvement
-    evaluation = None
+    built = time.perf_counter()
+    steps = []  # one record per improvement step: see _report
     fraction = STOP_FRACTION
     for _ in range(config.max_improvements):
-        seed = evaluation.value if evaluation is not None and evaluation.converged else None
+        began = time.perf_counter()
+        seed = steps[-1][0].value if steps and steps[-1][0].converged else None
         attempts = [policy_evaluation(current, problem, config, look, seed, fraction)]
         if seed is not None and not attempts[0].converged:  # a periodic chain: retry from zero, once
             attempts.append(policy_evaluation(current, problem, config, look, None, fraction))
         evaluation = attempts[-1]
-        clock.append(time.perf_counter())
-        eval_converged.append(evaluation.converged)
-        eval_span_ratio.append(evaluation.span_ratio)
-        sweeps_per_eval.append(sum(a.sweeps for a in attempts))
-        avg_history.append(evaluation.avg_cost)
+        evaluated = time.perf_counter()
         improved, bracket = policy_improvement(evaluation.value, problem, config, look)
-        clock.append(time.perf_counter())
-        brackets.append(bracket)
+        seconds = (evaluated - began, time.perf_counter() - evaluated)
         change = max(float(np.max(np.abs(n.values - o.values))) for n, o in zip(improved, current))
-        change_history.append(change)
+        steps.append((evaluation, sum(a.sweeps for a in attempts), bracket, change, *seconds))
         current = improved
         converged = bracket[1] - bracket[0] <= config.eval_tol * (abs(evaluation.avg_cost) + 1.0)
         if converged:
             break
         fraction = 0.0 if change == 0.0 else STOP_FRACTION
-    return SolveReport(
-        avg_cost=evaluation.avg_cost,
-        value=evaluation.value,
-        policy=current,
-        sweeps_per_evaluation=sweeps_per_eval,
-        improvement_steps=len(change_history),
-        avg_cost_history=avg_history,
-        policy_change_history=change_history,
-        converged=converged,
-        evaluation_converged=eval_converged,
-        evaluation_span_ratio=eval_span_ratio,
-        bracket_history=brackets,
-        plane_nodes_swept=look.reps,
-        lookahead_seconds=clock[0] - start,
-        evaluation_seconds=np.diff(clock)[0::2].tolist(),
-        improvement_seconds=np.diff(clock)[1::2].tolist(),
-    )
+    return _report(look, built - start, current, converged, steps)
 
 
 def value_iteration(
@@ -755,23 +733,31 @@ def value_iteration(
         raw, policy, bracket = _min_sweep(look, v, config.threads)
         return raw
 
-    v, anchor, residuals, converged = _relative_iteration(step, look.rows, config)
+    evaluation = _relative_iteration(step, look, config)
+    return _report(look, built - start, policy, evaluation.converged,
+                   [(evaluation, evaluation.sweeps, bracket, None, time.perf_counter() - built, 0.0)])
+
+
+def _report(look: _Lookahead, lookahead_seconds: float, policy, converged: bool, steps) -> SolveReport:
+    """One SolveReport from one record per step: (evaluation, sweeps of all its runs, bracket, policy change or None,
+    evaluation seconds, improvement seconds).  J and the value are the last evaluation's."""
+    evaluations, sweeps, brackets, changes, evaluation_seconds, improvement_seconds = map(list, zip(*steps))
     return SolveReport(
-        avg_cost=anchor,
-        value=look.grid_function(v),
+        avg_cost=evaluations[-1].avg_cost,
+        value=evaluations[-1].value,
         policy=policy,
-        sweeps_per_evaluation=[len(residuals)],
-        improvement_steps=1,
-        avg_cost_history=[anchor],
-        policy_change_history=[],
+        improvement_steps=len(steps),
+        sweeps_per_evaluation=sweeps,
         converged=converged,
-        evaluation_converged=[converged],
-        evaluation_span_ratio=[residuals[-1] / _stop(residuals, anchor, config, 0.0)],
-        bracket_history=[bracket],
+        evaluation_converged=[e.converged for e in evaluations],
+        evaluation_span_ratio=[e.span_ratio for e in evaluations],
+        bracket_history=brackets,
+        avg_cost_history=[e.avg_cost for e in evaluations],
+        policy_change_history=[c for c in changes if c is not None],
         plane_nodes_swept=look.reps,
-        lookahead_seconds=built - start,
-        evaluation_seconds=[time.perf_counter() - built],
-        improvement_seconds=[0.0],
+        lookahead_seconds=lookahead_seconds,
+        evaluation_seconds=evaluation_seconds,
+        improvement_seconds=improvement_seconds,
     )
 
 

@@ -16,6 +16,15 @@ grid solver run on it without discretization error.  The references
 below never touch the solver: transition matrices come straight from
 the table, policy values from a dense linear solve, and optima from
 brute-force policy enumeration.
+
+The linear-quadratic problem is a continuous one: state (z, y),
+z' = z + (y - u) dt, y' = rho y + w, stage cost u^2 + lam z^2, with z
+controlled and y exogenous (``controlled_dims = 1``).  Its optimal
+average cost is sigma_d^2 S[1, 1], S solving the discrete algebraic
+Riccati equation and sigma_d^2 the variance of the discrete noise
+(Bertsekas, *Dynamic Programming and Optimal Control* I, 4.1), so it
+measures how far the gridded problem is from the continuous one: the
+grid, candidate and hull errors, not the noise's discretisation.
 """
 
 from __future__ import annotations
@@ -135,3 +144,49 @@ def as_control_problem(mdp: FiniteMDP) -> tuple[solver.ControlProblem, grids.Rec
 
 def policy_as_grid_functions(policy: np.ndarray, grid: grids.RectGrid):
     return (grids.GridFunction(grid, policy.astype(np.float64)),)
+
+
+LQ_DT, LQ_RHO, LQ_SIGMA, LQ_LAMBDA, LQ_CANDIDATES = 1.0, 0.9, 1.0, 0.1, 101
+
+
+def lq_riccati(noise: solver.DiscreteNoise):
+    """(J*, gain K with u = -K x, closed-loop stationary stds of z and y) of the LQ problem under ``noise``."""
+    from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
+    a = np.array([[1.0, LQ_DT], [0.0, LQ_RHO]])
+    b = np.array([[-LQ_DT], [0.0]])
+    r = np.eye(1)
+    s = solve_discrete_are(a, b, np.diag([LQ_LAMBDA, 0.0]), r)
+    gain = np.linalg.solve(r + b.T @ s @ b, b.T @ s @ a)
+    var_w = float(noise.weights @ noise.nodes ** 2)
+    cov = solve_discrete_lyapunov(a - b @ gain, np.diag([0.0, var_w]))
+    return var_w * float(s[1, 1]), gain, np.sqrt(np.diag(cov))
+
+
+def lq_problem(n_nodes: int, stds: float, controlled_dims: int = 1):
+    """The LQ problem on an n x n grid spanning +-``stds`` closed-loop stationary stds per axis.
+
+    Returns (problem, grid, J*, the Riccati policy as GridFunctions).  The
+    candidates are uniform on +-max |K x| over the grid's corners.
+    """
+    noise = solver.discretize_noise(LQ_SIGMA, 5)
+    j_star, gain, std = lq_riccati(noise)
+    grid = grids.build_grid([(-stds * s, stds * s, n_nodes) for s in std])
+    corners = np.array(list(itertools.product(*[(-stds * s, stds * s) for s in std])))
+    u_max = float(np.abs(corners @ gain.T).max())
+    controls = np.linspace(-u_max, u_max, LQ_CANDIDATES)[:, None]
+
+    def dynamics(x, u, w):
+        return np.column_stack([x[:, 0] + (x[:, 1] - u[:, 0]) * LQ_DT, LQ_RHO * x[:, 1] + w])
+
+    def stage_cost(x, u, w):
+        return u[:, 0] ** 2 + LQ_LAMBDA * x[:, 0] ** 2
+
+    problem = solver.ControlProblem(
+        dynamics=dynamics,
+        stage_cost=stage_cost,
+        control_candidates=lambda xs: np.broadcast_to(controls, (xs.shape[0], LQ_CANDIDATES, 1)),
+        noise=noise,
+        controlled_dims=controlled_dims,
+    )
+    riccati = grids.GridFunction(grid, -grid.all_nodes @ gain[0])
+    return problem, grid, j_star, (riccati,)

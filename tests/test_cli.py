@@ -523,6 +523,22 @@ class TestCompare:
         assert f"invalid input: {calm}: the heuristic's injected power is constant" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case, message", [
+        ("uneven", "series time column is not uniformly spaced"),
+        ("slow", "series timestep 0.2 != storage timestep 0.1"),
+    ], ids=["uneven", "slow"])
+    def test_a_rejected_series_is_named(self, speed_csv, tmp_path, capsys, case, message):
+        bad = tmp_path / f"{case}.csv"
+        t = 0.1 * np.arange(50)
+        t[20:] += 0.05
+        storage.save_series(bad, t if case == "uneven" else 0.2 * np.arange(50), np.sin(np.arange(50)))
+        out = tmp_path / "cmp.json"
+        code = run_cli("compare", "--policy", "heuristic", "--series", str(speed_csv), str(bad), "--out", str(out))
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"invalid input: {bad}: {message}" in err and str(speed_csv) not in err
+        assert not out.exists()
+
 
 class TestJsonWrites:
     """A crash at the final rename leaves each JSON and CSV artifact as it was, and no stray file."""

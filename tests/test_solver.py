@@ -23,6 +23,7 @@ from mdp_oracles import (
     as_control_problem,
     enumerate_optimum,
     evaluate_policy_linear,
+    lq_problem,
     policy_as_grid_functions,
     random_mdp,
 )
@@ -1225,6 +1226,36 @@ class TestBracket:
         assert report.evaluation_converged[-1] is True
 
 
+def solve_lq(n_nodes, stds, controlled_dims=1):
+    """Policy iteration on the linear-quadratic oracle from its Riccati policy, certified; returns (report, J*)."""
+    problem, grid, j_star, riccati = lq_problem(n_nodes, stds, controlled_dims)
+    report = solver.policy_iteration(problem, riccati, SolverConfig(eval_tol=1e-10, max_improvements=50))
+    assert report.converged
+    return report, j_star
+
+
+class TestLinearQuadraticOracle:
+    """The gridded problem against the continuous optimum J* from the Riccati equation.
+
+    The axes span +-12 closed-loop stationary stds unless a test says otherwise.
+    """
+
+    def test_the_grid_error_is_positive_and_shrinks_with_the_nodes(self):
+        errors = [report.avg_cost / j_star - 1.0 for report, j_star in (solve_lq(n, 12.0) for n in (64, 128))]
+        # about +14% and +4%: halving the spacing cuts the error by more than half
+        assert 0.0 < errors[1] < errors[0] / 2 < 0.1
+
+    def test_a_narrow_hull_undershoots_the_optimum(self):
+        # a successor outside the grid is clamped to its hull, a free reflecting wall that keeps z cheap
+        report, j_star = solve_lq(32, 5.0)
+        assert report.avg_cost < 0.8 * j_star
+
+    def test_the_generic_path_gives_the_post_decision_j(self):
+        post, _ = solve_lq(32, 12.0)
+        generic, _ = solve_lq(32, 12.0, controlled_dims=0)
+        assert generic.avg_cost == pytest.approx(post.avg_cost, rel=1e-9, abs=0.0)
+
+
 class TestSaveReport:
     def test_roundtrip(self, tmp_path):
         problem, grid = make_tabular_problem(TestTwoStateCycle.COSTS)
@@ -1253,6 +1284,25 @@ class TestSaveReport:
         # one entry per improvement step, and value iteration is one step: no list grows with the sweeps
         assert doc["avg_cost_history"] == [report.avg_cost]
         assert all(len(v) <= doc["improvement_steps"] for v in doc.values() if isinstance(v, list))
+
+    @pytest.mark.parametrize("driver", ["policy_iteration", "value_iteration"])
+    def test_report_keys_are_the_fields_and_each_list_has_one_entry_per_step(self, tmp_path, driver):
+        problem, grid, policy = storage_split_case(4, 5, 7)
+        config = SolverConfig(eval_max_sweeps=200, max_improvements=3)
+        if driver == "policy_iteration":
+            report = solver.policy_iteration(problem, policy, config)
+            assert report.improvement_steps >= 2
+        else:
+            report = solver.value_iteration(problem, grid, config)
+        solver.save_report(report, tmp_path)
+        doc = json.loads((tmp_path / "solution_report.json").read_text())
+        fields = dataclasses.fields(solver.SolveReport)
+        assert list(doc) == [f.name for f in fields if f.name not in ("value", "policy")]
+        lengths = {k: len(v) for k, v in doc.items() if isinstance(v, list)}
+        assert set(lengths) == {f.name for f in fields if f.type.startswith("list")}
+        # value iteration is one step with no policy change
+        empty = {"policy_change_history"} if driver == "value_iteration" else set()
+        assert lengths == {k: 0 if k in empty else report.improvement_steps for k in lengths}
 
     def test_a_two_component_control_gives_the_one_component_solve_and_saves_both(self, tmp_path):
         problem, grid, policy = storage_split_case(5, 6, 6)
