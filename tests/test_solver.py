@@ -1285,11 +1285,11 @@ class TestSaveReport:
         assert doc["avg_cost_history"] == [report.avg_cost]
         assert all(len(v) <= doc["improvement_steps"] for v in doc.values() if isinstance(v, list))
 
-    @pytest.mark.parametrize("driver", ["policy_iteration", "value_iteration"])
-    def test_report_keys_are_the_fields_and_each_list_has_one_entry_per_step(self, tmp_path, driver):
+    @pytest.mark.parametrize("method", ["policy_iteration", "value_iteration"])
+    def test_report_keys_are_the_fields_and_each_list_has_one_entry_per_step(self, tmp_path, method):
         problem, grid, policy = storage_split_case(4, 5, 7)
         config = SolverConfig(eval_max_sweeps=200, max_improvements=3)
-        if driver == "policy_iteration":
+        if method == "policy_iteration":
             report = solver.policy_iteration(problem, policy, config)
             assert report.improvement_steps >= 2
         else:
@@ -1301,7 +1301,7 @@ class TestSaveReport:
         lengths = {k: len(v) for k, v in doc.items() if isinstance(v, list)}
         assert set(lengths) == {f.name for f in fields if f.type.startswith("list")}
         # value iteration is one step with no policy change
-        empty = {"policy_change_history"} if driver == "value_iteration" else set()
+        empty = {"policy_change_history"} if method == "value_iteration" else set()
         assert lengths == {k: 0 if k in empty else report.improvement_steps for k in lengths}
 
     def test_a_two_component_control_gives_the_one_component_solve_and_saves_both(self, tmp_path):
