@@ -452,24 +452,20 @@ def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig, ta
         return _Lookahead(grid, problem, grid, 1, 1, sp.identity(1, format="csr"), noise, chunks, width, order)
     plane = RectGrid(grid.axes[c:])
     u0 = np.ascontiguousarray(cand0[:, 0])
-    ncorner = 1 << plane.dim
-    indices = np.empty((n_y, noise.n * ncorner), dtype=np.int64)
-    data = np.empty((n_y, noise.n * ncorner))
-    exogenous = []
-    for l, (wval, wprob) in enumerate(zip(noise.nodes, noise.weights)):
+    exogenous, indices, data = [], [], []
+    for wval, wprob in zip(noise.nodes, noise.weights):
         xn, _ = _successors(problem, grid, slice0, u0, np.full(n_y, wval), order[:: inner.size], 1)
         exogenous.append(xn[:, c:])
         flat, wts = interpolation_stencil(plane, xn[:, c:])
-        indices[:, l * ncorner : (l + 1) * ncorner] = flat
-        data[:, l * ncorner : (l + 1) * ncorner] = wprob * wts
+        indices.append(flat)
+        data.append(wprob * wts)
+    indices, data = np.concatenate(indices, axis=1), np.concatenate(data, axis=1)
     indptr = np.arange(n_y + 1, dtype=np.int64) * indices.shape[1]
-    # the successor of (plane node y, noise node l) is minus that of (n_y - 1 - y, L - 1 - l)
-    mirror = (all(_mirror_symmetric(ax.nodes, -1.0) for ax in plane.axes) and _mirror_symmetric(noise.weights)
-              and _mirror_symmetric(np.stack(exogenous, axis=1).reshape(n_y * noise.n, -1), -1.0)
-              and all(_mirror_symmetric(t.reshape(-1, n_y).T) for t in tables))
     ends = ((noise.nodes[0], exogenous[0]), (noise.nodes[-1], exogenous[-1]))
     declared = f"controlled_dims={c} declares otherwise"
-    seen = np.empty((grid.size, 2, width + c + 1)) if mirror else None  # per row and checked candidate
+    # per row and checked candidate, on every build: freeing it lifts glibc's mmap and trim thresholds
+    # above a sweep chunk's temporaries, so that the sweeps reuse their pages instead of faulting in fresh ones
+    seen = np.empty((grid.size, 2, width + c + 1))
 
     def check(a: int, b: int) -> None:
         xc, at = grid.nodes_at(order[a:b]), order[a:b]
@@ -485,14 +481,18 @@ def _lookahead(grid: RectGrid, problem: ControlProblem, config: SolverConfig, ta
                 _require(xn[:, c:] == ref[y], grid, at,
                          "dynamics: the exogenous components depend on the control "
                          f"or the controlled state ({declared})")
-            if seen is not None:
-                seen[a:b, j] = np.column_stack([u, x0[:, :c], c0])
+            seen[a:b, j] = np.column_stack([u, x0[:, :c], c0])
 
     # the check evaluates 2 candidates at 2 noise ends per row, so it runs longer spans than a sweep:
     # each span's (rows, K) candidate array holds 4 * CHUNK_POINTS values
     span = max(1, 4 * CHUNK_POINTS // k)
     _run_chunks([(a, min(a + span, grid.size)) for a in range(0, grid.size, span)], check, config.threads)
-    reps = (n_y + 1) // 2 if mirror and _mirror_symmetric(seen.reshape(n_y, -1)) else n_y
+    # the successor of (plane node y, noise node l) is minus that of (n_y - 1 - y, L - 1 - l)
+    mirror = (all(_mirror_symmetric(ax.nodes, -1.0) for ax in plane.axes) and _mirror_symmetric(noise.weights)
+              and _mirror_symmetric(np.stack(exogenous, axis=1).reshape(n_y * noise.n, -1), -1.0)
+              and all(_mirror_symmetric(t.reshape(-1, n_y).T) for t in tables)
+              and _mirror_symmetric(seen.reshape(n_y, -1)))
+    reps = (n_y + 1) // 2 if mirror else n_y
     lumped = np.where(indices < reps, indices, n_y - 1 - indices)[:reps]  # a column adds into its representative's
     operator = sp.csr_matrix((data[:reps].reshape(-1), lumped.reshape(-1), indptr[: reps + 1]), shape=(reps, reps))
     operator.sum_duplicates()  # noise nodes often share stencil corners: about half the entries

@@ -440,21 +440,19 @@ def series_timestep(t: np.ndarray) -> float:
 
 
 def load_series(path) -> tuple[np.ndarray, np.ndarray]:
-    """(t, omega) of a speed series CSV, other columns ignored; two or more times must pass :func:`series_timestep`."""
+    """(t, omega) of a speed series CSV, other columns ignored; its time column must pass :func:`series_timestep`."""
     cols = _read_csv(path, required=("t", "omega"))
-    if cols["t"].size > 1:
-        try:
-            series_timestep(cols["t"])
-        except ValueError as err:
-            raise ValueError(f"{path}: {err}") from err
+    try:
+        series_timestep(cols["t"])
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
     return cols["t"], cols["omega"]
 
 
 def load_speed_series(path, params: StorageParams) -> np.ndarray:
     """Speed column of a series sampled at the storage timestep; closed-loop runs derive production from it."""
     t, omega = load_series(path)
-    if t.size > 1:
-        require_storage_timestep(series_timestep(t), params, f"{path}: series")
+    require_storage_timestep(series_timestep(t), params, f"{path}: series")
     return omega
 
 

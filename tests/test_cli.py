@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -453,12 +454,16 @@ class TestSimulate:
         assert "axis 0: axis needs at least two nodes, got n=1" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_fit_on_a_single_sample_is_a_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["fit", "simulate", "compare"])
+    def test_fit_on_a_single_sample_is_a_usage_error(self, tmp_path, capsys, command):
         series = tmp_path / "one.csv"
         storage.save_series(series, [0.0], [0.3])
-        out = tmp_path / "model.json"
-        assert run_cli("fit", "--series", str(series), "--out", str(out)) == cli.EXIT_USAGE
-        assert "need at least two samples to infer the timestep" in capsys.readouterr().err
+        out = tmp_path / "out"
+        argv = {"fit": ("fit", "--series", str(series)),
+                "simulate": ("simulate", "--policy", "heuristic", "--series", str(series)),
+                "compare": ("compare", "--policy", "heuristic", "--series", str(series))}[command]
+        assert run_cli(*argv, "--out", str(out)) == cli.EXIT_USAGE
+        assert f"invalid input: {series}: need at least two samples to infer the timestep" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "simulate", "compare"])
@@ -662,6 +667,27 @@ assert scipy_loaded and all(scipy_loaded), scipy_loaded
 """
 
 
+WHOLE_PLANE_FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from sdpkit import grids, solver, storage
+
+model, params = storage.bundled_speed_model(), storage.StorageParams()
+grid = storage.default_state_grid(model, params, 20, 50, 50)
+problem = storage.build_problem(model, params)
+value = grids.GridFunction(grid, np.arange(grid.size, dtype=float))  # no mirror symmetry
+config = solver.SolverConfig(threads=1)
+look = solver._lookahead(grid, problem, config, (value.values,))
+assert look.reps == grid.size // grid.shape[0], look.reps
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    solver.policy_improvement(value, problem, config, look)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+assert faults[1] <= 5000, faults
+"""
+
+
 def run_fresh(script: str, *argv) -> subprocess.CompletedProcess:
     src = Path(__file__).resolve().parents[1] / "src"
     return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
@@ -685,6 +711,17 @@ class TestStartUpImports:
     @pytest.mark.parametrize("solve", ["policy_iteration", "value_iteration"])
     def test_the_lookahead_clock_starts_after_scipy_is_loaded(self, solve):
         proc = run_fresh(LOOKAHEAD_CLOCK_SCRIPT, solve)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+    def test_a_whole_plane_sweep_reuses_its_pages(self):
+        """A sweep after the first faults in almost no fresh pages, on the whole plane as on the quotient.
+
+        The lookahead frees its split-check table on every build, which lifts glibc's mmap and trim
+        thresholds above a sweep chunk's temporaries.  The thresholds are process-wide and only rise, so
+        the sweeps run in a fresh interpreter: a large table freed by an earlier test would hide the faults.
+        """
+        proc = run_fresh(WHOLE_PLANE_FAULTS_SCRIPT)
         assert proc.returncode == 0, proc.stderr
 
 
